@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON config (or provenance) file")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_sim.add_argument("--workers", type=int, default=1, help="parallel cycle workers")
+    p_sim.add_argument(
+        "--workers", type=int, default=1, help="ignored; simulation is single-process"
+    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="analyze a shot CSV")

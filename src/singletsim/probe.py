@@ -53,9 +53,12 @@ class ProbeConfig:
         shot-noise formula.  Lets the measured sensitivity of a real
         apparatus be plugged in directly.
     light_backaction : bool
-        If True, ``simulate_pulse`` adds the per-pulse rotation noise of
-        the probe light about z (angle std g1*sqrt(n_photons)/2).  Off
-        by default: with an unpolarized ensemble it is second order.
+        If True, each probe pulse rotates the spin about lab z by a
+        random angle of std g1*sqrt(n_photons)/2 (``backaction_sigma``).
+        The simulation engine applies it to the true spin after each
+        pulse's readout, so it scrambles the transverse components seen
+        by later pulses; ``simulate_pulse`` applies it to the posterior.
+        Off by default: with an unpolarized ensemble it is second order.
     """
 
     g1: float = 9.0e-8
@@ -99,6 +102,14 @@ def readout_noise_sigma(probe: ProbeConfig) -> float:
     if probe.readout_noise_override is not None:
         return probe.readout_noise_override
     return 1.0 / (probe.g1 * math.sqrt(probe.efficiency * probe.n_photons))
+
+
+def backaction_sigma(probe: ProbeConfig) -> float:
+    """Std of the per-pulse back-action rotation angle about z, radians.
+
+    The probe's S_z shot noise, sqrt(n_photons)/2, times the coupling g1.
+    """
+    return probe.g1 * math.sqrt(probe.n_photons) / 2.0
 
 
 def snr(probe: ProbeConfig, n_atoms: float) -> float:
@@ -151,7 +162,7 @@ def simulate_pulse(
 
     backaction = 0.0
     if probe.light_backaction:
-        backaction = probe.g1 * math.sqrt(probe.n_photons) / 2.0 * rng.standard_normal()
+        backaction = backaction_sigma(probe) * rng.standard_normal()
         c, s = math.cos(backaction), math.sin(backaction)
         rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         posterior = apply_rotation(posterior, rz)

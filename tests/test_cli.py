@@ -133,6 +133,33 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not (out / "shots.csv").exists()
 
+    def test_indefinite_prep_noise_exit_code(self, tmp_path, capsys):
+        # -2e5 on z outweighs the thermal (2/3) N once N < 3e5, which the
+        # late shots of each cycle reach from 4e5 initial atoms.
+        payload = {
+            **TINY_CAMPAIGN,
+            "campaign": {**TINY_CAMPAIGN["campaign"], "initial_atoms": 4e5},
+            "sequence": {"prep_noise_cov": [[-2e5, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        }
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "indefinite"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "shots.csv").exists()
+        assert not (out / "provenance.json").exists()
+        assert "prep_noise_cov" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [2.0, True])
+    @pytest.mark.parametrize(
+        "key", ["n_cycles", "sequences_per_cycle", "reference_shots_per_cycle"]
+    )
+    def test_non_integer_campaign_field_exit_code(self, tmp_path, capsys, key, value):
+        payload = {"campaign": {**TINY_CAMPAIGN["campaign"], key: value}}
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "nonint"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "shots.csv").exists()
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
     def test_default_config_reproduces_campaign_structure(self, tmp_path):
         # An empty config is the published campaign: 602 loading cycles
         # of 12 sequences = 7224 atom shots, plus reference shots.

@@ -5,6 +5,7 @@ import pytest
 
 from singletsim import (
     CampaignConfig,
+    ConfigError,
     EstimationError,
     ProbeConfig,
     SchemaError,
@@ -120,6 +121,36 @@ class TestRunSequence:
         # other components: reading is cos-reduced, not exact m.
         assert rec.f1[0] < m
         assert rec.f1[0] == pytest.approx(m, rel=2e-3)
+
+    def test_light_backaction_decorrelates_transverse_readouts(self, field):
+        # n_photons chosen so the per-pulse kick about lab z has a 2 rad
+        # std: the true spin's transverse part is scrambled between the
+        # rounds, so f1 and f2 stop agreeing on the y and x components.
+        n_photons = (2.0 * 2.0 / 9.0e-8) ** 2
+        corr = {}
+        for flag in (False, True):
+            probe = ProbeConfig(efficiency=1.0, n_photons=n_photons, light_backaction=flag)
+            cfg = SequenceConfig(field=field, probe=probe)
+            f1, f2 = simulate_shots(cfg, 1e6, 20_000, np.random.default_rng(12))
+            corr[flag] = [np.corrcoef(f1[:, k], f2[:, k])[0, 1] for k in (1, 2)]
+        assert min(corr[False]) > 0.99
+        assert max(abs(c) for c in corr[True]) < 0.05
+
+    def test_per_shot_atom_numbers(self, seq_ideal):
+        n_atoms = np.array([0.0, 1e6, 4e5])
+        f1, f2 = simulate_shots(seq_ideal, n_atoms, 3, np.random.default_rng(13))
+        rng = np.random.default_rng(13)
+        for i, n in enumerate(n_atoms):
+            a, b = simulate_shots(seq_ideal, n, 1, rng)
+            assert np.array_equal(a[0], f1[i]) and np.array_equal(b[0], f2[i])
+
+    def test_indefinite_preparation_names_smallest_atom_number(self, field, probe_ideal):
+        cfg = SequenceConfig(
+            field=field, probe=probe_ideal, prep_noise_cov=np.diag([-2e5, 0.0, 0.0])
+        )
+        n_atoms = np.array([9e5, 2e5, 2.5e5, 1e5, 0.0])
+        with pytest.raises(ConfigError, match=r"n_atoms = 100000 "):
+            simulate_shots(cfg, n_atoms, 5, np.random.default_rng(14))
 
     def test_schedule_validation(self, field, probe_ideal):
         with pytest.raises(ValueError, match="stroboscopic"):
