@@ -9,17 +9,21 @@ squeezing witness is
     xi2 = v_tilde / (f * n_atoms)
 
 with xi2 < 1 detecting entanglement and (1 - xi2) * n_atoms lower-
-bounding the number of entangled atoms.  Standard errors come from a
-seeded bootstrap over shots.
+bounding the number of entangled atoms.
+
+Standard errors (ddof=1) come from one seeded bootstrap over shots,
+``_bootstrap_covariances``, shared by both witness paths: per block of
+resamples it draws ``rng.integers(0, m, size=(k, m))`` (the stream of
+one ``size=m`` draw per resample), counts the draws with one
+``bincount`` and forms each resample's unbiased covariance from
+count-weighted moments of the rows centred on the sample mean.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,6 +34,7 @@ from .errors import EstimationError, FitError
 from .probe import ProbeConfig, readout_noise_sigma, snr
 
 PINV_RCOND = 1e-10
+BOOTSTRAP_BLOCK = 16  # resamples per block: each (block, shots) array stays near 1 MB
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +51,33 @@ def sample_covariance(vectors) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
+def _bootstrap_covariances(x: np.ndarray, n_resamples: int, rng) -> np.ndarray:
+    """(n_resamples, d, d) bootstrap covariances of the rows of ``x``."""
+    m, d = x.shape
+    xc = x - x.mean(axis=0)
+    outer = (xc[:, :, None] * xc[:, None, :]).reshape(m, d * d)
+    covs = np.empty((n_resamples, d, d))
+    for start in range(0, n_resamples, BOOTSTRAP_BLOCK):
+        k = min(BOOTSTRAP_BLOCK, n_resamples - start)
+        idx = rng.integers(0, m, size=(k, m)) + m * np.arange(k)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=k * m).reshape(k, m).astype(float)
+        mean = counts @ xc / m
+        second = (counts @ outer).reshape(k, d, d)
+        covs[start : start + k] = (second - m * mean[:, :, None] * mean[:, None, :]) / (m - 1)
+    return 0.5 * (covs + covs.swapaxes(1, 2))
+
+
 @dataclass(frozen=True)
 class ConditionalCovariance:
-    """Schur complement g2 - g12^T g1^{-1} g12, with a singularity flag."""
+    """Schur complement g2 - g12^T g1^{-1} g12 and singularity flag, per block of a stack."""
 
     matrix: np.ndarray
-    pinv_used: bool
+    pinv_used: bool | np.ndarray
 
     @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
+    def trace(self) -> float | np.ndarray:
+        t = np.trace(self.matrix, axis1=-2, axis2=-1)
+        return float(t) if t.ndim == 0 else t
 
 
 def conditional_covariance(g1, g2, g12, rcond: float = PINV_RCOND) -> ConditionalCovariance:
@@ -64,19 +86,20 @@ def conditional_covariance(g1, g2, g12, rcond: float = PINV_RCOND) -> Conditiona
     ``g12`` is cov(F1_i, F2_j).  A singular first-measurement covariance
     falls back to the pseudo-inverse (cutoff ``rcond`` relative to the
     largest singular value) and is flagged rather than silently
-    regularized.
+    regularized.  The blocks may be 3x3 or stacks (..., 3, 3), each
+    block conditioned on its own.
     """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     g12 = np.asarray(g12, dtype=float)
     sv = np.linalg.svd(g1, compute_uv=False)
-    pinv_used = bool(sv[-1] <= rcond * sv[0])
-    if pinv_used:
-        solved = np.linalg.pinv(g1, rcond=rcond) @ g12
-    else:
-        solved = np.linalg.solve(g1, g12)
-    cond = g2 - g12.T @ solved
-    return ConditionalCovariance(0.5 * (cond + cond.T), pinv_used)
+    pinv_used = sv[..., -1] <= rcond * sv[..., 0]
+    solved = np.empty(g12.shape)
+    solved[~pinv_used] = np.linalg.solve(g1[~pinv_used], g12[~pinv_used])
+    solved[pinv_used] = np.linalg.pinv(g1[pinv_used], rcond=rcond) @ g12[pinv_used]
+    cond = g2 - np.swapaxes(g12, -1, -2) @ solved
+    flag = bool(pinv_used) if pinv_used.ndim == 0 else pinv_used
+    return ConditionalCovariance(0.5 * (cond + np.swapaxes(cond, -1, -2)), flag)
 
 
 class ScalarConditional(NamedTuple):
@@ -111,6 +134,13 @@ def _atom_shots(records):
     return [r for r in records if not r.is_reference]
 
 
+def _atom_arrays(atoms):
+    """(f1, f2, n_atoms) arrays of a list of shots, stacked once."""
+    f1 = np.array([r.f1 for r in atoms], dtype=float).reshape(-1, 3)
+    f2 = np.array([r.f2 for r in atoms], dtype=float).reshape(-1, 3)
+    return f1, f2, np.array([r.n_atoms for r in atoms], dtype=float)
+
+
 def _quantile_bins(n_atoms: np.ndarray, n_bins: int) -> list[np.ndarray]:
     """Index masks for equal-population bins over the atom-number range."""
     edges = np.quantile(n_atoms, np.linspace(0.0, 1.0, n_bins + 1))
@@ -121,6 +151,27 @@ def _quantile_bins(n_atoms: np.ndarray, n_bins: int) -> list[np.ndarray]:
     return [np.flatnonzero(idx == k) for k in range(len(edges) - 1)]
 
 
+def _selection_masks(f1, n_atoms, cutoffs, mean_mode: str, n_bins: int) -> np.ndarray:
+    """One row per cutoff C: |f1 - <f1>|^2 < C * n_atoms for each atom shot.
+
+    The centering mean is taken per atom-number bin (``"per_bin"``) or
+    over all shots (``"global"``).
+    """
+    cutoffs = np.asarray(cutoffs, dtype=float)
+    if np.any(cutoffs <= 0):
+        raise ValueError("cutoff must be positive")
+    if mean_mode not in ("per_bin", "global"):
+        raise ValueError("mean_mode must be 'per_bin' or 'global'")
+    groups = [np.arange(len(f1))]
+    if mean_mode == "per_bin" and len(f1):
+        groups = _quantile_bins(n_atoms, n_bins)
+    dist2 = np.empty(len(f1))
+    for idx in groups:
+        if len(idx):
+            dist2[idx] = np.sum((f1[idx] - f1[idx].mean(axis=0)) ** 2, axis=1)
+    return dist2 < cutoffs[:, None] * n_atoms
+
+
 def select_shots(records, cutoff: float, *, mean_mode: str = "per_bin", n_bins: int = 10):
     """Shots whose first measurement lies near the ensemble mean.
 
@@ -128,26 +179,9 @@ def select_shots(records, cutoff: float, *, mean_mode: str = "per_bin", n_bins: 
     The centering mean is taken per atom-number bin by default, or
     globally with ``mean_mode="global"``.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    if mean_mode not in ("per_bin", "global"):
-        raise ValueError("mean_mode must be 'per_bin' or 'global'")
     atoms = _atom_shots(records)
-    if not atoms:
-        return []
-    f1 = np.array([r.f1 for r in atoms])
-    n = np.array([r.n_atoms for r in atoms])
-    if mean_mode == "global":
-        groups = [np.arange(len(atoms))]
-    else:
-        groups = _quantile_bins(n, n_bins)
-    keep = np.zeros(len(atoms), dtype=bool)
-    for idx in groups:
-        if len(idx) == 0:
-            continue
-        center = f1[idx].mean(axis=0)
-        dist2 = np.sum((f1[idx] - center) ** 2, axis=1)
-        keep[idx] = dist2 < cutoff * n[idx]
+    f1, _, n = _atom_arrays(atoms)
+    keep = _selection_masks(f1, n, [cutoff], mean_mode, n_bins)[0]
     return [r for r, k in zip(atoms, keep) if k]
 
 
@@ -194,14 +228,11 @@ def squeezing_parameter(
     stderr = 0.0
     if vectors is not None:
         x = np.asarray(vectors, dtype=float)
-        if x.shape[0] < 2:
+        if x.ndim != 2 or x.shape[0] < 2:
             raise EstimationError("need at least 2 vectors to bootstrap")
         rng = np.random.default_rng(0) if rng is None else rng
-        vals = np.empty(n_resamples)
-        m = x.shape[0]
-        for i in range(n_resamples):
-            idx = rng.integers(0, m, size=m)
-            vals[i] = (np.trace(sample_covariance(x[idx])) - v0) / (f * n_atoms)
+        covs = _bootstrap_covariances(x, n_resamples, rng)
+        vals = (np.trace(covs, axis1=1, axis2=2) - v0) / (f * n_atoms)
         stderr = float(np.std(vals, ddof=1))
     return _witness(xi2, stderr, n_atoms, v_tilde)
 
@@ -381,25 +412,34 @@ def resolve_v0(records, probe: ProbeConfig | None, options: AnalysisOptions) -> 
     return ref.v0, ref.n_reference
 
 
-def _joint_blocks(f1: np.ndarray, f2: np.ndarray):
-    c6 = sample_covariance(np.hstack([f1, f2]))
-    return c6[:3, :3], c6[3:, 3:], c6[:3, 3:]
+def _joint_blocks(c6: np.ndarray):
+    """(g1, g2, g12) blocks of joint (f1, f2) covariances, shape (..., 6, 6)."""
+    return c6[..., :3, :3], c6[..., 3:, 3:], c6[..., :3, 3:]
 
 
-def _conditional_trace(f1, f2) -> float:
-    g1, g2, g12 = _joint_blocks(f1, f2)
-    return conditional_covariance(g1, g2, g12).trace
+def _selection_witness(f2, n_atoms, v0: float, options: AnalysisOptions, rng) -> WitnessResult:
+    """Witness on the second measurement of selected shots, bootstrapped."""
+    v2 = float(np.trace(sample_covariance(f2)))
+    return squeezing_parameter(
+        v2 - v0,
+        float(np.mean(n_atoms)),
+        options.f,
+        vectors=f2,
+        v0=v0,
+        n_resamples=options.n_resamples,
+        rng=rng,
+    )
 
 
-def _analyze_bin(v0: float, options: AnalysisOptions, payload):
+def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, bf1, bf2, bn, sel_mask):
     """One bin of the pipeline: covariance blocks and both witnesses.
 
-    Deterministic given (options.seed, bin index), so bins can be
-    evaluated in any order or in parallel.
+    ``sel_mask`` marks the bin's shots inside the selection cutoff.
+    Deterministic given (options.seed, bin index).
     """
-    b_idx, bf1, bf2, bn = payload
     n_mean = float(bn.mean())
-    g1, g2, g12 = _joint_blocks(bf1, bf2)
+    x = np.hstack([bf1, bf2])
+    g1, g2, g12 = _joint_blocks(sample_covariance(x))
     cond = conditional_covariance(g1, g2, g12)
     v1 = float(np.trace(g1))
     v2 = float(np.trace(g2))
@@ -424,30 +464,15 @@ def _analyze_bin(v0: float, options: AnalysisOptions, payload):
     )
 
     rng = np.random.default_rng(np.random.SeedSequence(options.seed, spawn_key=(b_idx,)))
-    m = len(bn)
-    vals = np.empty(options.n_resamples)
-    for i in range(options.n_resamples):
-        ridx = rng.integers(0, m, size=m)
-        vals[i] = (_conditional_trace(bf1[ridx], bf2[ridx]) - v0) / (options.f * n_mean)
+    boot = _bootstrap_covariances(x, options.n_resamples, rng)
+    vals = (conditional_covariance(*_joint_blocks(boot)).trace - v0) / (options.f * n_mean)
     xi2 = report.v_cond_tilde / (options.f * n_mean)
     witness = _witness(xi2, float(np.std(vals, ddof=1)), n_mean, report.v_cond_tilde)
 
-    center = bf1.mean(axis=0)
-    sel_mask = np.sum((bf1 - center) ** 2, axis=1) < options.cutoff * bn
     n_selected = int(sel_mask.sum())
     selection = None
     if n_selected >= options.min_bin_shots:
-        sel_n_mean = float(bn[sel_mask].mean())
-        v2_sel = float(np.trace(sample_covariance(bf2[sel_mask])))
-        selection = squeezing_parameter(
-            v2_sel - v0,
-            sel_n_mean,
-            options.f,
-            vectors=bf2[sel_mask],
-            v0=v0,
-            n_resamples=options.n_resamples,
-            rng=rng,
-        )
+        selection = _selection_witness(bf2[sel_mask], bn[sel_mask], v0, options, rng)
     return BinAnalysis(report, witness, selection, n_selected)
 
 
@@ -462,9 +487,10 @@ def analyze_dataset(
     Each bin gets the covariance blocks of (f1, f2), the conditional
     (Schur-complement) covariance, read-out-subtracted total variances,
     the conditional-path witness, and the selection-path witness at the
-    configured cutoff.  Noise-scaling fits and the SNR-model fit run
-    across bins when enough of them survive.  Bins are independent and
-    evaluated in parallel when ``workers`` > 1 with identical output.
+    configured cutoff (centred as ``options.mean_mode`` says).
+    Noise-scaling fits and the SNR-model fit run across bins when
+    enough of them survive.  ``workers`` is accepted for compatibility
+    and ignored; analysis runs in one process.
     """
     options = AnalysisOptions() if options is None else options
     v0, n_ref = resolve_v0(records, probe, options)
@@ -479,28 +505,22 @@ def analyze_dataset(
     bins: list[BinAnalysis] = []
     skipped: list[dict] = []
     if atoms:
-        f1 = np.array([r.f1 for r in atoms])
-        f2 = np.array([r.f2 for r in atoms])
-        n_at = np.array([r.n_atoms for r in atoms])
-        payloads = []
+        f1, f2, n_at = _atom_arrays(atoms)
+        selected = _selection_masks(
+            f1, n_at, [options.cutoff], options.mean_mode, options.n_bins
+        )[0]
         for b_idx, idx in enumerate(_quantile_bins(n_at, options.n_bins)):
+            reason = None
             if len(idx) < options.min_bin_shots:
-                skipped.append(
-                    {"bin": b_idx, "n_shots": int(len(idx)), "reason": "too few shots"}
+                reason = "too few shots"
+            elif float(n_at[idx].mean()) <= 0.0:
+                reason = "zero atom number"
+            if reason:
+                skipped.append({"bin": b_idx, "n_shots": int(len(idx)), "reason": reason})
+            else:
+                bins.append(
+                    _analyze_bin(v0, options, b_idx, f1[idx], f2[idx], n_at[idx], selected[idx])
                 )
-                continue
-            if float(n_at[idx].mean()) <= 0.0:
-                skipped.append(
-                    {"bin": b_idx, "n_shots": int(len(idx)), "reason": "zero atom number"}
-                )
-                continue
-            payloads.append((b_idx, f1[idx], f2[idx], n_at[idx]))
-        task = partial(_analyze_bin, v0, options)
-        if workers <= 1 or len(payloads) <= 1:
-            bins = [task(p) for p in payloads]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                bins = list(pool.map(task, payloads))
 
     fits: dict[str, FitResult | None] = {
         "unconditional_1": None,
@@ -548,37 +568,18 @@ def cutoff_scan(
     """
     options = AnalysisOptions() if options is None else options
     v0, _ = resolve_v0(records, probe, options)
+    cutoffs = list(cutoffs)
     rng = np.random.default_rng(np.random.SeedSequence(options.seed, spawn_key=(0xC,)))
+    f1, f2, n = _atom_arrays(_atom_shots(records))
+    masks = _selection_masks(f1, n, cutoffs, options.mean_mode, options.n_bins)
     rows = []
-    for c in cutoffs:
-        selected = select_shots(
-            records, c, mean_mode=options.mean_mode, n_bins=options.n_bins
-        )
-        if len(selected) < 2:
-            rows.append(
-                {"C": float(c), "xi2": math.nan, "xi2_stderr": math.nan, "n_selected": 0}
-            )
+    for c, mask in zip(map(float, cutoffs), masks):
+        n_selected = int(mask.sum())
+        if n_selected < 2:
+            rows.append({"C": c, "xi2": math.nan, "xi2_stderr": math.nan, "n_selected": 0})
             continue
-        f2 = np.array([r.f2 for r in selected])
-        n_mean = float(np.mean([r.n_atoms for r in selected]))
-        v2 = float(np.trace(sample_covariance(f2)))
-        w = squeezing_parameter(
-            v2 - v0,
-            n_mean,
-            options.f,
-            vectors=f2,
-            v0=v0,
-            n_resamples=options.n_resamples,
-            rng=rng,
-        )
-        rows.append(
-            {
-                "C": float(c),
-                "xi2": w.xi2,
-                "xi2_stderr": w.xi2_stderr,
-                "n_selected": len(selected),
-            }
-        )
+        w = _selection_witness(f2[mask], n[mask], v0, options, rng)
+        rows.append({"C": c, "xi2": w.xi2, "xi2_stderr": w.xi2_stderr, "n_selected": n_selected})
     return rows
 
 
@@ -608,18 +609,14 @@ def correlation_matrix(records) -> np.ndarray:
 
 def residual_polarization(records, f: float = 1.0) -> tuple[float, float]:
     """|mean F| / (f * N_A) for each measurement round."""
-    atoms = _atom_shots(records)
-    if not atoms:
+    f1, f2, n = _atom_arrays(_atom_shots(records))
+    if not len(n):
         raise EstimationError("no atom shots")
-    n_mean = float(np.mean([r.n_atoms for r in atoms]))
+    n_mean = float(n.mean())
     if n_mean <= 0:
         raise EstimationError("mean atom number must be positive")
-    m1 = np.mean([r.f1 for r in atoms], axis=0)
-    m2 = np.mean([r.f2 for r in atoms], axis=0)
-    return (
-        float(np.linalg.norm(m1)) / (f * n_mean),
-        float(np.linalg.norm(m2)) / (f * n_mean),
-    )
+    m1, m2 = f1.mean(axis=0), f2.mean(axis=0)
+    return float(np.linalg.norm(m1)) / (f * n_mean), float(np.linalg.norm(m2)) / (f * n_mean)
 
 
 # ---------------------------------------------------------------------------

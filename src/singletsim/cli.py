@@ -109,9 +109,7 @@ def cmd_analyze(args) -> int:
     scan_path = out_dir / "cutoff_scan.csv"
     written = [report_path, scaling_path]
     try:
-        result = analyze_dataset(
-            records, probe=cfg.probe, options=options, workers=args.workers
-        )
+        result = analyze_dataset(records, probe=cfg.probe, options=options)
         write_report(report_path, result)
         write_noise_scaling_csv(scaling_path, result)
         if args.cutoff_scan:
@@ -193,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--cutoff-scan", default=None, metavar="START:STOP:STEP", help="scan the cutoff"
     )
-    p_an.add_argument("--workers", type=int, default=1, help="parallel bin workers")
+    p_an.add_argument(
+        "--workers", type=int, default=1, help="ignored; analysis is single-process"
+    )
     p_an.set_defaults(func=cmd_analyze)
 
     p_fid = sub.add_parser("fidfit", help="fit an FID trace CSV")

@@ -38,6 +38,7 @@ not depend on evaluation order or on the ``workers`` argument.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +50,7 @@ from .probe import ProbeConfig, backaction_sigma, readout_noise_sigma
 from .spins import (
     PSD_RTOL,
     MagneticField,
+    check_psd,
     check_symmetric,
     covariance_factor,
     larmor_period,
@@ -87,13 +89,13 @@ class SequenceConfig:
     covariance at preparation (only when atoms are present); it must be
     symmetric and may be indefinite as long as the total stays PSD (the
     engine raises ``ConfigError`` at the smallest atom number where it
-    does not).  ``detector_noise_cov``
-    is correlated detection-system noise: one 3-vector drawn per shot
-    and added to both rounds' readouts, so it inflates the measured
-    covariances and cross-covariance equally and cancels under
-    conditioning.  ``period_diffusion`` (spins^2) is an isotropic random
-    walk of the true spin between the two rounds, modelling imperfect
-    QND repeatability.
+    does not).  ``detector_noise_cov`` is correlated detection-system
+    noise (symmetric, PSD): one 3-vector drawn per shot and added to both
+    rounds' readouts, so it inflates the measured covariances and
+    cross-covariance equally and cancels under conditioning.
+    ``period_diffusion`` (spins^2) is an isotropic random walk of the
+    true spin between the two rounds, modelling imperfect QND
+    repeatability.
     """
 
     field: MagneticField
@@ -118,6 +120,8 @@ class SequenceConfig:
         if prep.shape != (3, 3) or det.shape != (3, 3) or offset.shape != (3,):
             raise ValueError("noise covariances must be 3x3 and the offset a 3-vector")
         check_symmetric(prep, "prep_noise_cov")
+        check_symmetric(det, "detector_noise_cov")
+        check_psd(det, "detector_noise_cov")
         if self.period_diffusion < 0:
             raise ValueError("period_diffusion must be non-negative")
         for arr in (prep, det, offset):
@@ -361,13 +365,6 @@ def _simulate_cycles(
     ]
 
 
-def _run_cycle(
-    campaign: CampaignConfig, seq_cfg: SequenceConfig, cycle_id: int
-) -> list[ShotRecord]:
-    """All shots of one loading cycle, on its own random substream."""
-    return _simulate_cycles(campaign, seq_cfg, [cycle_id])
-
-
 def run_campaign(
     campaign: CampaignConfig, seq_cfg: SequenceConfig, workers: int = 1
 ) -> list[ShotRecord]:
@@ -437,7 +434,7 @@ def write_dataset(path, records) -> None:
 
 
 def read_dataset(path) -> list[ShotRecord]:
-    """Read a shot CSV written by ``write_dataset``."""
+    """Read a shot CSV written by ``write_dataset``; a bad row raises ``SchemaError``."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -457,11 +454,16 @@ def read_dataset(path) -> list[ShotRecord]:
                 raise SchemaError(f"{path}:{i}: expected {len(DATASET_COLUMNS)} fields")
             try:
                 is_ref = row[2].strip() in ("1", "True", "true")
+                values = [float(v) for v in row[3:10]]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("non-finite n_atoms or readout")
+                if values[0] < 0:
+                    raise ValueError("negative n_atoms")
                 records.append(
                     ShotRecord(
-                        f1=np.array([float(v) for v in row[4:7]]),
-                        f2=np.array([float(v) for v in row[7:10]]),
-                        n_atoms=float(row[3]),
+                        f1=np.array(values[1:4]),
+                        f2=np.array(values[4:7]),
+                        n_atoms=values[0],
                         is_reference=is_ref,
                         cycle_id=int(row[0]),
                         seq_index=int(row[1]),

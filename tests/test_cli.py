@@ -148,6 +148,22 @@ class TestSimulate:
         assert not (out / "provenance.json").exists()
         assert "prep_noise_cov" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cov, reason",
+        [
+            ([[-1e5, 0, 0], [0, 0, 0], [0, 0, 0]], "not positive semidefinite"),
+            ([[1e5, 5e4, 0], [0, 1e5, 0], [0, 0, 1e5]], "not symmetric"),
+        ],
+    )
+    def test_invalid_detector_noise_exit_code(self, tmp_path, capsys, cov, reason):
+        payload = {**TINY_CAMPAIGN, "sequence": {"detector_noise_cov": cov}}
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "detector"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "shots.csv").exists()
+        err = capsys.readouterr().err
+        assert "detector_noise_cov" in err and reason in err
+
     @pytest.mark.parametrize("value", [2.0, True])
     @pytest.mark.parametrize(
         "key", ["n_cycles", "sequences_per_cycle", "reference_shots_per_cycle"]
@@ -235,6 +251,23 @@ class TestAnalyze:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize(
+        "column, value, reason",
+        [("f1_x", "nan", "non-finite"), ("n_atoms", "-5.0", "negative n_atoms")],
+    )
+    def test_bad_value_schema_error(self, dataset, tmp_path, capsys, column, value, reason):
+        shots, _ = dataset
+        lines = shots.read_text().splitlines()
+        row = lines[3].split(",")
+        row[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bad_analysis"
+        assert main(["analyze", str(bad), "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+        assert f"{bad}:4: {reason}" in capsys.readouterr().err
 
     def test_paper_operating_point_top_bin(self, tmp_path):
         # Campaign around 1.1e6 atoms at the measured readout

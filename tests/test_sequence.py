@@ -20,7 +20,7 @@ from singletsim import (
     snr,
     write_dataset,
 )
-from singletsim.sequence import _run_cycle
+from singletsim.sequence import _simulate_cycles
 from tests.conftest import schur_trace
 
 
@@ -200,7 +200,7 @@ class TestCampaign:
         campaign = small_campaign(seed=13)
         full = run_campaign(campaign, seq_ideal)
         per_cycle = campaign.sequences_per_cycle + campaign.reference_shots_per_cycle
-        solo = _run_cycle(campaign, seq_ideal, 2)
+        solo = _simulate_cycles(campaign, seq_ideal, [2])
         chunk = full[2 * per_cycle : 3 * per_cycle]
         for ra, rb in zip(chunk, solo):
             assert np.array_equal(ra.f1, rb.f1)
