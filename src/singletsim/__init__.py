@@ -58,6 +58,7 @@ from .sequence import (
     ReferenceNoise,
     SequenceConfig,
     ShotRecord,
+    ShotTable,
     read_dataset,
     reference_variance,
     run_campaign,

@@ -1,7 +1,9 @@
 """Statistical pipeline: covariances, conditioning, selection, witness, fits.
 
-Works on sequences of shot records (anything exposing ``f1``, ``f2``,
-``n_atoms``, ``is_reference``).  Total variances are traces of 3x3
+Works on one ``ShotTable`` (``sequence.py``): the atom rows' ``f1``,
+``f2`` and ``n_atoms`` columns and the reference rows' readouts are
+taken from it as arrays; a list of ``ShotRecord`` is converted once by
+``ShotTable.from_records``.  Total variances are traces of 3x3
 sample covariances; the read-out contribution ``v0`` measured on
 no-atom reference shots is subtracted before witness evaluation.  The
 squeezing witness is
@@ -32,6 +34,7 @@ import scipy.optimize
 
 from .errors import EstimationError, FitError
 from .probe import ProbeConfig, readout_noise_sigma, snr
+from .sequence import ShotTable, reference_variance
 
 PINV_RCOND = 1e-10
 BOOTSTRAP_BLOCK = 16  # resamples per block: each (block, shots) array stays near 1 MB
@@ -130,17 +133,6 @@ def conditional_variance_scalar(x1, x2) -> ScalarConditional:
 # selection and witness
 
 
-def _atom_shots(records):
-    return [r for r in records if not r.is_reference]
-
-
-def _atom_arrays(atoms):
-    """(f1, f2, n_atoms) arrays of a list of shots, stacked once."""
-    f1 = np.array([r.f1 for r in atoms], dtype=float).reshape(-1, 3)
-    f2 = np.array([r.f2 for r in atoms], dtype=float).reshape(-1, 3)
-    return f1, f2, np.array([r.n_atoms for r in atoms], dtype=float)
-
-
 def _quantile_bins(n_atoms: np.ndarray, n_bins: int) -> list[np.ndarray]:
     """Index masks for equal-population bins over the atom-number range."""
     edges = np.quantile(n_atoms, np.linspace(0.0, 1.0, n_bins + 1))
@@ -172,17 +164,17 @@ def _selection_masks(f1, n_atoms, cutoffs, mean_mode: str, n_bins: int) -> np.nd
     return dist2 < cutoffs[:, None] * n_atoms
 
 
-def select_shots(records, cutoff: float, *, mean_mode: str = "per_bin", n_bins: int = 10):
+def select_shots(
+    records, cutoff: float, *, mean_mode: str = "per_bin", n_bins: int = 10
+) -> ShotTable:
     """Shots whose first measurement lies near the ensemble mean.
 
-    Keeps non-reference shots with |f1 - <f1>|^2 < cutoff * n_atoms.
-    The centering mean is taken per atom-number bin by default, or
-    globally with ``mean_mode="global"``.
+    Keeps non-reference shots with |f1 - <f1>|^2 < cutoff * n_atoms and
+    returns them as a table in input order.  The centering mean is taken
+    per atom-number bin by default, or globally with ``mean_mode="global"``.
     """
-    atoms = _atom_shots(records)
-    f1, _, n = _atom_arrays(atoms)
-    keep = _selection_masks(f1, n, [cutoff], mean_mode, n_bins)[0]
-    return [r for r, k in zip(atoms, keep) if k]
+    atoms = ShotTable.from_records(records).atoms
+    return atoms[_selection_masks(atoms.f1, atoms.n_atoms, [cutoff], mean_mode, n_bins)[0]]
 
 
 @dataclass(frozen=True)
@@ -307,8 +299,10 @@ def fit_noise_scaling(points, fix_linear: bool, sigma=None) -> FitResult:
 def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     """Fit the efficiency b in v_cond_tilde(N) = 2N / (1 + b * zeta(N)).
 
-    One-parameter damped (Levenberg-Marquardt) least squares; zeta is
-    the ideal SNR computed from the probe constants at each point.
+    One-parameter damped (Levenberg-Marquardt) least squares with the
+    analytic Jacobian -2 N zeta w / (1 + b zeta)^2, so the fit does not
+    depend on finite-difference steps; zeta is the ideal SNR computed
+    from the probe constants at each point.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -320,7 +314,12 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     def residuals(theta):
         return (2.0 * n / (1.0 + theta[0] * zeta) - v) * weights
 
-    result = scipy.optimize.least_squares(residuals, x0=[1.0], method="lm", xtol=1e-14)
+    def jacobian(theta):
+        return (-2.0 * n * zeta * weights / (1.0 + theta[0] * zeta) ** 2)[:, None]
+
+    result = scipy.optimize.least_squares(
+        residuals, x0=[1.0], jac=jacobian, method="lm", xtol=1e-14
+    )
     if not result.success:
         raise FitError(f"SNR-model fit did not converge: {result.message}; {result}")
     jtj = result.jac.T @ result.jac
@@ -406,8 +405,6 @@ def resolve_v0(records, probe: ProbeConfig | None, options: AnalysisOptions) -> 
         if probe is None:
             raise EstimationError("analytic v0 requires probe constants")
         return 3.0 * readout_noise_sigma(probe) ** 2, 0
-    from .sequence import reference_variance
-
     ref = reference_variance(records)
     return ref.v0, ref.n_reference
 
@@ -431,14 +428,14 @@ def _selection_witness(f2, n_atoms, v0: float, options: AnalysisOptions, rng) ->
     )
 
 
-def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, bf1, bf2, bn, sel_mask):
+def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mask):
     """One bin of the pipeline: covariance blocks and both witnesses.
 
-    ``sel_mask`` marks the bin's shots inside the selection cutoff.
-    Deterministic given (options.seed, bin index).
+    ``x`` holds the bin's (f1, f2) rows, shape (m, 6); ``sel_mask``
+    marks its shots inside the selection cutoff.  Deterministic given
+    (options.seed, bin index).
     """
     n_mean = float(bn.mean())
-    x = np.hstack([bf1, bf2])
     g1, g2, g12 = _joint_blocks(sample_covariance(x))
     cond = conditional_covariance(g1, g2, g12)
     v1 = float(np.trace(g1))
@@ -472,7 +469,7 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, bf1, bf2, bn, 
     n_selected = int(sel_mask.sum())
     selection = None
     if n_selected >= options.min_bin_shots:
-        selection = _selection_witness(bf2[sel_mask], bn[sel_mask], v0, options, rng)
+        selection = _selection_witness(x[sel_mask, 3:], bn[sel_mask], v0, options, rng)
     return BinAnalysis(report, witness, selection, n_selected)
 
 
@@ -480,7 +477,6 @@ def analyze_dataset(
     records,
     probe: ProbeConfig | None = None,
     options: AnalysisOptions | None = None,
-    workers: int = 1,
 ) -> AnalysisResult:
     """Bin shots by atom number and run both witness paths per bin.
 
@@ -489,25 +485,24 @@ def analyze_dataset(
     the conditional-path witness, and the selection-path witness at the
     configured cutoff (centred as ``options.mean_mode`` says).
     Noise-scaling fits and the SNR-model fit run across bins when
-    enough of them survive.  ``workers`` is accepted for compatibility
-    and ignored; analysis runs in one process.
+    enough of them survive.
     """
     options = AnalysisOptions() if options is None else options
-    v0, n_ref = resolve_v0(records, probe, options)
-    atoms = _atom_shots(records)
+    table = ShotTable.from_records(records)
+    v0, n_ref = resolve_v0(table, probe, options)
 
-    refs = [r for r in records if r.is_reference]
+    refs = table.references
     reference_v1_tilde = None
     if len(refs) >= 2:
-        ref_f1 = np.array([r.f1 for r in refs])
-        reference_v1_tilde = float(np.trace(sample_covariance(ref_f1))) - v0
+        reference_v1_tilde = float(np.trace(sample_covariance(refs.f1))) - v0
 
+    atoms = table.atoms
     bins: list[BinAnalysis] = []
     skipped: list[dict] = []
-    if atoms:
-        f1, f2, n_at = _atom_arrays(atoms)
+    if len(atoms):
+        n_at = atoms.n_atoms
         selected = _selection_masks(
-            f1, n_at, [options.cutoff], options.mean_mode, options.n_bins
+            atoms.f1, n_at, [options.cutoff], options.mean_mode, options.n_bins
         )[0]
         for b_idx, idx in enumerate(_quantile_bins(n_at, options.n_bins)):
             reason = None
@@ -519,7 +514,7 @@ def analyze_dataset(
                 skipped.append({"bin": b_idx, "n_shots": int(len(idx)), "reason": reason})
             else:
                 bins.append(
-                    _analyze_bin(v0, options, b_idx, f1[idx], f2[idx], n_at[idx], selected[idx])
+                    _analyze_bin(v0, options, b_idx, atoms.f[idx], n_at[idx], selected[idx])
                 )
 
     fits: dict[str, FitResult | None] = {
@@ -567,11 +562,13 @@ def cutoff_scan(
     shots, pooled across atom-number bins.
     """
     options = AnalysisOptions() if options is None else options
-    v0, _ = resolve_v0(records, probe, options)
+    table = ShotTable.from_records(records)
+    v0, _ = resolve_v0(table, probe, options)
     cutoffs = list(cutoffs)
     rng = np.random.default_rng(np.random.SeedSequence(options.seed, spawn_key=(0xC,)))
-    f1, f2, n = _atom_arrays(_atom_shots(records))
-    masks = _selection_masks(f1, n, cutoffs, options.mean_mode, options.n_bins)
+    atoms = table.atoms
+    f2, n = atoms.f2, atoms.n_atoms
+    masks = _selection_masks(atoms.f1, n, cutoffs, options.mean_mode, options.n_bins)
     rows = []
     for c, mask in zip(map(float, cutoffs), masks):
         n_selected = int(mask.sum())
@@ -593,11 +590,10 @@ def correlation_matrix(records) -> np.ndarray:
     The diagonal is exactly 1; entries involving a zero-variance channel
     are NaN.
     """
-    recs = list(records)
-    if len(recs) < 2:
+    table = ShotTable.from_records(records)
+    if len(table) < 2:
         raise EstimationError("need at least 2 shots")
-    x = np.array([np.concatenate([r.f1, r.f2]) for r in recs])
-    cov = sample_covariance(x)
+    cov = sample_covariance(table.f)
     std = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = cov / np.outer(std, std)
@@ -609,13 +605,13 @@ def correlation_matrix(records) -> np.ndarray:
 
 def residual_polarization(records, f: float = 1.0) -> tuple[float, float]:
     """|mean F| / (f * N_A) for each measurement round."""
-    f1, f2, n = _atom_arrays(_atom_shots(records))
-    if not len(n):
+    atoms = ShotTable.from_records(records).atoms
+    if not len(atoms):
         raise EstimationError("no atom shots")
-    n_mean = float(n.mean())
+    n_mean = float(atoms.n_atoms.mean())
     if n_mean <= 0:
         raise EstimationError("mean atom number must be positive")
-    m1, m2 = f1.mean(axis=0), f2.mean(axis=0)
+    m1, m2 = atoms.f1.mean(axis=0), atoms.f2.mean(axis=0)
     return float(np.linalg.norm(m1)) / (f * n_mean), float(np.linalg.norm(m2)) / (f * n_mean)
 
 

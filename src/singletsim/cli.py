@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,20 +57,20 @@ def cmd_simulate(args) -> int:
     dataset_path = out_dir / "shots.csv"
     provenance_path = out_dir / "provenance.json"
     try:
-        records = run_campaign(cfg.campaign, cfg.sequence, workers=args.workers)
-        write_dataset(dataset_path, records)
+        table = run_campaign(cfg.campaign, cfg.sequence)
+        write_dataset(dataset_path, table)
         provenance = {
             "kind": "provenance",
             "package": "singletsim",
             "version": __version__,
-            "n_records": len(records),
+            "n_records": len(table),
             "config": config_to_dict(cfg),
         }
         provenance_path.write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n")
     except BaseException:
         _cleanup([dataset_path, provenance_path])
         raise
-    print(f"wrote {len(records)} shots to {dataset_path}")
+    print(f"wrote {len(table)} shots to {dataset_path}")
     return 0
 
 
@@ -78,8 +79,10 @@ def _parse_scan(spec: str) -> list[float]:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ConfigError(f"--cutoff-scan expects start:stop:step, got {spec!r}") from None
-    if step <= 0 or stop < start:
-        raise ConfigError("--cutoff-scan requires step > 0 and stop >= start")
+    if not (0 < start <= stop < math.inf and 0 < step < math.inf):
+        raise ConfigError(
+            "--cutoff-scan requires finite values with start > 0, step > 0 and stop >= start"
+        )
     values = []
     k = 0
     while True:
@@ -93,15 +96,14 @@ def _parse_scan(spec: str) -> list[float]:
 
 def cmd_analyze(args) -> int:
     cfg: RunConfig = load_config(args.config) if args.config else config_from_dict({})
-    options = cfg.analysis
-    if args.bins is not None:
-        options = replace(options, n_bins=args.bins)
-    if args.cutoff is not None:
-        options = replace(options, cutoff=args.cutoff)
-    if args.resamples is not None:
-        options = replace(options, n_resamples=args.resamples)
+    overrides = {"n_bins": args.bins, "cutoff": args.cutoff, "n_resamples": args.resamples}
+    try:
+        options = replace(cfg.analysis, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(f"analyze options: {exc}") from None
+    cutoffs = _parse_scan(args.cutoff_scan) if args.cutoff_scan else None
 
-    records = read_dataset(args.dataset)
+    table = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
@@ -109,11 +111,11 @@ def cmd_analyze(args) -> int:
     scan_path = out_dir / "cutoff_scan.csv"
     written = [report_path, scaling_path]
     try:
-        result = analyze_dataset(records, probe=cfg.probe, options=options)
+        result = analyze_dataset(table, probe=cfg.probe, options=options)
         write_report(report_path, result)
         write_noise_scaling_csv(scaling_path, result)
-        if args.cutoff_scan:
-            rows = cutoff_scan(records, _parse_scan(args.cutoff_scan), cfg.probe, options)
+        if cutoffs:
+            rows = cutoff_scan(table, cutoffs, cfg.probe, options)
             write_cutoff_scan_csv(scan_path, rows)
             written.append(scan_path)
     except BaseException:

@@ -32,7 +32,11 @@ Campaigns are deterministic given the master seed: each cycle derives
 an independent random substream from (master_seed, cycle_id), draws one
 uniform for its atom-number jitter, then one block of rows for its
 shots in ``seq_index`` order (atom shots, then references).  Results do
-not depend on evaluation order or on the ``workers`` argument.
+not depend on evaluation order.
+
+A campaign is returned as one ``ShotTable``, the columnar dataset every
+later stage (CSV output and input, analysis) works on; ``ShotRecord`` is
+its single-row view.
 """
 
 from __future__ import annotations
@@ -165,6 +169,96 @@ class ShotRecord:
         object.__setattr__(self, "f2", f2)
 
 
+# ShotTable's columns besides ``f``, in field order, with their dtypes.
+_TABLE_COLUMNS = (
+    ("cycle_id", np.int64),
+    ("seq_index", np.int64),
+    ("is_reference", bool),
+    ("n_atoms", float),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class ShotTable:
+    """Columnar shot dataset, one row per state preparation.
+
+    The dataset shape shared by simulation, the CSV reader and writer
+    and the analysis.  Columns are read-only arrays of one length; ``f``
+    is (n, 6): the first-round readouts then the second-round ones, each
+    in the (z, y, x) component order, and ``f1``/``f2`` are views of its
+    halves.  An integer index gives one ``ShotRecord`` (iteration yields
+    them in order); a slice, boolean mask or index array gives a table.
+    """
+
+    cycle_id: np.ndarray
+    seq_index: np.ndarray
+    is_reference: np.ndarray
+    n_atoms: np.ndarray
+    f: np.ndarray
+
+    def __post_init__(self):
+        f = np.asarray(self.f, dtype=float)
+        if f.ndim != 2 or f.shape[1] != 6:
+            raise ValueError("f must have shape (n, 6)")
+        for name, dtype in _TABLE_COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != (len(f),):
+                raise ValueError(f"{name} must have shape ({len(f)},)")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if np.any(self.n_atoms[self.is_reference] != 0):
+            raise ValueError("reference shots must have n_atoms = 0")
+        f.setflags(write=False)
+        object.__setattr__(self, "f", f)
+
+    @classmethod
+    def from_records(cls, records) -> ShotTable:
+        """The table of a sequence of shot records; a table is returned as is."""
+        if isinstance(records, ShotTable):
+            return records
+        records = list(records)
+        return cls(
+            *([getattr(r, name) for r in records] for name, _ in _TABLE_COLUMNS),
+            f=np.array([np.concatenate([r.f1, r.f2]) for r in records]).reshape(-1, 6),
+        )
+
+    @property
+    def f1(self) -> np.ndarray:
+        return self.f[:, :3]
+
+    @property
+    def f2(self) -> np.ndarray:
+        return self.f[:, 3:]
+
+    @property
+    def atoms(self) -> ShotTable:
+        """The non-reference rows, in order."""
+        return self[~self.is_reference]
+
+    @property
+    def references(self) -> ShotTable:
+        """The reference (no-atom) rows, in order."""
+        return self[self.is_reference]
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, numbers.Integral):
+            return ShotRecord(
+                f1=self.f[key, :3],
+                f2=self.f[key, 3:],
+                n_atoms=float(self.n_atoms[key]),
+                is_reference=bool(self.is_reference[key]),
+                cycle_id=int(self.cycle_id[key]),
+                seq_index=int(self.seq_index[key]),
+            )
+        return ShotTable(*(getattr(self, name)[key] for name, _ in _TABLE_COLUMNS), self.f[key])
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Trap-loading campaign structure.
@@ -256,7 +350,8 @@ def _propagate(
     """The simulation engine: readouts of shots with per-shot atom numbers.
 
     ``normals`` holds one row of ``draw_columns(cfg)`` standard normals
-    per shot in the documented layout.  Returns (f1, f2), each (n, 3).
+    per shot in the documented layout.  Returns the (n, 6) readouts,
+    first round then second, each in (z, y, x) order.
     """
     if np.any(n_atoms < 0):
         raise ValueError("n_atoms must be non-negative")
@@ -293,7 +388,7 @@ def _propagate(
         f[:, k] = value + detector[:, k % cfg.pulses_per_period] + eps[:, k]
         if kicks is not None:
             spin = _rotate_about_z(spin, kicks[:, k])
-    return f[:, :3], f[:, 3:]
+    return f
 
 
 def simulate_shots(
@@ -310,7 +405,8 @@ def simulate_shots(
     (n_shots, 3) with components in the usual (z, y, x) order.
     """
     n_atoms = np.broadcast_to(np.asarray(n_atoms, dtype=float), (n_shots,))
-    return _propagate(cfg, n_atoms, rng.standard_normal((n_shots, draw_columns(cfg))))
+    f = _propagate(cfg, n_atoms, rng.standard_normal((n_shots, draw_columns(cfg))))
+    return f[:, :3], f[:, 3:]
 
 
 def run_sequence(
@@ -338,7 +434,7 @@ def run_sequence(
 
 def _simulate_cycles(
     campaign: CampaignConfig, seq_cfg: SequenceConfig, cycle_ids
-) -> list[ShotRecord]:
+) -> ShotTable:
     """Shots of the given loading cycles, each on its own random substream.
 
     Each cycle draws its jitter and its block of normals from
@@ -356,24 +452,21 @@ def _simulate_cycles(
         n_atoms[i, :n_seq] = n0 * decay
         rng.standard_normal(out=normals[i])
     n_atoms = n_atoms.reshape(-1)
-    f1, f2 = _propagate(seq_cfg, n_atoms, normals.reshape(len(n_atoms), -1))
-    cycles = [c for c in cycle_ids for _ in range(per_cycle)]
-    seq_index = list(range(per_cycle)) * len(cycle_ids)
-    return [
-        ShotRecord(f1=a, f2=b, n_atoms=n, is_reference=s >= n_seq, cycle_id=c, seq_index=s)
-        for a, b, n, c, s in zip(f1, f2, n_atoms.tolist(), cycles, seq_index)
-    ]
+    seq_index = np.tile(np.arange(per_cycle), len(cycle_ids))
+    return ShotTable(
+        cycle_id=np.repeat(np.asarray(cycle_ids, dtype=np.int64), per_cycle),
+        seq_index=seq_index,
+        is_reference=seq_index >= n_seq,
+        n_atoms=n_atoms,
+        f=_propagate(seq_cfg, n_atoms, normals.reshape(len(n_atoms), -1)),
+    )
 
 
-def run_campaign(
-    campaign: CampaignConfig, seq_cfg: SequenceConfig, workers: int = 1
-) -> list[ShotRecord]:
+def run_campaign(campaign: CampaignConfig, seq_cfg: SequenceConfig) -> ShotTable:
     """Simulate a full campaign in one vectorized pass.
 
     Output depends only on the configs: each cycle uses the substream
-    (master_seed, cycle_id) and records come in cycle order.
-    ``workers`` is accepted for compatibility and ignored; the whole
-    campaign is a few tens of milliseconds of array work.
+    (master_seed, cycle_id) and rows come in cycle order.
     """
     return _simulate_cycles(campaign, seq_cfg, range(campaign.n_cycles))
 
@@ -398,13 +491,11 @@ def reference_variance(records) -> ReferenceNoise:
     """Covariance of the reference (no-atom) shots and its trace."""
     from .analysis import sample_covariance
 
-    refs = [r for r in records if r.is_reference]
+    refs = ShotTable.from_records(records).references
     if len(refs) < 2:
         raise EstimationError("need at least 2 reference shots")
-    f1 = np.array([r.f1 for r in refs])
-    f2 = np.array([r.f2 for r in refs])
-    gamma0 = sample_covariance(f2)
-    gamma0_first = sample_covariance(f1)
+    gamma0 = sample_covariance(refs.f2)
+    gamma0_first = sample_covariance(refs.f1)
     return ReferenceNoise(
         gamma0=gamma0,
         gamma0_first=gamma0_first,
@@ -415,26 +506,40 @@ def reference_variance(records) -> ReferenceNoise:
 
 
 def write_dataset(path, records) -> None:
-    """Write shots as CSV with the fixed column schema."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    """Write shots as CSV with the fixed column schema.
+
+    Floats are written as their ``repr`` (the shortest string that reads
+    back to the same double), one row per shot in table order.
+    """
+    table = ShotTable.from_records(records)
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.cycle_id,
-                    r.seq_index,
-                    int(r.is_reference),
-                    repr(float(r.n_atoms)),
-                    *(repr(float(v)) for v in r.f1),
-                    *(repr(float(v)) for v in r.f2),
-                ]
+        writer.writerows(
+            zip(
+                table.cycle_id.tolist(),
+                table.seq_index.tolist(),
+                table.is_reference.astype(int).tolist(),
+                table.n_atoms.tolist(),
+                *table.f.T.tolist(),
             )
+        )
 
 
-def read_dataset(path) -> list[ShotRecord]:
-    """Read a shot CSV written by ``write_dataset``; a bad row raises ``SchemaError``."""
+_REFERENCE_TOKENS = {
+    "0": False, "1": True, "false": False, "true": True, "False": False, "True": True
+}
+
+
+def read_dataset(path) -> ShotTable:
+    """Read a shot CSV written by ``write_dataset``; a bad row raises ``SchemaError``.
+
+    The error names ``path:line``.  ``is_reference`` must be one of 0, 1,
+    true, false, True, False; ``cycle_id``/``seq_index`` must fit in 64
+    bits; values must be finite, ``n_atoms``
+    non-negative (zero on reference rows); and each (cycle_id, seq_index)
+    may appear on one line only.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -446,29 +551,46 @@ def read_dataset(path) -> list[ShotRecord]:
             raise SchemaError(
                 f"{path}: bad columns {header}, expected {list(DATASET_COLUMNS)}"
             )
-        records = []
+        line_of: dict[tuple, int] = {}
+        is_ref, values = [], []
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(DATASET_COLUMNS):
                 raise SchemaError(f"{path}:{i}: expected {len(DATASET_COLUMNS)} fields")
             try:
-                is_ref = row[2].strip() in ("1", "True", "true")
-                values = [float(v) for v in row[3:10]]
-                if not all(map(math.isfinite, values)):
-                    raise ValueError("non-finite n_atoms or readout")
-                if values[0] < 0:
-                    raise ValueError("negative n_atoms")
-                records.append(
-                    ShotRecord(
-                        f1=np.array(values[1:4]),
-                        f2=np.array(values[4:7]),
-                        n_atoms=values[0],
-                        is_reference=is_ref,
-                        cycle_id=int(row[0]),
-                        seq_index=int(row[1]),
+                key = (int(row[0]), int(row[1]))
+                if max(map(abs, key)) >= 2**63:
+                    raise ValueError("cycle_id and seq_index must fit in 64 bits")
+                ref = _REFERENCE_TOKENS.get(row[2].strip())
+                if ref is None:
+                    raise ValueError(
+                        f"is_reference must be one of {', '.join(_REFERENCE_TOKENS)}, "
+                        f"got {row[2]!r}"
                     )
-                )
+                shot = list(map(float, row[3:]))
+                if not all(map(math.isfinite, shot)):
+                    raise ValueError("non-finite n_atoms or readout")
+                if shot[0] < 0:
+                    raise ValueError("negative n_atoms")
+                if ref and shot[0] != 0:
+                    raise ValueError("reference shots must have n_atoms = 0")
             except ValueError as exc:
                 raise SchemaError(f"{path}:{i}: {exc}") from None
-    return records
+            first = line_of.setdefault(key, i)
+            if first != i:
+                raise SchemaError(
+                    f"{path}:{i}: duplicate (cycle_id, seq_index) = {key}, "
+                    f"first on line {first}"
+                )
+            is_ref.append(ref)
+            values.append(shot)
+    keys = np.array(list(line_of), dtype=np.int64).reshape(-1, 2)
+    values = np.array(values, dtype=float).reshape(-1, 7)
+    return ShotTable(
+        cycle_id=keys[:, 0],
+        seq_index=keys[:, 1],
+        is_reference=is_ref,
+        n_atoms=values[:, 0],
+        f=values[:, 1:],
+    )

@@ -186,16 +186,17 @@ class TestSelectShots:
     def test_ball_semantics_global(self):
         records = self._make(np.random.default_rng(10))
         cutoff = 0.75
-        selected = {id(r) for r in select_shots(records, cutoff, mean_mode="global")}
+        selected = select_shots(records, cutoff, mean_mode="global").seq_index.tolist()
         f1 = np.array([r.f1 for r in records])
         center = f1.mean(axis=0)
-        for r in records:
-            inside = np.sum((r.f1 - center) ** 2) < cutoff * r.n_atoms
-            assert inside == (id(r) in selected)
+        inside = [
+            r.seq_index for r in records if np.sum((r.f1 - center) ** 2) < cutoff * r.n_atoms
+        ]
+        assert selected == inside
 
     def test_empty_selection_ok(self):
         records = self._make(np.random.default_rng(11), spread=1e5)
-        assert select_shots(records, 1e-6) == []
+        assert len(select_shots(records, 1e-6)) == 0
 
     def test_reference_shots_excluded(self):
         rng = np.random.default_rng(12)
@@ -316,6 +317,22 @@ class TestSnrModelFit:
         assert fit.params["b"] == pytest.approx(0.75, abs=3 * fit.stderrs["b"])
         assert 0 < fit.stderrs["b"] < 0.2
 
+    def test_weight_perturbation_stable(self, probe_ideal):
+        # Weights perturbed at the rounding level move b by rounding only;
+        # a finite-difference Jacobian moved it by ~1e-9 relative.
+        rng = np.random.default_rng(16)
+        n_values = np.linspace(2e5, 1.5e6, 10)
+        sigma = 0.05 * 2.0 * n_values
+        pts = [
+            (n, v + rng.standard_normal() * s)
+            for (n, v), s in zip(self._points(probe_ideal, 0.75, n_values), sigma)
+        ]
+        b = fit_snr_model(pts, probe_ideal, sigma=sigma).params["b"]
+        for _ in range(20):
+            perturbed = sigma * (1.0 + 1e-15 * rng.standard_normal(len(sigma)))
+            b_p = fit_snr_model(pts, probe_ideal, sigma=perturbed).params["b"]
+            assert b_p == pytest.approx(b, rel=1e-13, abs=0)
+
     def test_bad_input(self, probe_ideal):
         with pytest.raises(FitError):
             fit_snr_model([(1e5, 1.0)], probe_ideal)
@@ -430,15 +447,6 @@ class TestAnalyzeDataset:
         r1 = analyze_dataset(records, probe=probe_ideal, options=options)
         r2 = analyze_dataset(records, probe=probe_ideal, options=options)
         assert report_dict(r1) == report_dict(r2)
-
-    def test_bin_workers_invariance(self, probe_ideal):
-        records, _ = synthetic_campaign(probe_ideal, seed=27, n_cycles=30)
-        options = AnalysisOptions(n_bins=4, n_resamples=60)
-        serial = analyze_dataset(records, probe=probe_ideal, options=options)
-        parallel = analyze_dataset(
-            records, probe=probe_ideal, options=options, workers=3
-        )
-        assert report_dict(serial) == report_dict(parallel)
 
 
 class TestCutoffScan:

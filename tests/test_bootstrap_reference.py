@@ -181,12 +181,16 @@ def test_global_mean_mode_reaches_bins():
     f2 = f1 + rng.standard_normal((400, 3)) * 300.0
     ref_f = rng.standard_normal((2, 20, 3)) * 300.0
     refs = [ShotRecord(f1=a, f2=b, n_atoms=0.0, is_reference=True) for a, b in zip(*ref_f)]
-    records = [ShotRecord(f1=a, f2=b, n_atoms=m) for a, b, m in zip(f1, f2, n)] + refs
+    atoms = [
+        ShotRecord(f1=a, f2=b, n_atoms=m, seq_index=i)
+        for i, (a, b, m) in enumerate(zip(f1, f2, n))
+    ]
+    records = atoms + refs
     options = AnalysisOptions(n_bins=2, n_resamples=20, mean_mode="global", cutoff=1.0)
     result = analyze_dataset(records, options=options)
-    selected = {id(r) for r in select_shots(records, 1.0, mean_mode="global", n_bins=2)}
+    selected = set(select_shots(records, 1.0, mean_mode="global", n_bins=2).seq_index.tolist())
     groups = _quantile_bins(n, options.n_bins)
-    shares = [sum(id(records[i]) in selected for i in idx) for idx in groups]
+    shares = [sum(i in selected for i in idx) for idx in groups]
     assert [b.n_selected for b in result.bins] == shares
     per_bin = analyze_dataset(records, options=AnalysisOptions(n_bins=2, n_resamples=20))
     assert [b.n_selected for b in per_bin.bins] != shares

@@ -254,7 +254,12 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "column, value, reason",
-        [("f1_x", "nan", "non-finite"), ("n_atoms", "-5.0", "negative n_atoms")],
+        [
+            ("f1_x", "nan", "non-finite"),
+            ("n_atoms", "-5.0", "negative n_atoms"),
+            ("is_reference", "yes", "is_reference must be one of"),
+            ("cycle_id", "1" + "0" * 20, "cycle_id and seq_index must fit in 64 bits"),
+        ],
     )
     def test_bad_value_schema_error(self, dataset, tmp_path, capsys, column, value, reason):
         shots, _ = dataset
@@ -268,6 +273,38 @@ class TestAnalyze:
         assert main(["analyze", str(bad), "--out", str(out)]) == 3
         assert not (out / "report.json").exists()
         assert f"{bad}:4: {reason}" in capsys.readouterr().err
+
+    def test_duplicate_row_schema_error(self, dataset, tmp_path, capsys):
+        shots, _ = dataset
+        lines = shots.read_text().splitlines()
+        lines[4] = lines[2]
+        bad = tmp_path / "dup.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "dup_analysis"
+        assert main(["analyze", str(bad), "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert f"{bad}:5: duplicate (cycle_id, seq_index) = (0, 1), first on line 3" in err
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--cutoff", "0"],
+            ["--bins", "0"],
+            ["--resamples", "1"],
+            ["--cutoff-scan", "0:1:0.5"],
+            ["--cutoff-scan", "nan:1:0.5"],
+            ["--cutoff-scan", "0.25:inf:0.25"],
+        ],
+        ids=["cutoff", "bins", "resamples", "scan-start", "scan-nan", "scan-inf"],
+    )
+    def test_bad_option_value_exit_code(self, dataset, tmp_path, capsys, option):
+        shots, cfg_path = dataset
+        out = tmp_path / "bad_option"
+        rc = main(["analyze", str(shots), "--out", str(out), "--config", str(cfg_path), *option])
+        assert rc == 2
+        assert not (out / "report.json").exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_paper_operating_point_top_bin(self, tmp_path):
         # Campaign around 1.1e6 atoms at the measured readout

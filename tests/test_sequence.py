@@ -10,6 +10,8 @@ from singletsim import (
     ProbeConfig,
     SchemaError,
     SequenceConfig,
+    ShotRecord,
+    ShotTable,
     read_dataset,
     reference_variance,
     readout_noise_sigma,
@@ -206,15 +208,6 @@ class TestCampaign:
             assert np.array_equal(ra.f1, rb.f1)
             assert np.array_equal(ra.f2, rb.f2)
 
-    def test_worker_count_invariance(self, seq_ideal):
-        campaign = small_campaign(seed=3)
-        serial = run_campaign(campaign, seq_ideal, workers=1)
-        parallel = run_campaign(campaign, seq_ideal, workers=3)
-        assert len(serial) == len(parallel)
-        for ra, rb in zip(serial, parallel):
-            assert np.array_equal(ra.f1, rb.f1)
-            assert np.array_equal(ra.f2, rb.f2)
-
     def test_jitter_bounds(self, seq_ideal):
         campaign = small_campaign(n_cycles=20, atom_jitter=0.05)
         records = run_campaign(campaign, seq_ideal)
@@ -260,6 +253,61 @@ class TestReferenceVariance:
         rec = run_sequence(seq_ideal, 0.0, np.random.default_rng(10), is_reference=True)
         with pytest.raises(EstimationError):
             reference_variance([rec])
+
+
+class TestShotTable:
+    def _table(self, n=5):
+        rng = np.random.default_rng(3)
+        is_ref = np.arange(n) >= n - 2
+        return ShotTable(
+            cycle_id=np.zeros(n, dtype=int),
+            seq_index=np.arange(n),
+            is_reference=is_ref,
+            n_atoms=np.where(is_ref, 0.0, 1e5),
+            f=rng.standard_normal((n, 6)),
+        )
+
+    def test_rows_and_slices(self):
+        table = self._table()
+        rows = list(table)
+        assert all(isinstance(r, ShotRecord) for r in rows)
+        assert [r.seq_index for r in rows] == table.seq_index.tolist()
+        assert np.array_equal(rows[1].f1, table.f1[1])
+        assert np.array_equal(rows[1].f2, table.f2[1])
+        part = table[1:3]
+        assert isinstance(part, ShotTable) and len(part) == 2
+        assert part.seq_index.tolist() == [1, 2]
+        assert table.atoms.seq_index.tolist() == [0, 1, 2]
+        assert table.references.seq_index.tolist() == [3, 4]
+
+    def test_from_records_round_trip(self):
+        table = self._table()
+        again = ShotTable.from_records(list(table))
+        for name in ("cycle_id", "seq_index", "is_reference", "n_atoms", "f"):
+            assert np.array_equal(getattr(again, name), getattr(table, name))
+        assert ShotTable.from_records(table) is table
+        assert len(ShotTable.from_records([])) == 0
+
+    def test_columns_read_only(self):
+        table = self._table()
+        with pytest.raises(ValueError):
+            table.f1[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.n_atoms[0] = 1.0
+
+    def test_checks(self):
+        table = self._table()
+        with pytest.raises(ValueError, match="reference shots"):
+            ShotTable(
+                table.cycle_id, table.seq_index, table.is_reference, np.ones(5), table.f
+            )
+        with pytest.raises(ValueError, match="seq_index"):
+            ShotTable(table.cycle_id, [0], table.is_reference, table.n_atoms, table.f)
+        with pytest.raises(ValueError, match="shape"):
+            ShotTable(
+                table.cycle_id, table.seq_index, table.is_reference, table.n_atoms,
+                table.f[:, :3],
+            )
 
 
 class TestDatasetIo:
