@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     EstimationError,
     FitError,
+    InvariantError,
     SchemaError,
 )
 from .magnetometry import (

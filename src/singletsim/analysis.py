@@ -30,9 +30,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
 
-from .errors import EstimationError, FitError
+from .errors import EstimationError, FitError, InvariantError
 from .probe import ProbeConfig, readout_noise_sigma, snr
 from .sequence import ShotTable, reference_variance
 
@@ -302,8 +301,12 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     One-parameter damped (Levenberg-Marquardt) least squares with the
     analytic Jacobian -2 N zeta w / (1 + b zeta)^2, so the fit does not
     depend on finite-difference steps; zeta is the ideal SNR computed
-    from the probe constants at each point.
+    from the probe constants at each point.  ``ftol=1e-15`` lets the fit
+    run on to the stationary point of the weighted cost instead of
+    stopping at the default 1e-8 relative cost reduction.
     """
+    import scipy.optimize  # not at module top: keeps `import singletsim` scipy-free
+
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise FitError("need at least 2 (n_atoms, v_cond_tilde) points")
@@ -318,7 +321,7 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
         return (-2.0 * n * zeta * weights / (1.0 + theta[0] * zeta) ** 2)[:, None]
 
     result = scipy.optimize.least_squares(
-        residuals, x0=[1.0], jac=jacobian, method="lm", xtol=1e-14
+        residuals, x0=[1.0], jac=jacobian, method="lm", xtol=1e-14, ftol=1e-15
     )
     if not result.success:
         raise FitError(f"SNR-model fit did not converge: {result.message}; {result}")
@@ -384,8 +387,8 @@ class AnalysisOptions:
             raise ValueError("mean_mode must be 'per_bin' or 'global'")
         if self.n_bins < 1 or self.min_bin_shots < 2 or self.n_resamples < 2:
             raise ValueError("n_bins >= 1, min_bin_shots >= 2, n_resamples >= 2 required")
-        if self.cutoff <= 0 or self.f <= 0:
-            raise ValueError("cutoff and f must be positive")
+        if not (0 < self.cutoff < math.inf and 0 < self.f < math.inf):
+            raise ValueError("cutoff and f must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -442,7 +445,9 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mas
     v2 = float(np.trace(g2))
     vc = cond.trace
     if vc > v2 * (1.0 + 1e-9) + 1e-9:
-        raise RuntimeError("conditional variance exceeds unconditional variance")
+        raise InvariantError(
+            f"bin {b_idx}: conditional variance {vc!r} exceeds unconditional variance {v2!r}"
+        )
     report = CovarianceReport(
         gamma1=g1,
         gamma2=g2,

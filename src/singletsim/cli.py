@@ -31,7 +31,14 @@ from .analysis import (
     write_report,
 )
 from .config import RunConfig, config_from_dict, config_to_dict, load_config
-from .errors import CalibrationError, ConfigError, EstimationError, FitError, SchemaError
+from .errors import (
+    CalibrationError,
+    ConfigError,
+    EstimationError,
+    FitError,
+    InvariantError,
+    SchemaError,
+)
 from .magnetometry import fit_fid, read_fid_csv, write_estimate_json
 from .probe import calibrate_g1
 from .sequence import read_dataset, run_campaign, write_dataset
@@ -223,7 +230,7 @@ def main(argv=None) -> int:
     except (SchemaError, EstimationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (FitError, CalibrationError, np.linalg.LinAlgError) as exc:
+    except (FitError, CalibrationError, InvariantError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

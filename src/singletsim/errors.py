@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit 2,
-data/schema problems exit 3, numerical failures exit 4.
+data/schema problems exit 3, numerical failures and violated
+invariants exit 4.
 """
 
 
@@ -19,6 +20,10 @@ class EstimationError(ValueError):
 
 class FitError(RuntimeError):
     """A fit failed to converge or the problem is rank-deficient."""
+
+
+class InvariantError(RuntimeError):
+    """A computed quantity violates a physics identity (e.g. Schur trace bound)."""
 
 
 class CalibrationError(FitError):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.optimize
 
 from .errors import EstimationError, FitError, SchemaError
 from .spins import GYROMAGNETIC_RATIO
@@ -233,6 +232,8 @@ def fit_fid(
     Jacobian column, e.g. the transverse split for a z-branch-only
     data set) are reported in ``flags``.
     """
+    import scipy.optimize  # not at module top: keeps `import singletsim` scipy-free
+
     tz, thz = _as_samples(z_samples)
     ty, thy = _as_samples(y_samples)
     n_total = len(tz) + len(ty)

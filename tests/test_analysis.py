@@ -333,6 +333,40 @@ class TestSnrModelFit:
             b_p = fit_snr_model(pts, probe_ideal, sigma=perturbed).params["b"]
             assert b_p == pytest.approx(b, rel=1e-13, abs=0)
 
+    # (n_atoms_mean, v_cond_tilde, xi2_stderr) of the ten report bins of
+    # the published operating point (config {}, seed 1).
+    PUBLISHED_BINS = (
+        (256343.08235620422, 328242.4306467618, 0.23279448058748803),
+        (311069.264200457, 436423.5100766383, 0.22234909009336282),
+        (377228.170970044, 552536.1306520086, 0.18169845255873432),
+        (457521.805729483, 605474.7777495533, 0.14929049662004817),
+        (554657.7579247423, 642458.844947638, 0.13064914668042515),
+        (679574.3947217048, 885319.7443007943, 0.12228835982921135),
+        (824700.6258267052, 826815.1249991171, 0.08864138120708866),
+        (1000208.5521571296, 857983.3015691708, 0.0783770653741149),
+        (1212966.3872724809, 909757.9004661487, 0.06693955488338221),
+        (1470439.2605919004, 1234615.5747936321, 0.060268927415904575),
+    )
+
+    def test_reaches_weighted_optimum(self, probe_paper):
+        # Newton iteration on the gradient sum(J * r) of the weighted cost
+        # finds its stationary point; the fit must reach it rather than stop
+        # on a loose cost-reduction tolerance (1e-8 left b 9.5e-8 short).
+        n, v, xi2_stderr = np.array(self.PUBLISHED_BINS).T
+        sigma = xi2_stderr * n
+        b = fit_snr_model(zip(n, v), probe_paper, sigma=sigma).params["b"]
+
+        zeta = np.array([snr(probe_paper, x) for x in n])
+        w = 1.0 / sigma
+        b_star = b
+        for _ in range(50):
+            d = 1.0 + b_star * zeta
+            r = (2.0 * n / d - v) * w
+            jac = -2.0 * n * zeta * w / d**2
+            djac = 4.0 * n * zeta**2 * w / d**3
+            b_star -= float(jac @ r) / float(jac @ jac + r @ djac)
+        assert b == pytest.approx(b_star, rel=1e-8, abs=0)
+
     def test_bad_input(self, probe_ideal):
         with pytest.raises(FitError):
             fit_snr_model([(1e5, 1.0)], probe_ideal)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -287,24 +288,56 @@ class TestAnalyze:
         assert f"{bad}:5: duplicate (cycle_id, seq_index) = (0, 1), first on line 3" in err
 
     @pytest.mark.parametrize(
-        "option",
+        "option, analysis",
         [
-            ["--cutoff", "0"],
-            ["--bins", "0"],
-            ["--resamples", "1"],
-            ["--cutoff-scan", "0:1:0.5"],
-            ["--cutoff-scan", "nan:1:0.5"],
-            ["--cutoff-scan", "0.25:inf:0.25"],
+            (["--cutoff", "0"], {}),
+            (["--bins", "0"], {}),
+            (["--resamples", "1"], {}),
+            (["--cutoff-scan", "0:1:0.5"], {}),
+            (["--cutoff-scan", "nan:1:0.5"], {}),
+            (["--cutoff-scan", "0.25:inf:0.25"], {}),
+            (["--cutoff", "nan"], {}),
+            (["--cutoff", "inf"], {}),
+            ([], {"f": math.nan}),
         ],
-        ids=["cutoff", "bins", "resamples", "scan-start", "scan-nan", "scan-inf"],
+        ids=[
+            "cutoff",
+            "bins",
+            "resamples",
+            "scan-start",
+            "scan-nan",
+            "scan-inf",
+            "cutoff-nan",
+            "cutoff-inf",
+            "config-f-nan",
+        ],
     )
-    def test_bad_option_value_exit_code(self, dataset, tmp_path, capsys, option):
+    def test_bad_option_value_exit_code(self, dataset, tmp_path, capsys, option, analysis):
         shots, cfg_path = dataset
+        if analysis:
+            payload = {**TINY_CAMPAIGN, "analysis": {**TINY_CAMPAIGN["analysis"], **analysis}}
+            cfg_path = write_config(tmp_path, payload, "bad_option.json")
         out = tmp_path / "bad_option"
         rc = main(["analyze", str(shots), "--out", str(out), "--config", str(cfg_path), *option])
         assert rc == 2
         assert not (out / "report.json").exists()
         assert "config error" in capsys.readouterr().err
+
+    def test_conditioning_invariant_exit_code(self, dataset, tmp_path, capsys, monkeypatch):
+        import singletsim.analysis as analysis_mod
+
+        def inflated(g1, g2, g12, *args, **kwargs):
+            return analysis_mod.ConditionalCovariance(2.0 * np.asarray(g2), False)
+
+        monkeypatch.setattr(analysis_mod, "conditional_covariance", inflated)
+        shots, cfg_path = dataset
+        out = tmp_path / "invariant"
+        rc = main(["analyze", str(shots), "--out", str(out), "--config", str(cfg_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: bin 0: conditional variance" in err
+        assert not (out / "report.json").exists()
+        assert not (out / "noise_scaling.csv").exists()
 
     def test_paper_operating_point_top_bin(self, tmp_path):
         # Campaign around 1.1e6 atoms at the measured readout
