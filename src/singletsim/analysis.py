@@ -389,6 +389,8 @@ class AnalysisOptions:
             raise ValueError("n_bins >= 1, min_bin_shots >= 2, n_resamples >= 2 required")
         if not (0 < self.cutoff < math.inf and 0 < self.f < math.inf):
             raise ValueError("cutoff and f must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,10 @@ def _cleanup(paths) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+        try:
+            cfg = cfg.with_seed(args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "shots.csv"

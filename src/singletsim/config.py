@@ -1,20 +1,39 @@
 """Run configuration: JSON ingestion, validation, and provenance echo.
 
 A run config is a single JSON file with optional sections ``probe``,
-``field``, ``sequence``, ``campaign``, ``analysis``, ``constants`` and a
-top-level ``seed``.  Every omitted value falls back to the published
-operating point of the experiment, so ``simulate`` with an empty object
-``{}`` already reproduces that regime.  Unknown keys are rejected with
-per-field diagnostics.  The provenance file written next to a dataset
-contains the fully resolved config and can itself be passed back as
-``--config``.
+``field``, ``sequence``, ``campaign`` and ``analysis`` and a top-level
+``seed``.  Every omitted value falls back to the published operating
+point of the experiment, so ``simulate`` with an empty object ``{}``
+already reproduces that regime.  The provenance file written next to a
+dataset contains the fully resolved config and can itself be passed back
+as ``--config``.
+
+The schema is read from the config dataclasses: a section's keys are the
+fields of its class (``SECTIONS``), less the ones filled from elsewhere
+(a sequence's ``field`` and ``probe`` sections and the campaign's
+``master_seed``, which is the top-level ``seed``), and each value is
+checked against the field's annotation:
+
+- ``bool`` takes only ``true`` or ``false``;
+- ``int`` takes an integer, never a bool or a float such as ``2.0``;
+- ``float`` takes a finite number, never a bool; ``float | None`` also
+  takes ``null``;
+- ``np.ndarray`` takes nested lists of finite numbers, never bools;
+- ``str`` takes a string.
+
+Unknown keys and badly typed values raise ``ConfigError`` naming
+``section.key``; range checks are the dataclasses' own.  A provenance
+file that still holds a key since removed from the schema
+(``constants``, ``sequence.n_pulses``, ``sequence.pulses_per_period``)
+is rejected with ``unknown key`` like any other.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,51 +42,50 @@ from .analysis import AnalysisOptions
 from .errors import ConfigError
 from .probe import ProbeConfig
 from .sequence import CampaignConfig, SequenceConfig
-from .spins import GYROMAGNETIC_RATIO, MagneticField, PhysicalConstants
+from .spins import MagneticField
 
-# 16.9 mG along [1, 1, 1].
-DEFAULT_FIELD_G = 16.9e-3
-DEFAULT_FIELD_VECTOR = tuple(DEFAULT_FIELD_G / math.sqrt(3.0) for _ in range(3))
+# Config section -> the dataclass it builds.
+SECTIONS = {
+    "probe": ProbeConfig,
+    "field": MagneticField,
+    "sequence": SequenceConfig,
+    "campaign": CampaignConfig,
+    "analysis": AnalysisOptions,
+}
 
-_PROBE_KEYS = {
-    "g1",
-    "g2",
-    "n_photons",
-    "pulse_duration",
-    "efficiency",
-    "readout_noise_override",
-    "light_backaction",
+# Dataclass fields that are not config keys: they are filled from
+# other sections or from the top-level seed.
+_FILLED = {"field", "probe", "master_seed"}
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_finite_array(v) -> bool:
+    return isinstance(v, list) and all(
+        _is_finite_array(x) if isinstance(x, list) else _is_finite(x) for x in v
+    )
+
+
+# Annotation -> (accepts a JSON value, what the diagnostic says it must be).
+_TYPE_RULES = {
+    bool: (lambda v: isinstance(v, bool), "must be true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
+    float: (_is_finite, "must be a finite number"),
+    float | None: (lambda v: v is None or _is_finite(v), "must be a finite number or null"),
+    np.ndarray: (_is_finite_array, "must be a list (of lists) of finite numbers"),
+    str: (lambda v: isinstance(v, str), "must be a string"),
 }
-_FIELD_KEYS = {"b", "gyromagnetic_ratio"}
-_SEQUENCE_KEYS = {
-    "n_pulses",
-    "pulses_per_period",
-    "prep_noise_cov",
-    "prep_mean_offset",
-    "detector_noise_cov",
-    "period_diffusion",
-    "intra_pulse_rotation",
-}
-_CAMPAIGN_KEYS = {
-    "n_cycles",
-    "sequences_per_cycle",
-    "loss_fraction",
-    "initial_atoms",
-    "reference_shots_per_cycle",
-    "atom_jitter",
-}
-_ANALYSIS_KEYS = {
-    "n_bins",
-    "min_bin_shots",
-    "cutoff",
-    "mean_mode",
-    "n_resamples",
-    "seed",
-    "use_analytic_v0",
-    "f",
-}
-_CONSTANTS_KEYS = {"wavelength", "interaction_area"}
-_TOP_KEYS = {"seed", "probe", "field", "sequence", "campaign", "analysis", "constants"}
+
+
+def _schema(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in _FILLED}
+
+
+# Section -> {key: annotation}, the whole settable schema.
+SCHEMA = {name: _schema(cls) for name, cls in SECTIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -78,7 +96,6 @@ class RunConfig:
     sequence: SequenceConfig
     campaign: CampaignConfig
     analysis: AnalysisOptions
-    constants: PhysicalConstants
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(
@@ -86,23 +103,36 @@ class RunConfig:
         )
 
 
-def _check_section(data, keys: set, path: str, errors: list) -> dict:
+def _check_value(path: str, value, hint, errors: list) -> bool:
+    accepts, requirement = _TYPE_RULES[hint]
+    if accepts(value):
+        return True
+    errors.append(f"{path} {requirement}, got {value!r}")
+    return False
+
+
+def _section_kwargs(name: str, data, errors: list) -> dict:
+    """The well-typed keys of one section; every other key is an error."""
     if data is None:
         return {}
     if not isinstance(data, dict):
-        errors.append(f"{path}: expected an object")
+        errors.append(f"{name}: expected an object")
         return {}
-    unknown = set(data) - keys
-    for key in sorted(unknown):
-        errors.append(f"{path}.{key}: unknown key")
-    return {k: v for k, v in data.items() if k in keys}
+    schema = SCHEMA[name]
+    kwargs = {}
+    for key, value in data.items():
+        if key not in schema:
+            errors.append(f"{name}.{key}: unknown key")
+        elif _check_value(f"{name}.{key}", value, schema[key], errors):
+            kwargs[key] = value
+    return kwargs
 
 
-def _build(factory, kwargs: dict, path: str, errors: list):
+def _build(name: str, kwargs: dict, errors: list):
     try:
-        return factory(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{path}: {exc}")
+        return SECTIONS[name](**kwargs)
+    except ValueError as exc:
+        errors.append(f"{name}: {exc}")
         return None
 
 
@@ -115,51 +145,29 @@ def config_from_dict(data: dict) -> RunConfig:
         data = data["config"]
 
     errors: list[str] = []
-    unknown = set(data) - _TOP_KEYS
-    for key in sorted(unknown):
+    for key in sorted(set(data) - {"seed", *SECTIONS}):
         errors.append(f"{key}: unknown key")
-
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append("seed: must be a non-negative integer")
+    if not _check_value("seed", seed, int, errors):
+        seed = 0
+    elif seed < 0:
+        errors.append("seed must be non-negative")
         seed = 0
 
-    probe_kwargs = _check_section(data.get("probe"), _PROBE_KEYS, "probe", errors)
-    probe = _build(ProbeConfig, probe_kwargs, "probe", errors)
-
-    field_kwargs = _check_section(data.get("field"), _FIELD_KEYS, "field", errors)
-    field_kwargs.setdefault("b", DEFAULT_FIELD_VECTOR)
-    field_kwargs.setdefault("gyromagnetic_ratio", GYROMAGNETIC_RATIO)
-    field_kwargs["b"] = np.asarray(field_kwargs["b"], dtype=float)
-    field = _build(MagneticField, field_kwargs, "field", errors)
-
-    seq_kwargs = _check_section(data.get("sequence"), _SEQUENCE_KEYS, "sequence", errors)
-    for key in ("prep_noise_cov", "detector_noise_cov", "prep_mean_offset"):
-        if key in seq_kwargs:
-            seq_kwargs[key] = np.asarray(seq_kwargs[key], dtype=float)
+    kwargs = {name: _section_kwargs(name, data.get(name), errors) for name in SECTIONS}
+    probe = _build("probe", kwargs["probe"], errors)
+    field = _build("field", kwargs["field"], errors)
     sequence = None
     if probe is not None and field is not None:
         sequence = _build(
-            SequenceConfig,
-            {"field": field, "probe": probe, **seq_kwargs},
-            "sequence",
-            errors,
+            "sequence", {**kwargs["sequence"], "field": field, "probe": probe}, errors
         )
-
-    camp_kwargs = _check_section(data.get("campaign"), _CAMPAIGN_KEYS, "campaign", errors)
-    campaign = _build(
-        CampaignConfig, {**camp_kwargs, "master_seed": seed}, "campaign", errors
-    )
-
-    analysis_kwargs = _check_section(data.get("analysis"), _ANALYSIS_KEYS, "analysis", errors)
-    analysis = _build(AnalysisOptions, analysis_kwargs, "analysis", errors)
-
-    const_kwargs = _check_section(data.get("constants"), _CONSTANTS_KEYS, "constants", errors)
-    constants = _build(PhysicalConstants, const_kwargs, "constants", errors)
+    campaign = _build("campaign", {**kwargs["campaign"], "master_seed": seed}, errors)
+    analysis = _build("analysis", kwargs["analysis"], errors)
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    return RunConfig(seed, probe, field, sequence, campaign, analysis, constants)
+    return RunConfig(seed, probe, field, sequence, campaign, analysis)
 
 
 def load_config(path) -> RunConfig:
@@ -176,54 +184,14 @@ def load_config(path) -> RunConfig:
     return config_from_dict(data)
 
 
+def _json_value(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     """Fully resolved config, round-trippable through ``config_from_dict``."""
-    return {
-        "seed": cfg.seed,
-        "probe": {
-            "g1": cfg.probe.g1,
-            "g2": cfg.probe.g2,
-            "n_photons": cfg.probe.n_photons,
-            "pulse_duration": cfg.probe.pulse_duration,
-            "efficiency": cfg.probe.efficiency,
-            "readout_noise_override": cfg.probe.readout_noise_override,
-            "light_backaction": cfg.probe.light_backaction,
-        },
-        "field": {
-            "b": [float(v) for v in cfg.field.b],
-            "gyromagnetic_ratio": cfg.field.gyromagnetic_ratio,
-        },
-        "sequence": {
-            "n_pulses": cfg.sequence.n_pulses,
-            "pulses_per_period": cfg.sequence.pulses_per_period,
-            "prep_noise_cov": [[float(v) for v in row] for row in cfg.sequence.prep_noise_cov],
-            "prep_mean_offset": [float(v) for v in cfg.sequence.prep_mean_offset],
-            "detector_noise_cov": [
-                [float(v) for v in row] for row in cfg.sequence.detector_noise_cov
-            ],
-            "period_diffusion": cfg.sequence.period_diffusion,
-            "intra_pulse_rotation": cfg.sequence.intra_pulse_rotation,
-        },
-        "campaign": {
-            "n_cycles": cfg.campaign.n_cycles,
-            "sequences_per_cycle": cfg.campaign.sequences_per_cycle,
-            "loss_fraction": cfg.campaign.loss_fraction,
-            "initial_atoms": cfg.campaign.initial_atoms,
-            "reference_shots_per_cycle": cfg.campaign.reference_shots_per_cycle,
-            "atom_jitter": cfg.campaign.atom_jitter,
-        },
-        "analysis": {
-            "n_bins": cfg.analysis.n_bins,
-            "min_bin_shots": cfg.analysis.min_bin_shots,
-            "cutoff": cfg.analysis.cutoff,
-            "mean_mode": cfg.analysis.mean_mode,
-            "n_resamples": cfg.analysis.n_resamples,
-            "seed": cfg.analysis.seed,
-            "use_analytic_v0": cfg.analysis.use_analytic_v0,
-            "f": cfg.analysis.f,
-        },
-        "constants": {
-            "wavelength": cfg.constants.wavelength,
-            "interaction_area": cfg.constants.interaction_area,
-        },
-    }
+    out = {"seed": cfg.seed}
+    for name, schema in SCHEMA.items():
+        section = getattr(cfg, name)
+        out[name] = {key: _json_value(getattr(section, key)) for key in schema}
+    return out

@@ -63,6 +63,11 @@ from .spins import (
 
 COMPONENTS = ("z", "y", "x")
 
+# The stroboscopic schedule: two rounds of three pulses a third of a
+# Larmor period apart, each round reading z, y, x.
+PULSES_PER_PERIOD = 3
+N_PULSES = 2 * PULSES_PER_PERIOD
+
 DATASET_COLUMNS = (
     "cycle_id",
     "seq_index",
@@ -104,8 +109,6 @@ class SequenceConfig:
 
     field: MagneticField
     probe: ProbeConfig
-    n_pulses: int = 6
-    pulses_per_period: int = 3
     prep_noise_cov: np.ndarray = field(default_factory=_zeros33)
     prep_mean_offset: np.ndarray = field(default_factory=_zeros3)
     detector_noise_cov: np.ndarray = field(default_factory=_zeros33)
@@ -113,11 +116,8 @@ class SequenceConfig:
     intra_pulse_rotation: bool = False
 
     def __post_init__(self):
-        if self.pulses_per_period != 3 or self.n_pulses != 2 * self.pulses_per_period:
-            raise ValueError(
-                "the stroboscopic schedule requires pulses_per_period=3 and "
-                "n_pulses=6 (two rounds of z, y, x)"
-            )
+        if self.field.magnitude == 0.0:
+            raise ValueError("field must be non-zero: a zero field has no Larmor period")
         prep = np.asarray(self.prep_noise_cov, dtype=float)
         det = np.asarray(self.detector_noise_cov, dtype=float)
         offset = np.asarray(self.prep_mean_offset, dtype=float)
@@ -277,11 +277,6 @@ class CampaignConfig:
     atom_jitter: float = 0.05
 
     def __post_init__(self):
-        for name in ("n_cycles", "sequences_per_cycle", "reference_shots_per_cycle"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         if not 0.0 <= self.loss_fraction < 1.0:
             raise ValueError("loss_fraction must be in [0, 1)")
         if self.n_cycles < 1 or self.sequences_per_cycle < 1:
@@ -292,6 +287,8 @@ class CampaignConfig:
             raise ValueError("reference_shots_per_cycle must be non-negative")
         if not 0.0 <= self.atom_jitter < 1.0:
             raise ValueError("atom_jitter must be in [0, 1)")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
 
 
 def draw_columns(cfg: SequenceConfig) -> int:
@@ -300,7 +297,7 @@ def draw_columns(cfg: SequenceConfig) -> int:
         9
         + (3 if cfg.has_detector_noise else 0)
         + (3 if cfg.period_diffusion > 0.0 else 0)
-        + (cfg.n_pulses if cfg.probe.light_backaction else 0)
+        + (N_PULSES if cfg.probe.light_backaction else 0)
     )
 
 
@@ -371,21 +368,21 @@ def _propagate(
     if cfg.probe.light_backaction:
         kicks = backaction_sigma(cfg.probe) * np.hstack([next(z), next(z)])
 
-    t_step = larmor_period(cfg.field) / cfg.pulses_per_period
+    t_step = larmor_period(cfg.field) / PULSES_PER_PERIOD
     r_step = larmor_rotation_matrix(cfg.field, t_step)
     r_mid = None
     if cfg.intra_pulse_rotation:
         # The pulse reads lab z of the spin rotated on to mid-pulse.
         r_mid = larmor_rotation_matrix(cfg.field, cfg.probe.pulse_duration / 2.0)
 
-    f = np.empty((len(n_atoms), cfg.n_pulses))
-    for k in range(cfg.n_pulses):
+    f = np.empty((len(n_atoms), N_PULSES))
+    for k in range(N_PULSES):
         if k > 0:
             spin = _row_products(r_step, spin)
-        if k == cfg.pulses_per_period and walk is not None:
+        if k == PULSES_PER_PERIOD and walk is not None:
             spin = spin + walk
         value = spin[:, 2] if r_mid is None else _row_products(r_mid, spin)[:, 2]
-        f[:, k] = value + detector[:, k % cfg.pulses_per_period] + eps[:, k]
+        f[:, k] = value + detector[:, k % PULSES_PER_PERIOD] + eps[:, k]
         if kicks is not None:
             spin = _rotate_about_z(spin, kicks[:, k])
     return f

@@ -19,13 +19,16 @@ schedule and is pinned by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # Default gyromagnetic ratio, rad s^-1 G^-1.  Chosen so that a 16.9 mG
 # field gives an 85 us Larmor period (gamma/2pi ~ 696 kHz/G).
 GYROMAGNETIC_RATIO = 4.374e6
+
+# Default applied field: 16.9 mG along [1, 1, 1], gauss.
+DEFAULT_FIELD_G = 16.9e-3
 
 ALLOWED_F = (0.5, 1.0, 1.5, 2.0)
 
@@ -101,7 +104,9 @@ class CollectiveSpinState:
 class MagneticField:
     """Static applied field (gauss) and gyromagnetic ratio (rad s^-1 G^-1)."""
 
-    b: np.ndarray
+    b: np.ndarray = field(
+        default_factory=lambda: np.full(3, DEFAULT_FIELD_G / math.sqrt(3.0))
+    )
     gyromagnetic_ratio: float = GYROMAGNETIC_RATIO
 
     def __post_init__(self):

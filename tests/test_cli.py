@@ -177,6 +177,22 @@ class TestSimulate:
         assert not (out / "shots.csv").exists()
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY_CAMPAIGN)
+        out = tmp_path / "negative_seed"
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seed", "-3"])
+        assert rc == 2
+        assert not (out / "shots.csv").exists()
+        assert "--seed: master_seed must be non-negative" in capsys.readouterr().err
+
+    def test_zero_field_exit_code(self, tmp_path, capsys):
+        payload = {**TINY_CAMPAIGN, "field": {"b": [0, 0, 0]}}
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "zero_field"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "shots.csv").exists()
+        assert "sequence: field must be non-zero" in capsys.readouterr().err
+
     def test_default_config_reproduces_campaign_structure(self, tmp_path):
         # An empty config is the published campaign: 602 loading cycles
         # of 12 sequences = 7224 atom shots, plus reference shots.
@@ -188,6 +204,50 @@ class TestSimulate:
         refs = [r for r in records if r.is_reference]
         assert len(atoms) == 7224
         assert len(refs) == 602 * 2
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    cfg_path = write_config(out, TINY_CAMPAIGN)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out / "run")]) == 0
+    return out / "run" / "shots.csv"
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("analysis", "n_bins", True),
+        ("analysis", "n_resamples", 2.5),
+        ("analysis", "min_bin_shots", 2.5),
+        ("analysis", "use_analytic_v0", 1),
+        ("analysis", "seed", -3),
+        ("probe", "light_backaction", "no"),
+        ("sequence", "intra_pulse_rotation", "false"),
+        ("probe", "readout_noise_override", True),
+        ("probe", "g2", "x"),
+        ("campaign", "initial_atoms", math.nan),
+        ("probe", "n_photons", math.inf),
+        ("field", "gyromagnetic_ratio", math.nan),
+        ("field", "b", [0.01, math.nan, 0.01]),
+        ("sequence", "prep_noise_cov", [[math.nan, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        ("sequence", "period_diffusion", math.nan),
+    ],
+)
+def test_bad_config_value_exit_code(tiny_dataset, tmp_path, capsys, section, key, value):
+    # Every config value is checked on load, so both commands refuse it
+    # before writing anything.
+    payload = {**TINY_CAMPAIGN, section: {**TINY_CAMPAIGN.get(section, {}), key: value}}
+    cfg_path = write_config(tmp_path, payload)
+    sim, an = tmp_path / "sim", tmp_path / "an"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == 2
+    assert main(["analyze", str(tiny_dataset), "--out", str(an), "--config", str(cfg_path)]) == 2
+    assert not (sim / "shots.csv").exists()
+    assert not (sim / "provenance.json").exists()
+    assert not (an / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2
+    assert f"{section}.{key} must be" in err or f"{section}: {key} must be" in err
 
 
 class TestAnalyze:

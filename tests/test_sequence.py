@@ -154,12 +154,6 @@ class TestRunSequence:
         with pytest.raises(ConfigError, match=r"n_atoms = 100000 "):
             simulate_shots(cfg, n_atoms, 5, np.random.default_rng(14))
 
-    def test_schedule_validation(self, field, probe_ideal):
-        with pytest.raises(ValueError, match="stroboscopic"):
-            SequenceConfig(field=field, probe=probe_ideal, n_pulses=9)
-        with pytest.raises(ValueError, match="stroboscopic"):
-            SequenceConfig(field=field, probe=probe_ideal, pulses_per_period=2, n_pulses=4)
-
 
 class TestCampaign:
     def test_shot_counts(self, seq_ideal):
