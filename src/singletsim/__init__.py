@@ -15,12 +15,9 @@ from .analysis import (
     WitnessResult,
     analyze_dataset,
     conditional_covariance,
-    conditional_variance_scalar,
-    correlation_matrix,
     cutoff_scan,
     fit_noise_scaling,
     fit_snr_model,
-    residual_polarization,
     sample_covariance,
     select_shots,
     squeezing_parameter,
@@ -47,12 +44,10 @@ from .probe import (
     PulseOutcome,
     calibrate_g1,
     danm_estimate,
-    intra_pulse_angle,
     predicted_conditional_covariance,
     readout_noise_sigma,
     simulate_pulse,
     snr,
-    tensor_angle,
 )
 from .sequence import (
     CampaignConfig,
@@ -63,7 +58,6 @@ from .sequence import (
     read_dataset,
     reference_variance,
     run_campaign,
-    run_sequence,
     simulate_shots,
     write_dataset,
 )
@@ -71,13 +65,10 @@ from .spins import (
     GYROMAGNETIC_RATIO,
     CollectiveSpinState,
     MagneticField,
-    PhysicalConstants,
-    add_technical_noise,
     apply_rotation,
     larmor_period,
     larmor_rotation_matrix,
     make_tss,
-    optical_depth,
 )
 
 __version__ = "0.1.0"

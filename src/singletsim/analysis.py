@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -102,30 +101,6 @@ def conditional_covariance(g1, g2, g12, rcond: float = PINV_RCOND) -> Conditiona
     cond = g2 - np.swapaxes(g12, -1, -2) @ solved
     flag = bool(pinv_used) if pinv_used.ndim == 0 else pinv_used
     return ConditionalCovariance(0.5 * (cond + np.swapaxes(cond, -1, -2)), flag)
-
-
-class ScalarConditional(NamedTuple):
-    variance: float
-    chi: float
-    chi_defined: bool
-
-
-def conditional_variance_scalar(x1, x2) -> ScalarConditional:
-    """Single-component conditional variance var(x2 - chi*x1).
-
-    chi = cov(x1, x2)/var(x1) minimizes the residual variance.  If x1
-    has zero variance chi is undefined and var(x2) is returned flagged.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape or x1.ndim != 1 or len(x1) < 2:
-        raise EstimationError("x1 and x2 must be equal-length 1-d arrays, len >= 2")
-    v1 = float(np.var(x1, ddof=1))
-    if v1 == 0.0:
-        return ScalarConditional(float(np.var(x2, ddof=1)), math.nan, False)
-    c12 = float(np.cov(x1, x2, ddof=1)[0, 1])
-    chi = c12 / v1
-    return ScalarConditional(float(np.var(x2 - chi * x1, ddof=1)), chi, True)
 
 
 # ---------------------------------------------------------------------------
@@ -585,41 +560,6 @@ def cutoff_scan(
         w = _selection_witness(f2[mask], n[mask], v0, options, rng)
         rows.append({"C": c, "xi2": w.xi2, "xi2_stderr": w.xi2_stderr, "n_selected": n_selected})
     return rows
-
-
-# ---------------------------------------------------------------------------
-# auxiliary statistics
-
-
-def correlation_matrix(records) -> np.ndarray:
-    """Pearson correlations among the six readouts (f1_z..f2_x).
-
-    The diagonal is exactly 1; entries involving a zero-variance channel
-    are NaN.
-    """
-    table = ShotTable.from_records(records)
-    if len(table) < 2:
-        raise EstimationError("need at least 2 shots")
-    cov = sample_covariance(table.f)
-    std = np.sqrt(np.diag(cov))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = cov / np.outer(std, std)
-    rho[~np.isfinite(rho)] = math.nan
-    rho = np.clip(rho, -1.0, 1.0)
-    np.fill_diagonal(rho, 1.0)
-    return rho
-
-
-def residual_polarization(records, f: float = 1.0) -> tuple[float, float]:
-    """|mean F| / (f * N_A) for each measurement round."""
-    atoms = ShotTable.from_records(records).atoms
-    if not len(atoms):
-        raise EstimationError("no atom shots")
-    n_mean = float(atoms.n_atoms.mean())
-    if n_mean <= 0:
-        raise EstimationError("mean atom number must be positive")
-    m1, m2 = atoms.f1.mean(axis=0), atoms.f2.mean(axis=0)
-    return float(np.linalg.norm(m1)) / (f * n_mean), float(np.linalg.norm(m2)) / (f * n_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ checked against the field's annotation:
 Unknown keys and badly typed values raise ``ConfigError`` naming
 ``section.key``; range checks are the dataclasses' own.  A provenance
 file that still holds a key since removed from the schema
-(``constants``, ``sequence.n_pulses``, ``sequence.pulses_per_period``)
-is rejected with ``unknown key`` like any other.
+(``constants``, ``probe.g2``, ``sequence.n_pulses``,
+``sequence.pulses_per_period``) is rejected with ``unknown key`` like
+any other.
 """
 
 from __future__ import annotations

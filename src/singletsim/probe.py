@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError
-from .spins import CollectiveSpinState, MagneticField, apply_rotation
+from .spins import CollectiveSpinState, apply_rotation
 
 E_Z = np.array([0.0, 0.0, 1.0])
 
@@ -39,9 +39,6 @@ class ProbeConfig:
     ----------
     g1 : float
         Vector (Faraday) coupling, radians per spin.
-    g2 : float
-        Tensor coupling, radians per spin.  Only enters the diagnostic
-        ``tensor_angle``; it is never applied to the state.
     n_photons : float
         Photons per pulse.
     pulse_duration : float
@@ -62,7 +59,6 @@ class ProbeConfig:
     """
 
     g1: float = 9.0e-8
-    g2: float = -4.1e-9
     n_photons: float = 2.8e8
     pulse_duration: float = 1e-6
     efficiency: float = 0.75
@@ -133,10 +129,9 @@ def simulate_pulse(
     """Simulate one QND pulse reading the lab-z spin component.
 
     The measured value is true_z + eps with eps ~ N(0, sigma_ro^2).  If
-    ``true_z`` is not supplied it is drawn from the state's Gaussian;
-    trajectory-level simulations pass the deterministically propagated
-    sample instead.  The returned state is the Kalman-conditioned
-    posterior (gain K = cov e_z / (e_z' cov e_z + sigma_ro^2)).
+    ``true_z`` is not supplied it is drawn from the state's Gaussian.
+    The returned state is the Kalman-conditioned posterior (gain
+    K = cov e_z / (e_z' cov e_z + sigma_ro^2)).
     """
     sigma = readout_noise_sigma(probe)
     var_z = float(state.cov[2, 2])
@@ -189,22 +184,6 @@ def predicted_conditional_covariance(prep_cov, probe: ProbeConfig) -> np.ndarray
     total = prep + s2 * np.eye(3)
     cond = total - prep @ np.linalg.solve(total, prep)
     return 0.5 * (cond + cond.T)
-
-
-def tensor_angle(probe: ProbeConfig) -> float:
-    """Alignment-to-orientation rotation angle from the tensor coupling.
-
-    theta = arctan(g2 * S_x / 2) with S_x = n_photons / 2.  Computed as
-    a diagnostic only; the simulation never applies it.
-    """
-    return math.atan(probe.g2 * probe.n_photons / 4.0)
-
-
-def intra_pulse_angle(field: MagneticField, tau: float) -> float:
-    """Spin precession angle gamma*|B|*tau accumulated during one pulse."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    return field.gyromagnetic_ratio * field.magnitude * tau
 
 
 def danm_estimate(phi: float, probe: ProbeConfig, f: float = 1.0) -> float:

@@ -61,12 +61,14 @@ from .spins import (
     larmor_rotation_matrix,
 )
 
-COMPONENTS = ("z", "y", "x")
-
 # The stroboscopic schedule: two rounds of three pulses a third of a
 # Larmor period apart, each round reading z, y, x.
 PULSES_PER_PERIOD = 3
 N_PULSES = 2 * PULSES_PER_PERIOD
+
+# How far each component of the field's unit vector may lie from
+# 1/sqrt(3); ``SequenceConfig`` says why the field must be on that axis.
+FIELD_AXIS_ATOL = 1e-6
 
 DATASET_COLUMNS = (
     "cycle_id",
@@ -94,6 +96,10 @@ def _zeros3() -> np.ndarray:
 class SequenceConfig:
     """Configuration of one six-pulse stroboscopic sequence.
 
+    The field must point along [1, 1, 1] (within ``FIELD_AXIS_ATOL``):
+    only there does a third of a Larmor period map z -> x -> y, so that
+    the pulses read the components the (z, y, x) labels name.
+
     ``prep_noise_cov`` is atomic technical noise added to the thermal
     covariance at preparation (only when atoms are present); it must be
     symmetric and may be indefinite as long as the total stays PSD (the
@@ -118,6 +124,12 @@ class SequenceConfig:
     def __post_init__(self):
         if self.field.magnitude == 0.0:
             raise ValueError("field must be non-zero: a zero field has no Larmor period")
+        axis = self.field.b / self.field.magnitude
+        if np.max(np.abs(axis - 1.0 / math.sqrt(3.0))) > FIELD_AXIS_ATOL:
+            raise ValueError(
+                f"field.b must point along [1, 1, 1] (unit vector within "
+                f"{FIELD_AXIS_ATOL:g}), got direction {axis.round(6).tolist()}"
+            )
         prep = np.asarray(self.prep_noise_cov, dtype=float)
         det = np.asarray(self.detector_noise_cov, dtype=float)
         offset = np.asarray(self.prep_mean_offset, dtype=float)
@@ -144,8 +156,7 @@ class ShotRecord:
     """One state preparation: two 3-component spin measurements.
 
     ``f1`` and ``f2`` hold the first- and second-round readouts in the
-    fixed component order (z, y, x); ``components`` records that order
-    so the analysis never re-derives the pulse schedule.
+    fixed component order (z, y, x).
     """
 
     f1: np.ndarray
@@ -154,7 +165,6 @@ class ShotRecord:
     is_reference: bool = False
     cycle_id: int = 0
     seq_index: int = 0
-    components: tuple = COMPONENTS
 
     def __post_init__(self):
         f1 = np.asarray(self.f1, dtype=float)
@@ -406,29 +416,6 @@ def simulate_shots(
     return f[:, :3], f[:, 3:]
 
 
-def run_sequence(
-    cfg: SequenceConfig,
-    n_atoms: float,
-    rng: np.random.Generator,
-    cycle_id: int = 0,
-    seq_index: int = 0,
-    is_reference: bool = False,
-) -> ShotRecord:
-    """Simulate one preparation followed by six stroboscopic pulses.
-
-    A one-shot call of ``simulate_shots``.
-    """
-    f1, f2 = simulate_shots(cfg, n_atoms, 1, rng)
-    return ShotRecord(
-        f1=f1[0],
-        f2=f2[0],
-        n_atoms=n_atoms,
-        is_reference=is_reference,
-        cycle_id=cycle_id,
-        seq_index=seq_index,
-    )
-
-
 def _simulate_cycles(
     campaign: CampaignConfig, seq_cfg: SequenceConfig, cycle_ids
 ) -> ShotTable:
@@ -472,15 +459,12 @@ def run_campaign(campaign: CampaignConfig, seq_cfg: SequenceConfig) -> ShotTable
 class ReferenceNoise:
     """Read-out noise estimated from no-atom reference shots.
 
-    ``gamma0``/``v0`` come from the second-round vectors (the round the
-    witness is evaluated on); the first-round estimates are kept for
-    cross-checks.
+    ``gamma0``/``v0`` come from the second-round vectors, the round the
+    witness is evaluated on.
     """
 
     gamma0: np.ndarray
-    gamma0_first: np.ndarray
     v0: float
-    v0_first: float
     n_reference: int
 
 
@@ -492,14 +476,7 @@ def reference_variance(records) -> ReferenceNoise:
     if len(refs) < 2:
         raise EstimationError("need at least 2 reference shots")
     gamma0 = sample_covariance(refs.f2)
-    gamma0_first = sample_covariance(refs.f1)
-    return ReferenceNoise(
-        gamma0=gamma0,
-        gamma0_first=gamma0_first,
-        v0=float(np.trace(gamma0)),
-        v0_first=float(np.trace(gamma0_first)),
-        n_reference=len(refs),
-    )
+    return ReferenceNoise(gamma0=gamma0, v0=float(np.trace(gamma0)), n_reference=len(refs))
 
 
 def write_dataset(path, records) -> None:

@@ -122,30 +122,6 @@ class MagneticField:
         return float(np.linalg.norm(self.b))
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Probe wavelength and effective atom-light interaction area.
-
-    ``sigma0`` is always wavelength^2 / pi.  The quoted experimental
-    triple (d0, N_A, A) is not self-consistent with that formula, so all
-    three inputs are plain configuration values here.
-    """
-
-    wavelength: float = 780e-9
-    interaction_area: float = 2.7e-9
-
-    def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.interaction_area <= 0:
-            raise ValueError("interaction_area must be positive")
-
-    @property
-    def sigma0(self) -> float:
-        """Scattering cross-section lambda^2 / pi, m^2."""
-        return self.wavelength**2 / math.pi
-
-
 def make_tss(n_atoms: float, f: float = 1.0) -> CollectiveSpinState:
     """Thermal (fully mixed) spin state of ``n_atoms`` spin-f atoms.
 
@@ -156,30 +132,6 @@ def make_tss(n_atoms: float, f: float = 1.0) -> CollectiveSpinState:
         raise ValueError("n_atoms must be non-negative")
     var = f * (f + 1.0) / 3.0 * n_atoms
     return CollectiveSpinState(np.zeros(3), np.eye(3) * var, n_atoms, f)
-
-
-def add_technical_noise(
-    state: CollectiveSpinState,
-    extra_cov,
-    mean_offset=None,
-    *,
-    require_psd: bool = True,
-) -> CollectiveSpinState:
-    """Add preparation noise to a state: cov + extra_cov, mean + offset.
-
-    ``extra_cov`` must be symmetric and (by default) positive
-    semidefinite.  ``require_psd=False`` relaxes that to requiring only
-    the *total* covariance to be PSD; this is needed to reproduce
-    empirically measured covariance matrices whose excess over the ideal
-    thermal state is indefinite.
-    """
-    extra = _as_matrix(extra_cov, "extra_cov")
-    check_symmetric(extra, "extra_cov")
-    if require_psd:
-        check_psd(extra, "extra_cov")
-    total = state.cov + extra
-    mean = state.mean if mean_offset is None else state.mean + _as_vector(mean_offset, "mean_offset")
-    return CollectiveSpinState(mean, total, state.n_atoms, state.f)
 
 
 def larmor_rotation_matrix(field: MagneticField, t: float) -> np.ndarray:
@@ -216,11 +168,6 @@ def larmor_period(field: MagneticField) -> float:
     if b_mag == 0.0:
         raise ValueError("zero field has an infinite Larmor period")
     return 2.0 * math.pi / (field.gyromagnetic_ratio * b_mag)
-
-
-def optical_depth(n_atoms: float, consts: PhysicalConstants) -> float:
-    """Effective on-axis optical depth (sigma0 / A) * n_atoms."""
-    return consts.sigma0 / consts.interaction_area * n_atoms
 
 
 def covariance_factor(cov: np.ndarray) -> np.ndarray:

@@ -14,13 +14,10 @@ from singletsim import (
     ShotRecord,
     analyze_dataset,
     conditional_covariance,
-    conditional_variance_scalar,
-    correlation_matrix,
     cutoff_scan,
     fit_noise_scaling,
     fit_snr_model,
     readout_noise_sigma,
-    residual_polarization,
     run_campaign,
     sample_covariance,
     select_shots,
@@ -30,6 +27,7 @@ from singletsim import (
 )
 from singletsim.analysis import report_dict, write_noise_scaling_csv, write_report
 from singletsim.sequence import CampaignConfig
+from singletsim.spins import PSD_RTOL
 from tests.conftest import schur_trace
 
 
@@ -122,50 +120,55 @@ class TestConditionalCovariance:
             assert out.trace <= np.trace(c6[3:, 3:]) + 1e-9
 
 
-class TestScalarConditional:
-    def test_perfect_copy(self):
-        x = np.arange(10.0)
-        out = conditional_variance_scalar(x, x)
-        assert out.variance == pytest.approx(0.0, abs=1e-12)
-        assert out.chi == pytest.approx(1.0)
+def random_joint_covariance(rng, scale, g1_rank):
+    """A PSD 6x6 covariance of (f1, f2) whose first-round block has rank ``g1_rank``."""
+    a = rng.standard_normal((6, 12))
+    if g1_rank < 3:
+        a[:3] = rng.standard_normal((3, g1_rank)) @ a[:g1_rank]
+    return scale * (a @ a.T)
 
-    def test_independent(self):
-        rng = np.random.default_rng(5)
-        x1 = rng.standard_normal(50_000)
-        x2 = rng.standard_normal(50_000) * 2.0
-        out = conditional_variance_scalar(x1, x2)
-        assert abs(out.chi) < 0.02
-        assert out.variance == pytest.approx(np.var(x2, ddof=1), rel=0.01)
 
-    def test_chi_optimality(self):
-        rng = np.random.default_rng(6)
-        z = rng.standard_normal(5000)
-        x1 = z + 0.3 * rng.standard_normal(5000)
-        x2 = z + 0.7 * rng.standard_normal(5000)
-        out = conditional_variance_scalar(x1, x2)
-        for a in np.linspace(-2.0, 2.0, 41):
-            assert np.var(x2 - a * x1, ddof=1) >= out.variance - 1e-12
+def blocks(joint):
+    return joint[..., :3, :3], joint[..., 3:, 3:], joint[..., :3, 3:]
 
-    def test_zero_variance_flagged(self):
-        out = conditional_variance_scalar(np.ones(5), np.arange(5.0))
-        assert not out.chi_defined
-        assert math.isnan(out.chi)
-        assert out.variance == pytest.approx(np.var(np.arange(5.0), ddof=1))
 
-    def test_matches_one_dimensional_schur(self):
-        # Scalar path and the (k,k) entry of a 1-d Schur complement agree.
-        rng = np.random.default_rng(7)
-        z = rng.standard_normal(2000)
-        x1 = z + 0.5 * rng.standard_normal(2000)
-        x2 = z + 0.5 * rng.standard_normal(2000)
-        out = conditional_variance_scalar(x1, x2)
-        v1 = np.var(x1, ddof=1)
-        v2 = np.var(x2, ddof=1)
-        c = np.cov(x1, x2, ddof=1)[0, 1]
-        # n-1 normalization differs between var(x2 - chi x1) and the
-        # plug-in Schur value only through the chi estimate itself.
-        schur = v2 - c**2 / v1
-        assert out.variance == pytest.approx(schur, rel=1e-9)
+def assert_schur_bounds(joint, cond):
+    """PSD, and trace at most trace(g2), both up to PSD_RTOL * trace(g2)."""
+    g2_trace = np.trace(joint[..., 3:, 3:], axis1=-2, axis2=-1)
+    slack = PSD_RTOL * g2_trace
+    assert np.all(cond.trace <= g2_trace + slack)
+    assert np.all(np.linalg.eigvalsh(cond.matrix)[..., 0] >= -slack)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 12.0),
+    g1_rank=st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_schur_complement_psd_and_bounded(seed, log_scale, g1_rank):
+    joint = random_joint_covariance(np.random.default_rng(seed), 10.0**log_scale, g1_rank)
+    cond = conditional_covariance(*blocks(joint))
+    # A rank-deficient first block takes the pseudo-inverse path.
+    assert cond.pinv_used == (g1_rank < 3)
+    assert_schur_bounds(joint, cond)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ranks=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_schur_complement_stack(seed, ranks):
+    rng = np.random.default_rng(seed)
+    joint = np.stack([random_joint_covariance(rng, 1e6, r) for r in ranks])
+    cond = conditional_covariance(*blocks(joint))
+    assert cond.pinv_used.tolist() == [r < 3 for r in ranks]
+    assert_schur_bounds(joint, cond)
+    # Each block of the stack is conditioned on its own.
+    for block, matrix in zip(joint, cond.matrix):
+        single = conditional_covariance(*blocks(block)).matrix
+        assert np.allclose(matrix, single, rtol=0.0, atol=1e-12 * np.trace(block))
 
 
 class TestSelectShots:
@@ -398,12 +401,8 @@ class TestAnalyzeDataset:
             assert b.report.v_cond_tilde <= b.report.v2_tilde
 
     def test_reference_only_dataset(self, seq_ideal):
-        from singletsim import run_sequence
-
-        rng = np.random.default_rng(22)
-        records = [
-            run_sequence(seq_ideal, 0.0, rng, is_reference=True) for _ in range(400)
-        ]
+        f1, f2 = simulate_shots(seq_ideal, 0.0, 400, np.random.default_rng(22))
+        records = records_from_arrays(f1, f2, 0.0, is_reference=True)
         result = analyze_dataset(records, options=AnalysisOptions(n_resamples=50))
         assert result.bins == []
         assert abs(result.reference_v1_tilde) < 0.2 * result.v0
@@ -501,74 +500,6 @@ class TestCutoffScan:
         )
         counts = [r["n_selected"] for r in rows]
         assert counts == sorted(counts)
-
-
-class TestCorrelationMatrix:
-    def test_repeated_measurements(self):
-        rng = np.random.default_rng(30)
-        f1 = rng.standard_normal((500, 3))
-        records = records_from_arrays(f1, f1.copy(), 1e5)
-        rho = correlation_matrix(records)
-        for k in range(3):
-            assert rho[k, k + 3] == pytest.approx(1.0)
-        assert np.allclose(np.diag(rho), 1.0)
-
-    def test_independent_channels(self):
-        rng = np.random.default_rng(31)
-        records = records_from_arrays(
-            rng.standard_normal((20_000, 3)), rng.standard_normal((20_000, 3)), 1e5
-        )
-        rho = correlation_matrix(records)
-        off = rho[~np.eye(6, dtype=bool)]
-        assert np.all(np.abs(off) < 0.05)
-
-    def test_zero_variance_channel_flagged(self):
-        f1 = np.zeros((10, 3))
-        f2 = np.random.default_rng(32).standard_normal((10, 3))
-        rho = correlation_matrix(records_from_arrays(f1, f2, 1e5))
-        assert math.isnan(rho[0, 3])
-        assert rho[0, 0] == 1.0
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_entries_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        records = records_from_arrays(
-            rng.standard_normal((30, 3)), rng.standard_normal((30, 3)), 1e4
-        )
-        rho = correlation_matrix(records)
-        assert np.all(rho[np.isfinite(rho)] <= 1.0)
-        assert np.all(rho[np.isfinite(rho)] >= -1.0)
-
-
-class TestResidualPolarization:
-    def test_zero_mean(self):
-        rng = np.random.default_rng(33)
-        records = records_from_arrays(
-            rng.standard_normal((50_000, 3)) * 800,
-            rng.standard_normal((50_000, 3)) * 800,
-            1e6,
-        )
-        p1, p2 = residual_polarization(records)
-        assert p1 < 2e-2
-        assert p2 < 2e-2
-
-    def test_fully_pumped(self):
-        n = 1e6
-        f = np.tile([0.0, 0.0, n], (10, 1))
-        records = records_from_arrays(f, f.copy(), n)
-        p1, p2 = residual_polarization(records)
-        assert p1 == pytest.approx(1.0)
-        assert p2 == pytest.approx(1.0)
-
-    def test_paper_scale_arithmetic(self):
-        # A residual |F| of 13.3e3 (18.3e3) spins at N_A = 1.1e6 is a
-        # fractional polarization of ~1.2e-2 (1.7e-2).
-        f1 = np.tile([13.3e3, 0.0, 0.0], (10, 1))
-        f2 = np.tile([18.3e3, 0.0, 0.0], (10, 1))
-        p1, p2 = residual_polarization(records_from_arrays(f1, f2, 1.1e6))
-        assert p1 == pytest.approx(13.3e3 / 1.1e6)
-        assert p2 == pytest.approx(1.66e-2, rel=5e-3)
 
 
 def test_schur_kalman_consistency_on_batch(seq_ideal):

@@ -193,6 +193,17 @@ class TestSimulate:
         assert not (out / "shots.csv").exists()
         assert "sequence: field must be non-zero" in capsys.readouterr().err
 
+    def test_off_axis_field_exit_code(self, tmp_path, capsys):
+        # The f*_z/y/x columns name the components read only for a field
+        # along [1, 1, 1]; along z every column would read lab S_z.
+        payload = {**TINY_CAMPAIGN, "field": {"b": [0, 0, 0.0169]}}
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "off_axis"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "shots.csv").exists()
+        assert not (out / "provenance.json").exists()
+        assert "sequence: field.b must point along [1, 1, 1]" in capsys.readouterr().err
+
     def test_default_config_reproduces_campaign_structure(self, tmp_path):
         # An empty config is the published campaign: 602 loading cycles
         # of 12 sequences = 7224 atom shots, plus reference shots.
@@ -225,7 +236,7 @@ def tiny_dataset(tmp_path_factory):
         ("probe", "light_backaction", "no"),
         ("sequence", "intra_pulse_rotation", "false"),
         ("probe", "readout_noise_override", True),
-        ("probe", "g2", "x"),
+        ("probe", "g1", "x"),
         ("campaign", "initial_atoms", math.nan),
         ("probe", "n_photons", math.inf),
         ("field", "gyromagnetic_ratio", math.nan),

@@ -23,14 +23,14 @@ NON_DEFAULT = {
     "seed": 9,
     "probe": {
         "g1": 8.0e-8,
-        "g2": -3.0e-9,
         "n_photons": 1.0e8,
         "pulse_duration": 2.0e-6,
         "efficiency": 0.5,
         "readout_noise_override": 515.0,
         "light_backaction": True,
     },
-    "field": {"b": [0.01, 0.0, 0.005], "gyromagnetic_ratio": 4.0e6},
+    # The sequence needs a field along [1, 1, 1]; only its magnitude moves.
+    "field": {"b": [0.005, 0.005, 0.005], "gyromagnetic_ratio": 4.0e6},
     "sequence": {
         "prep_noise_cov": [[1.0e3, 0.0, 0.0], [0.0, 2.0e3, 0.0], [0.0, 0.0, 3.0e3]],
         "prep_mean_offset": [1.0, 2.0, 3.0],
@@ -83,12 +83,13 @@ class TestRoundTrip:
         assert json.loads(json.dumps(resolved)) == resolved
 
     def test_settable_value_count(self):
-        assert 1 + sum(len(keys) for keys in SCHEMA.values()) == 29
+        assert 1 + sum(len(keys) for keys in SCHEMA.values()) == 28
 
     def test_removed_keys_are_unknown(self):
         # Old provenance files holding them are refused, not half-read.
         for payload, message in [
             ({"constants": {"wavelength": 7.8e-7}}, "constants: unknown key"),
+            ({"probe": {"g2": -4.1e-9}}, "probe.g2: unknown key"),
             ({"sequence": {"n_pulses": 6}}, "sequence.n_pulses: unknown key"),
             ({"sequence": {"pulses_per_period": 3}}, "pulses_per_period: unknown key"),
         ]:

@@ -8,13 +8,11 @@ from singletsim import (
     ProbeConfig,
     calibrate_g1,
     danm_estimate,
-    intra_pulse_angle,
     make_tss,
     predicted_conditional_covariance,
     readout_noise_sigma,
     simulate_pulse,
     snr,
-    tensor_angle,
 )
 
 
@@ -173,41 +171,6 @@ class TestPredictedConditionalCovariance:
         pred = predicted_conditional_covariance(np.zeros((3, 3)), probe_ideal)
         s2 = readout_noise_sigma(probe_ideal) ** 2
         assert np.allclose(pred, s2 * np.eye(3))
-
-
-class TestTensorAngle:
-    def test_zero_coupling(self):
-        assert tensor_angle(ProbeConfig(g2=0.0)) == 0.0
-
-    def test_paper_value(self, probe_paper):
-        # tan(theta) = g2 N_L / 4 ~ -0.287, |theta| ~ 0.28 vs quoted ~0.3.
-        assert math.tan(tensor_angle(probe_paper)) == pytest.approx(
-            -4.1e-9 * 2.8e8 / 4.0
-        )
-        assert abs(math.tan(tensor_angle(probe_paper))) == pytest.approx(0.287, rel=1e-2)
-
-    def test_monotone_in_photons(self):
-        angles = [
-            tensor_angle(ProbeConfig(g2=4.1e-9, n_photons=nl))
-            for nl in (1e7, 1e8, 1e9)
-        ]
-        assert angles[0] < angles[1] < angles[2]
-
-
-class TestIntraPulseAngle:
-    def test_zero_tau(self, field):
-        assert intra_pulse_angle(field, 0.0) == 0.0
-
-    def test_paper_value(self, field):
-        # gamma * 16.9 mG * 1 us = 0.074, the quoted one-digit 0.08.
-        theta = intra_pulse_angle(field, 1e-6)
-        assert theta == pytest.approx(0.0739, rel=1e-2)
-        assert theta == pytest.approx(0.08, abs=0.01)
-
-    def test_linearity(self, field):
-        assert intra_pulse_angle(field, 2e-6) == pytest.approx(
-            2 * intra_pulse_angle(field, 1e-6)
-        )
 
 
 class TestDanm:

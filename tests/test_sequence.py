@@ -4,25 +4,27 @@ import numpy as np
 import pytest
 
 from singletsim import (
+    AnalysisOptions,
     CampaignConfig,
     ConfigError,
     EstimationError,
+    MagneticField,
     ProbeConfig,
     SchemaError,
     SequenceConfig,
     ShotRecord,
     ShotTable,
+    analyze_dataset,
     read_dataset,
     reference_variance,
     readout_noise_sigma,
     run_campaign,
-    run_sequence,
     sample_covariance,
     simulate_shots,
     snr,
     write_dataset,
 )
-from singletsim.sequence import _simulate_cycles
+from singletsim.sequence import DATASET_COLUMNS, _simulate_cycles
 from tests.conftest import schur_trace
 
 
@@ -38,14 +40,28 @@ def small_campaign(seed=0, **kwargs):
     return CampaignConfig(**defaults)
 
 
+def reference_table(f1, f2):
+    """The readouts of no-atom shots as a table of reference rows."""
+    n = len(f1)
+    return ShotTable(
+        cycle_id=np.zeros(n, dtype=int),
+        seq_index=np.arange(n),
+        is_reference=np.ones(n, dtype=bool),
+        n_atoms=np.zeros(n),
+        f=np.hstack([f1, f2]),
+    )
+
+
 class TestRunSequence:
+    """One preparation and its six pulses, through the engine."""
+
     def test_noiseless_repeat(self, field):
         # Frozen spin, vanishing readout noise: the second round repeats
         # the first, component by component.
         probe = ProbeConfig(readout_noise_override=1e-9)
         cfg = SequenceConfig(field=field, probe=probe)
-        rec = run_sequence(cfg, 1e6, np.random.default_rng(0))
-        assert np.allclose(rec.f1, rec.f2, atol=1e-6)
+        f1, f2 = simulate_shots(cfg, 1e6, 1, np.random.default_rng(0))
+        assert np.allclose(f1[0], f2[0], atol=1e-6)
 
     def test_first_round_variance(self, seq_ideal):
         n = 1e6
@@ -62,11 +78,11 @@ class TestRunSequence:
         cfg = SequenceConfig(
             field=field, probe=probe_ideal, prep_mean_offset=np.array([0.0, m, 0.0])
         )
-        rec = run_sequence(cfg, 1e6, np.random.default_rng(2))
-        assert rec.f1[1] == pytest.approx(m, rel=1e-4)
-        assert abs(rec.f1[0]) < 1e-4 * m
-        assert abs(rec.f1[2]) < 1e-4 * m
-        assert rec.components == ("z", "y", "x")
+        f1, _ = simulate_shots(cfg, 1e6, 1, np.random.default_rng(2))
+        assert f1[0, 1] == pytest.approx(m, rel=1e-4)
+        assert abs(f1[0, 0]) < 1e-4 * m
+        assert abs(f1[0, 2]) < 1e-4 * m
+        assert DATASET_COLUMNS[4:7] == ("f1_z", "f1_y", "f1_x")
 
     def test_batch_matches_sequence_path(self, field, probe_paper):
         cfg = SequenceConfig(
@@ -79,9 +95,9 @@ class TestRunSequence:
         f1, f2 = simulate_shots(cfg, 5e5, 10, np.random.default_rng(42))
         rng = np.random.default_rng(42)
         for i in range(10):
-            rec = run_sequence(cfg, 5e5, rng)
-            assert np.allclose(rec.f1, f1[i], rtol=1e-9)
-            assert np.allclose(rec.f2, f2[i], rtol=1e-9)
+            a, b = simulate_shots(cfg, 5e5, 1, rng)
+            assert np.allclose(a[0], f1[i], rtol=1e-9)
+            assert np.allclose(b[0], f2[i], rtol=1e-9)
 
     def test_reference_shot_is_pure_readout(self, seq_ideal):
         f1, f2 = simulate_shots(seq_ideal, 0.0, 30_000, np.random.default_rng(3))
@@ -118,11 +134,11 @@ class TestRunSequence:
             prep_mean_offset=np.array([0.0, 0.0, m]),
             intra_pulse_rotation=True,
         )
-        rec = run_sequence(cfg, 1e6, np.random.default_rng(6))
+        f1, _ = simulate_shots(cfg, 1e6, 1, np.random.default_rng(6))
         # Mid-pulse rotation by ~0.037 rad leaks a bit of z into the
         # other components: reading is cos-reduced, not exact m.
-        assert rec.f1[0] < m
-        assert rec.f1[0] == pytest.approx(m, rel=2e-3)
+        assert f1[0, 0] < m
+        assert f1[0, 0] == pytest.approx(m, rel=2e-3)
 
     def test_light_backaction_decorrelates_transverse_readouts(self, field):
         # n_photons chosen so the per-pulse kick about lab z has a 2 rad
@@ -145,6 +161,15 @@ class TestRunSequence:
         for i, n in enumerate(n_atoms):
             a, b = simulate_shots(seq_ideal, n, 1, rng)
             assert np.array_equal(a[0], f1[i]) and np.array_equal(b[0], f2[i])
+
+    def test_field_must_lie_on_the_diagonal(self, probe_ideal):
+        # Any magnitude along [1, 1, 1] is accepted, and a unit vector off
+        # that axis by less than FIELD_AXIS_ATOL per component; not more.
+        for b in ([2.0, 2.0, 2.0], [1.0, 1.0, 1.0 + 1e-6]):
+            SequenceConfig(field=MagneticField(b), probe=probe_ideal)
+        for b in ([1.0, 1.0, 1.0 + 1e-5], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]):
+            with pytest.raises(ValueError, match=r"field\.b must point along"):
+                SequenceConfig(field=MagneticField(b), probe=probe_ideal)
 
     def test_indefinite_preparation_names_smallest_atom_number(self, field, probe_ideal):
         cfg = SequenceConfig(
@@ -225,28 +250,26 @@ class TestReferenceVariance:
     def test_converges_to_readout_noise(self, field):
         probe = ProbeConfig(readout_noise_override=500.0, efficiency=1.0)
         cfg = SequenceConfig(field=field, probe=probe)
-        rng = np.random.default_rng(8)
-        records = [
-            run_sequence(cfg, 0.0, rng, is_reference=True) for _ in range(3000)
-        ]
+        records = reference_table(*simulate_shots(cfg, 0.0, 3000, np.random.default_rng(8)))
         ref = reference_variance(records)
         expected = 3 * 500.0**2
         se = expected * math.sqrt(2.0 / (3 * 3000))
         assert abs(ref.v0 - expected) < 4 * se
-        assert abs(ref.v0_first - expected) < 4 * se
+        # The first round's read-out variance, as the analysis reports it.
+        result = analyze_dataset(records, options=AnalysisOptions(n_resamples=2))
+        assert abs(result.reference_v1_tilde + result.v0 - expected) < 4 * se
         assert ref.n_reference == 3000
 
     def test_zero_noise(self, field):
         probe = ProbeConfig(readout_noise_override=0.0)
         cfg = SequenceConfig(field=field, probe=probe)
-        rng = np.random.default_rng(9)
-        records = [run_sequence(cfg, 0.0, rng, is_reference=True) for _ in range(10)]
+        records = reference_table(*simulate_shots(cfg, 0.0, 10, np.random.default_rng(9)))
         assert reference_variance(records).v0 == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_references(self, seq_ideal):
-        rec = run_sequence(seq_ideal, 0.0, np.random.default_rng(10), is_reference=True)
+        records = reference_table(*simulate_shots(seq_ideal, 0.0, 1, np.random.default_rng(10)))
         with pytest.raises(EstimationError):
-            reference_variance([rec])
+            reference_variance(records)
 
 
 class TestShotTable:

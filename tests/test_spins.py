@@ -9,15 +9,12 @@ from singletsim import (
     GYROMAGNETIC_RATIO,
     CollectiveSpinState,
     MagneticField,
-    PhysicalConstants,
-    add_technical_noise,
     apply_rotation,
     larmor_period,
     larmor_rotation_matrix,
     make_tss,
-    optical_depth,
 )
-from tests.conftest import FIELD_111, GAMMA1_PAPER
+from tests.conftest import FIELD_111
 
 
 def rodrigues_oracle(axis, angle):
@@ -82,38 +79,6 @@ class TestStateValidation:
     def test_bad_f_rejected(self):
         with pytest.raises(ValueError, match="f must"):
             CollectiveSpinState(np.zeros(3), np.eye(3), 10.0, f=0.7)
-
-
-class TestTechnicalNoise:
-    def test_zero_noise_is_identity(self):
-        state = make_tss(1e6)
-        out = add_technical_noise(state, np.zeros((3, 3)))
-        assert np.array_equal(out.cov, state.cov)
-        assert np.array_equal(out.mean, state.mean)
-
-    def test_trace_additivity(self):
-        state = make_tss(1e6)
-        out = add_technical_noise(state, np.eye(3) * 1e5)
-        assert np.trace(out.cov) - np.trace(state.cov) == pytest.approx(3e5)
-
-    def test_supplementary_gamma1_reconstruction(self):
-        # The measured excess over the ideal thermal state is indefinite,
-        # so reconstructing the quoted matrix needs the relaxed check.
-        state = make_tss(1.4e6)
-        excess = GAMMA1_PAPER - state.cov
-        assert np.linalg.eigvalsh(excess).min() < 0
-        out = add_technical_noise(state, excess, require_psd=False)
-        assert np.allclose(out.cov, GAMMA1_PAPER)
-
-    def test_indefinite_rejected_by_default(self):
-        state = make_tss(1.4e6)
-        with pytest.raises(ValueError, match="semidefinite"):
-            add_technical_noise(state, GAMMA1_PAPER - state.cov)
-
-    def test_mean_offset(self):
-        state = make_tss(1e6)
-        out = add_technical_noise(state, np.zeros((3, 3)), mean_offset=[0.0, 5e3, 0.0])
-        assert np.array_equal(out.mean, [0.0, 5e3, 0.0])
 
 
 class TestLarmorRotation:
@@ -214,28 +179,12 @@ class TestLarmorPeriod:
             larmor_period(MagneticField(np.zeros(3)))
 
 
-class TestOpticalDepth:
-    def test_zero_atoms(self):
-        assert optical_depth(0.0, PhysicalConstants()) == 0.0
-
-    def test_linearity(self):
-        consts = PhysicalConstants()
-        assert optical_depth(2e6, consts) == pytest.approx(2 * optical_depth(1e6, consts))
-
-    def test_formula_at_config_values(self):
-        # lambda^2/pi at 780 nm over A = 2.7e-9 m^2 gives ~108 at 1.5e6
-        # atoms (the published d0 = 69.5 is not consistent with this
-        # formula; the values stay configuration inputs).
-        consts = PhysicalConstants(wavelength=780e-9, interaction_area=2.7e-9)
-        assert consts.sigma0 == pytest.approx(780e-9**2 / math.pi)
-        assert optical_depth(1.5e6, consts) == pytest.approx(107.6, rel=1e-3)
-
-
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_rotated_tss_covariances_stay_psd(seed):
     rng = np.random.default_rng(seed)
-    state = add_technical_noise(make_tss(float(rng.uniform(0, 2e6))), random_psd(rng, 1e4))
+    n = float(rng.uniform(0, 2e6))
+    state = CollectiveSpinState(np.zeros(3), make_tss(n).cov + random_psd(rng, 1e4), n)
     out = apply_rotation(state, random_rotation(rng))
     assert np.max(np.abs(out.cov - out.cov.T)) <= 1e-9 * max(np.trace(out.cov), 1.0)
     assert np.linalg.eigvalsh(out.cov).min() >= -1e-9 * max(np.trace(out.cov), 1.0)
