@@ -32,7 +32,6 @@ from .errors import (
     SchemaError,
 )
 from .magnetometry import (
-    FidSample,
     FieldEstimate,
     fid_signal,
     fit_fid,
@@ -53,7 +52,6 @@ from .sequence import (
     CampaignConfig,
     ReferenceNoise,
     SequenceConfig,
-    ShotRecord,
     ShotTable,
     read_dataset,
     reference_variance,

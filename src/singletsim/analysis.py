@@ -2,8 +2,7 @@
 
 Works on one ``ShotTable`` (``sequence.py``): the atom rows' ``f1``,
 ``f2`` and ``n_atoms`` columns and the reference rows' readouts are
-taken from it as arrays; a list of ``ShotRecord`` is converted once by
-``ShotTable.from_records``.  Total variances are traces of 3x3
+taken from it as arrays.  Total variances are traces of 3x3
 sample covariances; the read-out contribution ``v0`` measured on
 no-atom reference shots is subtracted before witness evaluation.  The
 squeezing witness is
@@ -117,20 +116,27 @@ def _quantile_bins(n_atoms: np.ndarray, n_bins: int) -> list[np.ndarray]:
     return [np.flatnonzero(idx == k) for k in range(len(edges) - 1)]
 
 
-def _selection_masks(f1, n_atoms, cutoffs, mean_mode: str, n_bins: int) -> np.ndarray:
+def _centering_groups(n_atoms: np.ndarray, mean_mode: str, n_bins: int) -> list[np.ndarray]:
+    """Shot groups whose own f1 mean centres the selection ball.
+
+    The atom-number bins (``"per_bin"``) or all shots as one group
+    (``"global"``).
+    """
+    if mean_mode not in ("per_bin", "global"):
+        raise ValueError("mean_mode must be 'per_bin' or 'global'")
+    if mean_mode == "per_bin" and len(n_atoms):
+        return _quantile_bins(n_atoms, n_bins)
+    return [np.arange(len(n_atoms))]
+
+
+def _selection_masks(f1, n_atoms, cutoffs, groups) -> np.ndarray:
     """One row per cutoff C: |f1 - <f1>|^2 < C * n_atoms for each atom shot.
 
-    The centering mean is taken per atom-number bin (``"per_bin"``) or
-    over all shots (``"global"``).
+    Each shot is centred on the f1 mean of its group in ``groups``.
     """
     cutoffs = np.asarray(cutoffs, dtype=float)
     if np.any(cutoffs <= 0):
         raise ValueError("cutoff must be positive")
-    if mean_mode not in ("per_bin", "global"):
-        raise ValueError("mean_mode must be 'per_bin' or 'global'")
-    groups = [np.arange(len(f1))]
-    if mean_mode == "per_bin" and len(f1):
-        groups = _quantile_bins(n_atoms, n_bins)
     dist2 = np.empty(len(f1))
     for idx in groups:
         if len(idx):
@@ -139,7 +145,7 @@ def _selection_masks(f1, n_atoms, cutoffs, mean_mode: str, n_bins: int) -> np.nd
 
 
 def select_shots(
-    records, cutoff: float, *, mean_mode: str = "per_bin", n_bins: int = 10
+    table: ShotTable, cutoff: float, *, mean_mode: str = "per_bin", n_bins: int = 10
 ) -> ShotTable:
     """Shots whose first measurement lies near the ensemble mean.
 
@@ -147,8 +153,9 @@ def select_shots(
     returns them as a table in input order.  The centering mean is taken
     per atom-number bin by default, or globally with ``mean_mode="global"``.
     """
-    atoms = ShotTable.from_records(records).atoms
-    return atoms[_selection_masks(atoms.f1, atoms.n_atoms, [cutoff], mean_mode, n_bins)[0]]
+    atoms = table.atoms
+    groups = _centering_groups(atoms.n_atoms, mean_mode, n_bins)
+    return atoms[_selection_masks(atoms.f1, atoms.n_atoms, [cutoff], groups)[0]]
 
 
 @dataclass(frozen=True)
@@ -379,13 +386,15 @@ class AnalysisResult:
     options: AnalysisOptions
 
 
-def resolve_v0(records, probe: ProbeConfig | None, options: AnalysisOptions) -> tuple[float, int]:
+def resolve_v0(
+    table: ShotTable, probe: ProbeConfig | None, options: AnalysisOptions
+) -> tuple[float, int]:
     """Read-out total variance: reference-shot estimate or analytic 3*sigma^2."""
     if options.use_analytic_v0:
         if probe is None:
             raise EstimationError("analytic v0 requires probe constants")
         return 3.0 * readout_noise_sigma(probe) ** 2, 0
-    ref = reference_variance(records)
+    ref = reference_variance(table)
     return ref.v0, ref.n_reference
 
 
@@ -456,7 +465,7 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mas
 
 
 def analyze_dataset(
-    records,
+    table: ShotTable,
     probe: ProbeConfig | None = None,
     options: AnalysisOptions | None = None,
 ) -> AnalysisResult:
@@ -470,7 +479,6 @@ def analyze_dataset(
     enough of them survive.
     """
     options = AnalysisOptions() if options is None else options
-    table = ShotTable.from_records(records)
     v0, n_ref = resolve_v0(table, probe, options)
 
     refs = table.references
@@ -483,10 +491,10 @@ def analyze_dataset(
     skipped: list[dict] = []
     if len(atoms):
         n_at = atoms.n_atoms
-        selected = _selection_masks(
-            atoms.f1, n_at, [options.cutoff], options.mean_mode, options.n_bins
-        )[0]
-        for b_idx, idx in enumerate(_quantile_bins(n_at, options.n_bins)):
+        bin_rows = _quantile_bins(n_at, options.n_bins)
+        groups = bin_rows if options.mean_mode == "per_bin" else [np.arange(len(n_at))]
+        selected = _selection_masks(atoms.f1, n_at, [options.cutoff], groups)[0]
+        for b_idx, idx in enumerate(bin_rows):
             reason = None
             if len(idx) < options.min_bin_shots:
                 reason = "too few shots"
@@ -532,7 +540,7 @@ def analyze_dataset(
 
 
 def cutoff_scan(
-    records,
+    table: ShotTable,
     cutoffs,
     probe: ProbeConfig | None = None,
     options: AnalysisOptions | None = None,
@@ -544,13 +552,13 @@ def cutoff_scan(
     shots, pooled across atom-number bins.
     """
     options = AnalysisOptions() if options is None else options
-    table = ShotTable.from_records(records)
     v0, _ = resolve_v0(table, probe, options)
     cutoffs = list(cutoffs)
     rng = np.random.default_rng(np.random.SeedSequence(options.seed, spawn_key=(0xC,)))
     atoms = table.atoms
     f2, n = atoms.f2, atoms.n_atoms
-    masks = _selection_masks(atoms.f1, n, cutoffs, options.mean_mode, options.n_bins)
+    groups = _centering_groups(n, options.mean_mode, options.n_bins)
+    masks = _selection_masks(atoms.f1, n, cutoffs, groups)
     rows = []
     for c, mask in zip(map(float, cutoffs), masks):
         n_selected = int(mask.sum())

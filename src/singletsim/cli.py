@@ -135,7 +135,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _require_positive(args, *names) -> None:
+    """``ConfigError`` unless each named option is finite and positive."""
+    for name in names:
+        value = getattr(args, name)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"--{name} must be finite and positive, got {value!r}")
+
+
 def cmd_fidfit(args) -> int:
+    _require_positive(args, "g1", "gamma")
     z_samples, y_samples = read_fid_csv(args.samples)
     out_path = Path(args.out)
     try:
@@ -151,6 +160,7 @@ def cmd_fidfit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _require_positive(args, "f")
     path = Path(args.pairs)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -167,9 +177,12 @@ def cmd_calibrate(args) -> int:
             if not row:
                 continue
             try:
-                pairs.append((float(row[0]), float(row[1])))
+                pair = (float(row[0]), float(row[1]))
             except (ValueError, IndexError) as exc:
                 raise SchemaError(f"{path}:{i}: {exc}") from None
+            if not all(map(math.isfinite, pair)):
+                raise SchemaError(f"{path}:{i}: non-finite phi_rad or n_atoms")
+            pairs.append(pair)
     slope, stderr = calibrate_g1(pairs, f=args.f)
     payload = {"g1": slope, "g1_stderr": stderr, "n_pairs": len(pairs)}
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -40,18 +40,6 @@ DEFAULT_DURATION_S = 1.5e-3
 
 
 @dataclass(frozen=True)
-class FidSample:
-    """One FID point: time (s) and Faraday angle (rad)."""
-
-    t: float
-    theta: float
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be non-negative")
-
-
-@dataclass(frozen=True)
 class FieldEstimate:
     """Fitted field vector with dephasing time and polarization.
 
@@ -119,19 +107,6 @@ def t2_from_gradient(sigma_cloud: float, gradient: float, gamma: float = GYROMAG
         raise ValueError("sigma_cloud and gradient must be non-negative")
     denom = sigma_cloud * gamma * gradient
     return math.inf if denom == 0.0 else 1.0 / denom
-
-
-def _as_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    ts, thetas = [], []
-    for s in samples:
-        if isinstance(s, FidSample):
-            ts.append(s.t)
-            thetas.append(s.theta)
-        else:
-            t, theta = s
-            ts.append(float(t))
-            thetas.append(float(theta))
-    return np.asarray(ts), np.asarray(thetas)
 
 
 def _fft_larmor_frequency(t: np.ndarray, theta: np.ndarray) -> float:
@@ -225,7 +200,9 @@ def fit_fid(
 ) -> FieldEstimate:
     """Joint damped least-squares fit of both FID branches.
 
-    Free parameters: (Bx, By, Bz, T2, f0), with the two preparations
+    Each branch is an (n, 2) array-like of (t, theta) rows, time in
+    seconds and Faraday angle in radians; a branch may be empty.  Free
+    parameters: (Bx, By, Bz, T2, f0), with the two preparations
     sharing the polarization magnitude f0.  Initial guesses come from
     the FFT line position, the non-decaying signal levels, and an
     envelope log-fit.  Parameters the data leave unconstrained (zero
@@ -234,8 +211,10 @@ def fit_fid(
     """
     import scipy.optimize  # not at module top: keeps `import singletsim` scipy-free
 
-    tz, thz = _as_samples(z_samples)
-    ty, thy = _as_samples(y_samples)
+    # Transposed copies: each of t and theta is one contiguous array.
+    (tz, thz), (ty, thy) = (
+        np.asarray(s, dtype=float).reshape(-1, 2).T.copy() for s in (z_samples, y_samples)
+    )
     n_total = len(tz) + len(ty)
     if n_total < 8:
         raise EstimationError("need at least 8 FID samples to constrain 5 parameters")
@@ -309,11 +288,16 @@ def fit_fid(
 # file formats
 
 
-def read_fid_csv(path) -> tuple[list[FidSample], list[FidSample]]:
-    """Read FID samples (columns t_us, theta_rad, branch) into (z, y) lists."""
+def read_fid_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read an FID trace (columns t_us, theta_rad, branch) into (z, y) arrays.
+
+    Each branch comes back as an (n, 2) float array of (t, theta) rows,
+    t in seconds.  A bad row raises ``SchemaError`` naming ``path:line``:
+    an unparsable or non-finite number, a negative time or a branch other
+    than z or y.
+    """
     path = Path(path)
-    z_samples: list[FidSample] = []
-    y_samples: list[FidSample] = []
+    branches: dict[str, list] = {"z": [], "y": []}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -328,17 +312,18 @@ def read_fid_csv(path) -> tuple[list[FidSample], list[FidSample]]:
             if len(row) != 3:
                 raise SchemaError(f"{path}:{i}: expected 3 fields")
             try:
-                sample = FidSample(t=float(row[0]) * 1e-6, theta=float(row[1]))
+                sample = (float(row[0]) * 1e-6, float(row[1]))
+                if not all(map(math.isfinite, sample)):
+                    raise ValueError("non-finite t_us or theta_rad")
+                if sample[0] < 0:
+                    raise ValueError("t must be non-negative")
             except ValueError as exc:
                 raise SchemaError(f"{path}:{i}: {exc}") from None
             branch = row[2].strip()
-            if branch == "z":
-                z_samples.append(sample)
-            elif branch == "y":
-                y_samples.append(sample)
-            else:
+            if branch not in branches:
                 raise SchemaError(f"{path}:{i}: branch must be 'z' or 'y', got {branch!r}")
-    return z_samples, y_samples
+            branches[branch].append(sample)
+    return tuple(np.array(branches[b], dtype=float).reshape(-1, 2) for b in "zy")
 
 
 def write_estimate_json(path, estimate: FieldEstimate) -> None:

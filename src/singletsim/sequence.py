@@ -35,15 +35,13 @@ shots in ``seq_index`` order (atom shots, then references).  Results do
 not depend on evaluation order.
 
 A campaign is returned as one ``ShotTable``, the columnar dataset every
-later stage (CSV output and input, analysis) works on; ``ShotRecord`` is
-its single-row view.
+later stage (CSV output and input, analysis) works on.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,34 +149,6 @@ class SequenceConfig:
         return bool(np.any(self.detector_noise_cov != 0.0))
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """One state preparation: two 3-component spin measurements.
-
-    ``f1`` and ``f2`` hold the first- and second-round readouts in the
-    fixed component order (z, y, x).
-    """
-
-    f1: np.ndarray
-    f2: np.ndarray
-    n_atoms: float
-    is_reference: bool = False
-    cycle_id: int = 0
-    seq_index: int = 0
-
-    def __post_init__(self):
-        f1 = np.asarray(self.f1, dtype=float)
-        f2 = np.asarray(self.f2, dtype=float)
-        if f1.shape != (3,) or f2.shape != (3,):
-            raise ValueError("f1 and f2 must be 3-vectors")
-        if self.is_reference and self.n_atoms != 0:
-            raise ValueError("reference shots must have n_atoms = 0")
-        f1.setflags(write=False)
-        f2.setflags(write=False)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-
-
 # ShotTable's columns besides ``f``, in field order, with their dtypes.
 _TABLE_COLUMNS = (
     ("cycle_id", np.int64),
@@ -196,8 +166,8 @@ class ShotTable:
     and the analysis.  Columns are read-only arrays of one length; ``f``
     is (n, 6): the first-round readouts then the second-round ones, each
     in the (z, y, x) component order, and ``f1``/``f2`` are views of its
-    halves.  An integer index gives one ``ShotRecord`` (iteration yields
-    them in order); a slice, boolean mask or index array gives a table.
+    halves.  A slice, boolean mask or index array gives a table; there
+    is no row type, so rows are read from the columns.
     """
 
     cycle_id: np.ndarray
@@ -221,17 +191,6 @@ class ShotTable:
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
 
-    @classmethod
-    def from_records(cls, records) -> ShotTable:
-        """The table of a sequence of shot records; a table is returned as is."""
-        if isinstance(records, ShotTable):
-            return records
-        records = list(records)
-        return cls(
-            *([getattr(r, name) for r in records] for name, _ in _TABLE_COLUMNS),
-            f=np.array([np.concatenate([r.f1, r.f2]) for r in records]).reshape(-1, 6),
-        )
-
     @property
     def f1(self) -> np.ndarray:
         return self.f[:, :3]
@@ -253,19 +212,7 @@ class ShotTable:
     def __len__(self) -> int:
         return len(self.f)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, key):
-        if isinstance(key, numbers.Integral):
-            return ShotRecord(
-                f1=self.f[key, :3],
-                f2=self.f[key, 3:],
-                n_atoms=float(self.n_atoms[key]),
-                is_reference=bool(self.is_reference[key]),
-                cycle_id=int(self.cycle_id[key]),
-                seq_index=int(self.seq_index[key]),
-            )
+    def __getitem__(self, key) -> ShotTable:
         return ShotTable(*(getattr(self, name)[key] for name, _ in _TABLE_COLUMNS), self.f[key])
 
 
@@ -468,24 +415,23 @@ class ReferenceNoise:
     n_reference: int
 
 
-def reference_variance(records) -> ReferenceNoise:
-    """Covariance of the reference (no-atom) shots and its trace."""
+def reference_variance(table: ShotTable) -> ReferenceNoise:
+    """Covariance of the table's reference (no-atom) shots and its trace."""
     from .analysis import sample_covariance
 
-    refs = ShotTable.from_records(records).references
+    refs = table.references
     if len(refs) < 2:
         raise EstimationError("need at least 2 reference shots")
     gamma0 = sample_covariance(refs.f2)
     return ReferenceNoise(gamma0=gamma0, v0=float(np.trace(gamma0)), n_reference=len(refs))
 
 
-def write_dataset(path, records) -> None:
-    """Write shots as CSV with the fixed column schema.
+def write_dataset(path, table: ShotTable) -> None:
+    """Write a shot table as CSV with the fixed column schema.
 
     Floats are written as their ``repr`` (the shortest string that reads
     back to the same double), one row per shot in table order.
     """
-    table = ShotTable.from_records(records)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)

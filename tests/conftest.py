@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singletsim import MagneticField, ProbeConfig, SequenceConfig
+from singletsim import MagneticField, ProbeConfig, SequenceConfig, ShotTable
 
 # 16.9 mG along [1,1,1]: T_L = 85 us with the default gyromagnetic ratio.
 FIELD_111 = np.ones(3) * 16.9e-3 / math.sqrt(3.0)
@@ -49,3 +49,18 @@ def schur_trace(f1, f2):
 
     c6 = sample_covariance(np.hstack([f1, f2]))
     return conditional_covariance(c6[:3, :3], c6[3:, 3:], c6[:3, 3:]).trace
+
+
+def shot_table(f1, f2, n_atoms, is_reference=False):
+    """A table of the given readouts: rows numbered by seq_index, cycle 0.
+
+    ``n_atoms`` and ``is_reference`` are one value per row or one for all.
+    """
+    n = len(f1)
+    return ShotTable(
+        cycle_id=np.zeros(n, dtype=np.int64),
+        seq_index=np.arange(n),
+        is_reference=np.array(np.broadcast_to(is_reference, (n,)), dtype=bool),
+        n_atoms=np.array(np.broadcast_to(n_atoms, (n,)), dtype=float),
+        f=np.hstack([f1, f2]).reshape(n, 6),
+    )

@@ -16,7 +16,6 @@ from singletsim import (
     MagneticField,
     ProbeConfig,
     SequenceConfig,
-    ShotRecord,
     AnalysisOptions,
     analyze_dataset,
     cutoff_scan,
@@ -37,7 +36,7 @@ from singletsim import (
 )
 from singletsim.cli import main
 from singletsim.sequence import CampaignConfig
-from tests.conftest import FIELD_111, GAMMA1_PAPER, schur_trace
+from tests.conftest import FIELD_111, GAMMA1_PAPER, schur_trace, shot_table
 from tests.test_magnetometry import ode_oracle
 
 MEASURED_SENSITIVITY = 515.0  # spins, the apparatus-level readout noise
@@ -49,13 +48,6 @@ def ideal_sequence(efficiency=1.0, override=None, prep_noise=None):
     if prep_noise is not None:
         kwargs["prep_noise_cov"] = prep_noise
     return SequenceConfig(field=MagneticField(FIELD_111), probe=probe, **kwargs)
-
-
-def records_from_batch(f1, f2, n_atoms):
-    return [
-        ShotRecord(f1=a, f2=b, n_atoms=n_atoms, seq_index=i)
-        for i, (a, b) in enumerate(zip(f1, f2))
-    ]
 
 
 def test_criterion_1_witness_calibration():
@@ -169,11 +161,11 @@ def test_criterion_5_selection_path():
     scale = np.max(np.abs(GAMMA1_PAPER))
     assert np.max(np.abs(gamma1_sim - GAMMA1_PAPER)) < 0.05 * scale
 
-    records = records_from_batch(f1, f2, n_atoms)
+    table = shot_table(f1, f2, n_atoms)
     v0 = 3.0 * MEASURED_SENSITIVITY**2
     options = AnalysisOptions(n_resamples=150, use_analytic_v0=True, n_bins=1)
     cutoffs = [0.25 * k for k in range(1, 13)]
-    rows = cutoff_scan(records, cutoffs, cfg.probe, options)
+    rows = cutoff_scan(table, cutoffs, cfg.probe, options)
     xi2_values = [r["xi2"] for r in rows]
     assert all(r["n_selected"] >= 5000 for r in rows[2:])
 
@@ -213,9 +205,9 @@ def test_criterion_6_fit_recovery():
     # +/-0.1 on 0.75).
     cfg = ideal_sequence(efficiency=0.75)
     campaign = CampaignConfig(n_cycles=602, master_seed=606)
-    records = run_campaign(campaign, cfg)
+    table = run_campaign(campaign, cfg)
     options = AnalysisOptions(n_bins=10, n_resamples=250)
-    result = analyze_dataset(records, probe=cfg.probe, options=options)
+    result = analyze_dataset(table, probe=cfg.probe, options=options)
     b_fit = result.fits["snr_model"]
     assert b_fit is not None
     assert b_fit.params["b"] == pytest.approx(0.75, rel=0.15)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from singletsim import (
     EstimationError,
     FitError,
     SequenceConfig,
-    ShotRecord,
     analyze_dataset,
     conditional_covariance,
     cutoff_scan,
@@ -28,15 +28,7 @@ from singletsim import (
 from singletsim.analysis import report_dict, write_noise_scaling_csv, write_report
 from singletsim.sequence import CampaignConfig
 from singletsim.spins import PSD_RTOL
-from tests.conftest import schur_trace
-
-
-def records_from_arrays(f1, f2, n_atoms, is_reference=False):
-    n = np.broadcast_to(np.asarray(n_atoms, float), (len(f1),))
-    return [
-        ShotRecord(f1=a, f2=b, n_atoms=x, is_reference=is_reference, seq_index=i)
-        for i, (a, b, x) in enumerate(zip(f1, f2, n))
-    ]
+from tests.conftest import schur_trace, shot_table
 
 
 class TestSampleCovariance:
@@ -172,46 +164,49 @@ def test_schur_complement_stack(seed, ranks):
 
 
 class TestSelectShots:
-    def _make(self, rng, m=2000, n_atoms=1e6, spread=1.2e3):
+    def _make(self, rng, m=2000, n_atoms=1e6, spread=1.2e3, n_refs=0):
         f1 = rng.standard_normal((m, 3)) * spread
         f2 = f1 + rng.standard_normal((m, 3)) * 100.0
-        return records_from_arrays(f1, f2, n_atoms)
+        if n_refs:
+            f1 = np.vstack([f1, rng.standard_normal((n_refs, 3))])
+            f2 = np.vstack([f2, rng.standard_normal((n_refs, 3))])
+        is_ref = np.arange(m + n_refs) >= m
+        return shot_table(f1, f2, np.where(is_ref, 0.0, n_atoms), is_ref)
 
     def test_infinite_cutoff_selects_all(self):
-        records = self._make(np.random.default_rng(8))
-        assert len(select_shots(records, math.inf)) == len(records)
+        table = self._make(np.random.default_rng(8))
+        assert len(select_shots(table, math.inf)) == len(table)
 
     def test_monotone_in_cutoff(self):
-        records = self._make(np.random.default_rng(9))
-        counts = [len(select_shots(records, c)) for c in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        table = self._make(np.random.default_rng(9))
+        counts = [len(select_shots(table, c)) for c in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert counts == sorted(counts)
 
     def test_ball_semantics_global(self):
-        records = self._make(np.random.default_rng(10))
+        table = self._make(np.random.default_rng(10))
         cutoff = 0.75
-        selected = select_shots(records, cutoff, mean_mode="global").seq_index.tolist()
-        f1 = np.array([r.f1 for r in records])
+        selected = select_shots(table, cutoff, mean_mode="global").seq_index.tolist()
+        f1 = table.f1
         center = f1.mean(axis=0)
         inside = [
-            r.seq_index for r in records if np.sum((r.f1 - center) ** 2) < cutoff * r.n_atoms
+            int(table.seq_index[i])
+            for i in range(len(table))
+            if np.sum((f1[i] - center) ** 2) < cutoff * table.n_atoms[i]
         ]
         assert selected == inside
 
     def test_empty_selection_ok(self):
-        records = self._make(np.random.default_rng(11), spread=1e5)
-        assert len(select_shots(records, 1e-6)) == 0
+        table = self._make(np.random.default_rng(11), spread=1e5)
+        assert len(select_shots(table, 1e-6)) == 0
 
     def test_reference_shots_excluded(self):
-        rng = np.random.default_rng(12)
-        records = self._make(rng) + records_from_arrays(
-            rng.standard_normal((5, 3)), rng.standard_normal((5, 3)), 0.0, True
-        )
-        selected = select_shots(records, math.inf)
-        assert all(not r.is_reference for r in selected)
+        table = self._make(np.random.default_rng(12), n_refs=5)
+        selected = select_shots(table, math.inf)
+        assert not selected.is_reference.any()
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
-            select_shots([], 0.0)
+            select_shots(shot_table(np.empty((0, 3)), np.empty((0, 3)), []), 0.0)
 
 
 class TestSqueezingParameter:
@@ -388,9 +383,9 @@ def synthetic_campaign(probe, seed=0, n_cycles=60, initial_atoms=1.5e6):
 
 class TestAnalyzeDataset:
     def test_conditional_path_matches_kalman(self, probe_ideal):
-        records, _ = synthetic_campaign(probe_ideal, seed=21)
+        table, _ = synthetic_campaign(probe_ideal, seed=21)
         options = AnalysisOptions(n_bins=6, n_resamples=120)
-        result = analyze_dataset(records, probe=probe_ideal, options=options)
+        result = analyze_dataset(table, probe=probe_ideal, options=options)
         assert result.bins
         for b in result.bins:
             n = b.report.n_atoms_mean
@@ -402,8 +397,8 @@ class TestAnalyzeDataset:
 
     def test_reference_only_dataset(self, seq_ideal):
         f1, f2 = simulate_shots(seq_ideal, 0.0, 400, np.random.default_rng(22))
-        records = records_from_arrays(f1, f2, 0.0, is_reference=True)
-        result = analyze_dataset(records, options=AnalysisOptions(n_resamples=50))
+        table = shot_table(f1, f2, 0.0, is_reference=True)
+        result = analyze_dataset(table, options=AnalysisOptions(n_resamples=50))
         assert result.bins == []
         assert abs(result.reference_v1_tilde) < 0.2 * result.v0
 
@@ -413,20 +408,25 @@ class TestAnalyzeDataset:
         f2 = f1 + rng.standard_normal((60, 3)) * 300
         # Spread atom numbers so the 4 quantile bins hold ~15 shots each,
         # below the 20-shot floor.
-        records = records_from_arrays(f1, f2, rng.uniform(2e5, 1.5e6, 60))
-        refs = records_from_arrays(
-            rng.standard_normal((10, 3)) * 300, rng.standard_normal((10, 3)) * 300, 0.0, True
+        n_atoms = rng.uniform(2e5, 1.5e6, 60)
+        ref_f1 = rng.standard_normal((10, 3)) * 300
+        ref_f2 = rng.standard_normal((10, 3)) * 300
+        table = shot_table(
+            np.vstack([f1, ref_f1]),
+            np.vstack([f2, ref_f2]),
+            np.append(n_atoms, np.zeros(10)),
+            np.arange(70) >= 60,
         )
         options = AnalysisOptions(n_bins=4, min_bin_shots=20, n_resamples=50)
-        result = analyze_dataset(records + refs, options=options)
+        result = analyze_dataset(table, options=options)
         assert result.bins == []
         assert len(result.skipped_bins) == 4
         assert all("reason" in s for s in result.skipped_bins)
 
     def test_report_schema(self, probe_ideal, tmp_path):
-        records, _ = synthetic_campaign(probe_ideal, seed=24, n_cycles=40)
+        table, _ = synthetic_campaign(probe_ideal, seed=24, n_cycles=40)
         options = AnalysisOptions(n_bins=5, n_resamples=80)
-        result = analyze_dataset(records, probe=probe_ideal, options=options)
+        result = analyze_dataset(table, probe=probe_ideal, options=options)
         payload = report_dict(result)
         assert set(payload) >= {"v0", "bins", "fits", "skipped_bins"}
         for entry in payload["bins"]:
@@ -455,9 +455,9 @@ class TestAnalyzeDataset:
         assert header == "n_atoms,v1_tilde,v2_tilde,v_cond_tilde"
 
     def test_fits_present_and_sane(self, probe_ideal):
-        records, _ = synthetic_campaign(probe_ideal, seed=25, n_cycles=150)
+        table, _ = synthetic_campaign(probe_ideal, seed=25, n_cycles=150)
         options = AnalysisOptions(n_bins=8, n_resamples=100)
-        result = analyze_dataset(records, probe=probe_ideal, options=options)
+        result = analyze_dataset(table, probe=probe_ideal, options=options)
         fit1 = result.fits["unconditional_1"]
         assert fit1 is not None
         # Raw first-round variance: intercept ~ v0, linear term pinned to 2.
@@ -469,34 +469,59 @@ class TestAnalyzeDataset:
         assert snr_fit.params["b"] == pytest.approx(1.0, abs=4 * snr_fit.stderrs["b"])
 
     def test_analytic_v0(self, probe_ideal):
-        records, _ = synthetic_campaign(probe_ideal, seed=26, n_cycles=30)
+        table, _ = synthetic_campaign(probe_ideal, seed=26, n_cycles=30)
         options = AnalysisOptions(n_bins=4, n_resamples=50, use_analytic_v0=True)
-        result = analyze_dataset(records, probe=probe_ideal, options=options)
+        result = analyze_dataset(table, probe=probe_ideal, options=options)
         assert result.v0 == pytest.approx(3 * readout_noise_sigma(probe_ideal) ** 2)
 
     def test_deterministic(self, probe_ideal):
-        records, _ = synthetic_campaign(probe_ideal, seed=27, n_cycles=30)
+        table, _ = synthetic_campaign(probe_ideal, seed=27, n_cycles=30)
         options = AnalysisOptions(n_bins=4, n_resamples=60)
-        r1 = analyze_dataset(records, probe=probe_ideal, options=options)
-        r2 = analyze_dataset(records, probe=probe_ideal, options=options)
+        r1 = analyze_dataset(table, probe=probe_ideal, options=options)
+        r2 = analyze_dataset(table, probe=probe_ideal, options=options)
         assert report_dict(r1) == report_dict(r2)
+        # The seed drives the bootstrap only: the witnesses stay, the stderrs move.
+        r3 = analyze_dataset(table, probe=probe_ideal, options=replace(options, seed=1))
+        assert [b.witness.xi2 for b in r3.bins] == [b.witness.xi2 for b in r1.bins]
+        assert all(
+            b3.witness.xi2_stderr != b1.witness.xi2_stderr for b1, b3 in zip(r1.bins, r3.bins)
+        )
+
+    @pytest.mark.parametrize("s, rtol", [(2.0, 0.0), (3.0, 1e-12)])
+    def test_witness_scale_invariant(self, probe_ideal, s, rtol):
+        # Readouts times s, atom numbers times s^2: every variance, v0
+        # (from the scaled reference rows) and f * N scale by s^2 together,
+        # so the witnesses and the selections do not move.  A power of two
+        # scales every double exactly.
+        table, _ = synthetic_campaign(probe_ideal, seed=30, n_cycles=60)
+        scaled = shot_table(table.f1 * s, table.f2 * s, table.n_atoms * s**2, table.is_reference)
+        # C = 3 leaves every bin enough selected shots for its own witness.
+        options = AnalysisOptions(n_bins=4, n_resamples=200, cutoff=3.0)
+        want = report_dict(analyze_dataset(table, options=options))["bins"]
+        got = report_dict(analyze_dataset(scaled, options=options))["bins"]
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert w["xi2_selected"] is not None
+            assert g["n_selected"] == w["n_selected"]
+            for key in ("xi2", "xi2_stderr", "xi2_selected"):
+                assert g[key] == pytest.approx(w[key], rel=rtol, abs=0), key
 
 
 class TestCutoffScan:
     def test_row_grid(self, probe_ideal):
-        records, _ = synthetic_campaign(probe_ideal, seed=28, n_cycles=30)
+        table, _ = synthetic_campaign(probe_ideal, seed=28, n_cycles=30)
         cutoffs = [0.25 * k for k in range(1, 13)]
         rows = cutoff_scan(
-            records, cutoffs, probe_ideal, AnalysisOptions(n_resamples=50)
+            table, cutoffs, probe_ideal, AnalysisOptions(n_resamples=50)
         )
         assert len(rows) == 12
         assert [r["C"] for r in rows] == pytest.approx(cutoffs)
         assert all(r["n_selected"] >= 0 for r in rows)
 
     def test_selected_counts_monotone(self, probe_ideal):
-        records, _ = synthetic_campaign(probe_ideal, seed=29, n_cycles=30)
+        table, _ = synthetic_campaign(probe_ideal, seed=29, n_cycles=30)
         rows = cutoff_scan(
-            records, [0.5, 1.0, 2.0, 4.0], probe_ideal, AnalysisOptions(n_resamples=50)
+            table, [0.5, 1.0, 2.0, 4.0], probe_ideal, AnalysisOptions(n_resamples=50)
         )
         counts = [r["n_selected"] for r in rows]
         assert counts == sorted(counts)

@@ -16,7 +16,6 @@ from singletsim import (
     MagneticField,
     ProbeConfig,
     SequenceConfig,
-    ShotRecord,
     analyze_dataset,
     cutoff_scan,
     run_campaign,
@@ -24,7 +23,7 @@ from singletsim import (
     squeezing_parameter,
 )
 from singletsim.analysis import BOOTSTRAP_BLOCK, PINV_RCOND, _quantile_bins
-from tests.conftest import FIELD_111
+from tests.conftest import FIELD_111, shot_table
 
 RTOL = 1e-12
 # 150 resamples is not a multiple of BOOTSTRAP_BLOCK: the last block is partial.
@@ -71,40 +70,30 @@ def ref_conditional_stderr(x, v0, scale, n_resamples, rng):
     return float(np.std(vals, ddof=1)), pinv_count
 
 
-def arrays(records):
-    atoms = [r for r in records if not r.is_reference]
-    refs = [r for r in records if r.is_reference]
-    f1 = np.array([r.f1 for r in atoms])
-    f2 = np.array([r.f2 for r in atoms])
-    n = np.array([r.n_atoms for r in atoms])
-    v0 = float(np.trace(ref_covariance(np.array([r.f2 for r in refs]))))
-    return f1, f2, n, v0
+def arrays(table):
+    atoms = table.atoms
+    v0 = float(np.trace(ref_covariance(table.references.f2)))
+    return atoms.f1, atoms.f2, atoms.n_atoms, v0
 
 
 @pytest.fixture(scope="module")
-def records():
+def table():
     """Small campaign whose highest-atom bin has a rank-2 first measurement."""
     seq = SequenceConfig(field=MagneticField(FIELD_111), probe=ProbeConfig(efficiency=1.0))
     campaign = CampaignConfig(n_cycles=30, initial_atoms=1.2e6, master_seed=5)
-    recs = run_campaign(campaign, seq)
-    atoms = [r for r in recs if not r.is_reference]
-    n = np.array([r.n_atoms for r in atoms])
-    singular = set(_quantile_bins(n, OPTIONS.n_bins)[-1].tolist())
-    out, k = [], 0
-    for r in recs:
-        if not r.is_reference:
-            if k in singular:
-                f1 = np.array([r.f1[0], r.f1[1], r.f1[0] + r.f1[1]])
-                r = ShotRecord(f1=f1, f2=r.f2, n_atoms=r.n_atoms, cycle_id=r.cycle_id)
-            k += 1
-        out.append(r)
-    return out
+    full = run_campaign(campaign, seq)
+    singular = np.flatnonzero(~full.is_reference)[
+        _quantile_bins(full.atoms.n_atoms, OPTIONS.n_bins)[-1]
+    ]
+    f1 = np.array(full.f1)
+    f1[singular, 2] = f1[singular, 0] + f1[singular, 1]
+    return shot_table(f1, full.f2, full.n_atoms, full.is_reference)
 
 
-def test_analyze_dataset_matches_loop(records):
+def test_analyze_dataset_matches_loop(table):
     assert OPTIONS.n_resamples % BOOTSTRAP_BLOCK != 0
-    result = analyze_dataset(records, options=OPTIONS)
-    f1, f2, n, v0 = arrays(records)
+    result = analyze_dataset(table, options=OPTIONS)
+    f1, f2, n, v0 = arrays(table)
     groups = _quantile_bins(n, OPTIONS.n_bins)
     assert len(result.bins) == len(groups)
     assert result.v0 == v0
@@ -153,10 +142,10 @@ def test_squeezing_parameter_matches_loop():
     assert w.xi2_stderr == pytest.approx(expected, rel=RTOL, abs=0)
 
 
-def test_cutoff_scan_matches_loop(records):
+def test_cutoff_scan_matches_loop(table):
     cutoffs = [0.25, 0.5, 1.0, 2.0, 3.0]
-    rows = cutoff_scan(records, cutoffs, options=OPTIONS)
-    f1, f2, n, v0 = arrays(records)
+    rows = cutoff_scan(table, cutoffs, options=OPTIONS)
+    f1, f2, n, v0 = arrays(table)
     groups = _quantile_bins(n, OPTIONS.n_bins)
     rng = np.random.default_rng(np.random.SeedSequence(OPTIONS.seed, spawn_key=(0xC,)))
     for c, row in zip(cutoffs, rows):
@@ -180,17 +169,17 @@ def test_global_mean_mode_reaches_bins():
     f1[:, 0] += np.where(n > np.median(n), 0.8, -0.8) * np.sqrt(n)
     f2 = f1 + rng.standard_normal((400, 3)) * 300.0
     ref_f = rng.standard_normal((2, 20, 3)) * 300.0
-    refs = [ShotRecord(f1=a, f2=b, n_atoms=0.0, is_reference=True) for a, b in zip(*ref_f)]
-    atoms = [
-        ShotRecord(f1=a, f2=b, n_atoms=m, seq_index=i)
-        for i, (a, b, m) in enumerate(zip(f1, f2, n))
-    ]
-    records = atoms + refs
+    table = shot_table(
+        np.vstack([f1, ref_f[0]]),
+        np.vstack([f2, ref_f[1]]),
+        np.append(n, np.zeros(20)),
+        np.arange(420) >= 400,
+    )
     options = AnalysisOptions(n_bins=2, n_resamples=20, mean_mode="global", cutoff=1.0)
-    result = analyze_dataset(records, options=options)
-    selected = set(select_shots(records, 1.0, mean_mode="global", n_bins=2).seq_index.tolist())
+    result = analyze_dataset(table, options=options)
+    selected = set(select_shots(table, 1.0, mean_mode="global", n_bins=2).seq_index.tolist())
     groups = _quantile_bins(n, options.n_bins)
     shares = [sum(i in selected for i in idx) for idx in groups]
     assert [b.n_selected for b in result.bins] == shares
-    per_bin = analyze_dataset(records, options=AnalysisOptions(n_bins=2, n_resamples=20))
+    per_bin = analyze_dataset(table, options=AnalysisOptions(n_bins=2, n_resamples=20))
     assert [b.n_selected for b in per_bin.bins] != shares

@@ -27,6 +27,24 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def fid_trace_lines(b=(9.6e-3, 9.7e-3, 9.9e-3), t2=745e-6, f0=1e6, g1=9.0e-8):
+    """A noiseless two-branch FID trace as CSV lines, header first."""
+    t = np.arange(0.0, 1.5e-3, 0.5e-6)
+    rows = ["t_us,theta_rad,branch"]
+    for axis in ("z", "y"):
+        for ti, theta in zip(t, fid_signal(t, b, axis, f0, g1, t2)):
+            rows.append(f"{float(ti) * 1e6!r},{float(theta)!r},{axis}")
+    return rows
+
+
+def calibration_lines():
+    """Noiseless (phi, n_atoms) pairs at g1 = 9e-8, header first."""
+    lines = ["phi_rad,n_atoms"]
+    for n in np.linspace(1e5, 1.5e6, 6):
+        lines.append(f"{float(9.0e-8 * n)!r},{float(n)!r}")
+    return lines
+
+
 class TestConfig:
     def test_empty_config_is_paper_regime(self):
         cfg = config_from_dict({})
@@ -70,14 +88,12 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, TINY_CAMPAIGN)
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        records = read_dataset(out / "shots.csv")
-        atoms = [r for r in records if not r.is_reference]
-        refs = [r for r in records if r.is_reference]
-        assert len(atoms) == 3 * 4
-        assert len(refs) == 3 * 2
+        table = read_dataset(out / "shots.csv")
+        assert len(table.atoms) == 3 * 4
+        assert len(table.references) == 3 * 2
         provenance = json.loads((out / "provenance.json").read_text())
         assert provenance["config"]["seed"] == 11
-        assert provenance["n_records"] == len(records)
+        assert provenance["n_records"] == len(table)
 
     def test_single_shot_campaign(self, tmp_path):
         payload = {
@@ -91,9 +107,9 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, payload)
         out = tmp_path / "single"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        records = read_dataset(out / "shots.csv")
-        assert sum(not r.is_reference for r in records) == 1
-        assert sum(r.is_reference for r in records) == 2
+        table = read_dataset(out / "shots.csv")
+        assert len(table.atoms) == 1
+        assert len(table.references) == 2
 
     def test_byte_identical_repeat(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_CAMPAIGN)
@@ -210,11 +226,9 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, {})
         out = tmp_path / "full"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        records = read_dataset(out / "shots.csv")
-        atoms = [r for r in records if not r.is_reference]
-        refs = [r for r in records if r.is_reference]
-        assert len(atoms) == 7224
-        assert len(refs) == 602 * 2
+        table = read_dataset(out / "shots.csv")
+        assert len(table.atoms) == 7224
+        assert len(table.references) == 602 * 2
 
 
 @pytest.fixture(scope="module")
@@ -448,15 +462,8 @@ class TestAnalyze:
 
 class TestFidfit:
     def test_synthetic_trace_recovery(self, tmp_path):
-        b = (9.6e-3, 9.7e-3, 9.9e-3)
-        t2, f0, g1 = 745e-6, 1e6, 9.0e-8
-        t = np.arange(0.0, 1.5e-3, 0.5e-6)
-        rows = ["t_us,theta_rad,branch"]
-        for axis in ("z", "y"):
-            for ti, theta in zip(t, fid_signal(t, b, axis, f0, g1, t2)):
-                rows.append(f"{float(ti) * 1e6!r},{float(theta)!r},{axis}")
         samples = tmp_path / "fid.csv"
-        samples.write_text("\n".join(rows) + "\n")
+        samples.write_text("\n".join(fid_trace_lines()) + "\n")
         out = tmp_path / "estimate.json"
         assert main(["fidfit", str(samples), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
@@ -464,6 +471,17 @@ class TestFidfit:
         assert payload["by_mG"] == pytest.approx(9.7, rel=1e-4)
         assert payload["bz_mG"] == pytest.approx(9.9, rel=1e-4)
         assert payload["t2_us"] == pytest.approx(745.0, rel=1e-4)
+
+    @pytest.mark.parametrize("bad_row", ["15.0,nan,z", "inf,0.0,y", "15.0,-inf,y"])
+    def test_non_finite_row_exit_code(self, tmp_path, capsys, bad_row):
+        rows = fid_trace_lines()
+        rows[10] = bad_row
+        samples = tmp_path / "fid.csv"
+        samples.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "estimate.json"
+        assert main(["fidfit", str(samples), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"{samples}:11: non-finite t_us or theta_rad" in capsys.readouterr().err
 
     def test_empty_file_schema_error(self, tmp_path):
         samples = tmp_path / "empty.csv"
@@ -503,10 +521,7 @@ class TestFidfit:
 class TestCalibrate:
     def test_noiseless_slope(self, tmp_path):
         pairs = tmp_path / "pairs.csv"
-        lines = ["phi_rad,n_atoms"]
-        for n in np.linspace(1e5, 1.5e6, 6):
-            lines.append(f"{float(9.0e-8 * n)!r},{float(n)!r}")
-        pairs.write_text("\n".join(lines) + "\n")
+        pairs.write_text("\n".join(calibration_lines()) + "\n")
         out = tmp_path / "g1.json"
         assert main(["calibrate", str(pairs), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
@@ -522,3 +537,37 @@ class TestCalibrate:
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("phi,atoms\n1,2\n")
         assert main(["calibrate", str(pairs), "--out", str(tmp_path / "g.json")]) == 3
+
+    @pytest.mark.parametrize("bad_row", ["nan,1e5", "0.01,inf", "-inf,2e5"])
+    def test_non_finite_row_exit_code(self, tmp_path, capsys, bad_row):
+        lines = calibration_lines()
+        lines[3] = bad_row
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "g.json"
+        assert main(["calibrate", str(pairs), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"{pairs}:4: non-finite phi_rad or n_atoms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("fidfit", "--g1", "0"),
+        ("fidfit", "--g1", "nan"),
+        ("fidfit", "--g1", "-9e-8"),
+        ("fidfit", "--gamma", "0"),
+        ("fidfit", "--gamma", "inf"),
+        ("calibrate", "--f", "nan"),
+        ("calibrate", "--f", "0"),
+    ],
+)
+def test_bad_option_value_exit_code(tmp_path, capsys, command, option, value):
+    # The input file is valid: only the option value is wrong.
+    lines = fid_trace_lines() if command == "fidfit" else calibration_lines()
+    data = tmp_path / "input.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.json"
+    assert main([command, str(data), "--out", str(out), f"{option}={value}"]) == 2
+    assert not out.exists()
+    assert f"{option} must be finite and positive" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """The shot CSV format, byte for byte, against a per-record writer.
 
-``oracle_write`` is a plain ``csv.writer`` loop over shot records: one
-row per record, integers as written, floats as ``repr``, the csv
+``oracle_write`` is a plain ``csv.writer`` loop over a table's rows:
+one line per row, integers as written, floats as ``repr``, the csv
 module's ``\\r\\n`` terminators.  ``write_dataset`` must produce the same
 bytes from a campaign table, and a read followed by a write must
 reproduce the file.
@@ -41,19 +41,19 @@ ALL_BRANCHES = dict(
 )
 
 
-def oracle_write(path, records):
+def oracle_write(path, table):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)
-        for r in records:
+        for i in range(len(table)):
             writer.writerow(
                 [
-                    r.cycle_id,
-                    r.seq_index,
-                    int(r.is_reference),
-                    repr(float(r.n_atoms)),
-                    *(repr(float(v)) for v in r.f1),
-                    *(repr(float(v)) for v in r.f2),
+                    int(table.cycle_id[i]),
+                    int(table.seq_index[i]),
+                    int(table.is_reference[i]),
+                    repr(float(table.n_atoms[i])),
+                    *(repr(float(v)) for v in table.f1[i]),
+                    *(repr(float(v)) for v in table.f2[i]),
                 ]
             )
 
@@ -79,7 +79,7 @@ def table(request):
 def test_write_matches_per_record_writer(table, tmp_path):
     written, expected = tmp_path / "table.csv", tmp_path / "oracle.csv"
     write_dataset(written, table)
-    oracle_write(expected, list(table))
+    oracle_write(expected, table)
     assert written.read_bytes() == expected.read_bytes()
     assert written.read_bytes().count(b"\r\n") == 1 + len(table)
 

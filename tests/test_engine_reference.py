@@ -105,13 +105,12 @@ ALL_BRANCHES = dict(
 )
 def test_engine_matches_per_shot_loop(probe, branches):
     cfg = SequenceConfig(field=MagneticField(FIELD_111), probe=probe, **branches)
-    records = run_campaign(CAMPAIGN, cfg)
+    table = run_campaign(CAMPAIGN, cfg)
     expected = reference_campaign(CAMPAIGN, cfg)
-    assert len(records) == len(expected) == 3 * 7
+    assert len(table) == len(expected) == 3 * 7
     atol = 1e-9 * readout_noise_sigma(probe)
-    for rec, (cycle, s, n, readouts) in zip(records, expected):
-        assert (rec.cycle_id, rec.seq_index) == (cycle, s)
-        assert rec.is_reference == (s >= CAMPAIGN.sequences_per_cycle)
-        assert rec.n_atoms == n  # bit-identical
-        got = np.concatenate([rec.f1, rec.f2])
-        np.testing.assert_allclose(got, readouts, rtol=1e-12, atol=atol)
+    for i, (cycle, s, n, readouts) in enumerate(expected):
+        assert (table.cycle_id[i], table.seq_index[i]) == (cycle, s)
+        assert table.is_reference[i] == (s >= CAMPAIGN.sequences_per_cycle)
+        assert table.n_atoms[i] == n  # bit-identical
+        np.testing.assert_allclose(table.f[i], readouts, rtol=1e-12, atol=atol)

@@ -7,7 +7,6 @@ from scipy.integrate import solve_ivp
 
 from singletsim import (
     EstimationError,
-    FidSample,
     SchemaError,
     fid_signal,
     fit_fid,
@@ -233,8 +232,8 @@ class TestFidIo:
         z_samples, y_samples = read_fid_csv(path)
         assert len(z_samples) == len(t)
         assert len(y_samples) == len(t)
-        assert isinstance(z_samples[0], FidSample)
-        assert z_samples[0].theta == pytest.approx(G1 * F0)
+        assert z_samples.shape == y_samples.shape == (len(t), 2)
+        assert z_samples[0, 1] == pytest.approx(G1 * F0)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -252,6 +251,12 @@ class TestFidIo:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(SchemaError, match="empty"):
+            read_fid_csv(path)
+
+    def test_negative_time_names_line(self, tmp_path):
+        path = tmp_path / "negative_t.csv"
+        path.write_text("t_us,theta_rad,branch\n0.0,0.0,z\n-1.0,0.0,z\n")
+        with pytest.raises(SchemaError, match=":3: t must be non-negative"):
             read_fid_csv(path)
 
     def test_estimate_json(self, tmp_path):

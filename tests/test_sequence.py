@@ -12,7 +12,6 @@ from singletsim import (
     ProbeConfig,
     SchemaError,
     SequenceConfig,
-    ShotRecord,
     ShotTable,
     analyze_dataset,
     read_dataset,
@@ -25,7 +24,7 @@ from singletsim import (
     write_dataset,
 )
 from singletsim.sequence import DATASET_COLUMNS, _simulate_cycles
-from tests.conftest import schur_trace
+from tests.conftest import schur_trace, shot_table
 
 
 def small_campaign(seed=0, **kwargs):
@@ -38,18 +37,6 @@ def small_campaign(seed=0, **kwargs):
     )
     defaults.update(kwargs)
     return CampaignConfig(**defaults)
-
-
-def reference_table(f1, f2):
-    """The readouts of no-atom shots as a table of reference rows."""
-    n = len(f1)
-    return ShotTable(
-        cycle_id=np.zeros(n, dtype=int),
-        seq_index=np.arange(n),
-        is_reference=np.ones(n, dtype=bool),
-        n_atoms=np.zeros(n),
-        f=np.hstack([f1, f2]),
-    )
 
 
 class TestRunSequence:
@@ -183,11 +170,9 @@ class TestRunSequence:
 class TestCampaign:
     def test_shot_counts(self, seq_ideal):
         campaign = small_campaign()
-        records = run_campaign(campaign, seq_ideal)
-        atoms = [r for r in records if not r.is_reference]
-        refs = [r for r in records if r.is_reference]
-        assert len(atoms) == 4 * 5
-        assert len(refs) == 4 * 2
+        table = run_campaign(campaign, seq_ideal)
+        assert len(table.atoms) == 4 * 5
+        assert len(table.references) == 4 * 2
         # The published campaign structure: 12 sequences over 602 cycles.
         assert 602 * 12 == 7224
 
@@ -195,26 +180,23 @@ class TestCampaign:
         campaign = small_campaign(
             sequences_per_cycle=12, loss_fraction=0.15, atom_jitter=0.0, n_cycles=1
         )
-        records = run_campaign(campaign, seq_ideal)
-        atoms = [r for r in records if not r.is_reference]
-        n0 = atoms[0].n_atoms
+        n_atoms = run_campaign(campaign, seq_ideal).atoms.n_atoms
+        n0 = n_atoms[0]
         assert n0 == campaign.initial_atoms
-        assert atoms[11].n_atoms == pytest.approx(n0 * 0.85**11)
-        assert atoms[11].n_atoms / n0 == pytest.approx(0.167, rel=5e-3)
+        assert n_atoms[11] == pytest.approx(n0 * 0.85**11)
+        assert n_atoms[11] / n0 == pytest.approx(0.167, rel=5e-3)
 
     def test_zero_loss(self, seq_ideal):
         campaign = small_campaign(loss_fraction=0.0, atom_jitter=0.0, n_cycles=1)
-        records = run_campaign(campaign, seq_ideal)
-        atom_numbers = {r.n_atoms for r in records if not r.is_reference}
+        atom_numbers = set(run_campaign(campaign, seq_ideal).atoms.n_atoms.tolist())
         assert atom_numbers == {campaign.initial_atoms}
 
     def test_determinism(self, seq_ideal):
         a = run_campaign(small_campaign(seed=7), seq_ideal)
         b = run_campaign(small_campaign(seed=7), seq_ideal)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.f1, rb.f1)
-            assert np.array_equal(ra.f2, rb.f2)
-            assert ra.n_atoms == rb.n_atoms
+        assert np.array_equal(a.f1, b.f1)
+        assert np.array_equal(a.f2, b.f2)
+        assert np.array_equal(a.n_atoms, b.n_atoms)
 
     def test_substream_isolation(self, seq_ideal):
         # Any cycle can be recomputed alone and matches the full run.
@@ -223,14 +205,13 @@ class TestCampaign:
         per_cycle = campaign.sequences_per_cycle + campaign.reference_shots_per_cycle
         solo = _simulate_cycles(campaign, seq_ideal, [2])
         chunk = full[2 * per_cycle : 3 * per_cycle]
-        for ra, rb in zip(chunk, solo):
-            assert np.array_equal(ra.f1, rb.f1)
-            assert np.array_equal(ra.f2, rb.f2)
+        assert np.array_equal(chunk.f1, solo.f1)
+        assert np.array_equal(chunk.f2, solo.f2)
 
     def test_jitter_bounds(self, seq_ideal):
         campaign = small_campaign(n_cycles=20, atom_jitter=0.05)
-        records = run_campaign(campaign, seq_ideal)
-        first_shots = [r.n_atoms for r in records if r.seq_index == 0 and not r.is_reference]
+        table = run_campaign(campaign, seq_ideal)
+        first_shots = table.n_atoms[(table.seq_index == 0) & ~table.is_reference].tolist()
         assert all(
             0.95 * campaign.initial_atoms <= n <= 1.05 * campaign.initial_atoms
             for n in first_shots
@@ -250,26 +231,26 @@ class TestReferenceVariance:
     def test_converges_to_readout_noise(self, field):
         probe = ProbeConfig(readout_noise_override=500.0, efficiency=1.0)
         cfg = SequenceConfig(field=field, probe=probe)
-        records = reference_table(*simulate_shots(cfg, 0.0, 3000, np.random.default_rng(8)))
-        ref = reference_variance(records)
+        table = shot_table(*simulate_shots(cfg, 0.0, 3000, np.random.default_rng(8)), 0.0, True)
+        ref = reference_variance(table)
         expected = 3 * 500.0**2
         se = expected * math.sqrt(2.0 / (3 * 3000))
         assert abs(ref.v0 - expected) < 4 * se
         # The first round's read-out variance, as the analysis reports it.
-        result = analyze_dataset(records, options=AnalysisOptions(n_resamples=2))
+        result = analyze_dataset(table, options=AnalysisOptions(n_resamples=2))
         assert abs(result.reference_v1_tilde + result.v0 - expected) < 4 * se
         assert ref.n_reference == 3000
 
     def test_zero_noise(self, field):
         probe = ProbeConfig(readout_noise_override=0.0)
         cfg = SequenceConfig(field=field, probe=probe)
-        records = reference_table(*simulate_shots(cfg, 0.0, 10, np.random.default_rng(9)))
-        assert reference_variance(records).v0 == pytest.approx(0.0, abs=1e-12)
+        table = shot_table(*simulate_shots(cfg, 0.0, 10, np.random.default_rng(9)), 0.0, True)
+        assert reference_variance(table).v0 == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_references(self, seq_ideal):
-        records = reference_table(*simulate_shots(seq_ideal, 0.0, 1, np.random.default_rng(10)))
+        table = shot_table(*simulate_shots(seq_ideal, 0.0, 1, np.random.default_rng(10)), 0.0, True)
         with pytest.raises(EstimationError):
-            reference_variance(records)
+            reference_variance(table)
 
 
 class TestShotTable:
@@ -286,24 +267,14 @@ class TestShotTable:
 
     def test_rows_and_slices(self):
         table = self._table()
-        rows = list(table)
-        assert all(isinstance(r, ShotRecord) for r in rows)
-        assert [r.seq_index for r in rows] == table.seq_index.tolist()
-        assert np.array_equal(rows[1].f1, table.f1[1])
-        assert np.array_equal(rows[1].f2, table.f2[1])
+        # A table has no row type: one row is read from the columns.
+        with pytest.raises(ValueError, match="shape"):
+            table[1]
         part = table[1:3]
         assert isinstance(part, ShotTable) and len(part) == 2
         assert part.seq_index.tolist() == [1, 2]
         assert table.atoms.seq_index.tolist() == [0, 1, 2]
         assert table.references.seq_index.tolist() == [3, 4]
-
-    def test_from_records_round_trip(self):
-        table = self._table()
-        again = ShotTable.from_records(list(table))
-        for name in ("cycle_id", "seq_index", "is_reference", "n_atoms", "f"):
-            assert np.array_equal(getattr(again, name), getattr(table, name))
-        assert ShotTable.from_records(table) is table
-        assert len(ShotTable.from_records([])) == 0
 
     def test_columns_read_only(self):
         table = self._table()
@@ -329,17 +300,13 @@ class TestShotTable:
 
 class TestDatasetIo:
     def test_round_trip(self, seq_ideal, tmp_path):
-        records = run_campaign(small_campaign(seed=5, n_cycles=2), seq_ideal)
+        table = run_campaign(small_campaign(seed=5, n_cycles=2), seq_ideal)
         path = tmp_path / "shots.csv"
-        write_dataset(path, records)
+        write_dataset(path, table)
         loaded = read_dataset(path)
-        assert len(loaded) == len(records)
-        for ra, rb in zip(records, loaded):
-            assert np.array_equal(ra.f1, rb.f1)
-            assert np.array_equal(ra.f2, rb.f2)
-            assert ra.n_atoms == rb.n_atoms
-            assert ra.is_reference == rb.is_reference
-            assert (ra.cycle_id, ra.seq_index) == (rb.cycle_id, rb.seq_index)
+        assert len(loaded) == len(table)
+        for name in ("f", "n_atoms", "is_reference", "cycle_id", "seq_index"):
+            assert np.array_equal(getattr(loaded, name), getattr(table, name)), name
 
     def test_header_schema(self, tmp_path):
         path = tmp_path / "bad.csv"
