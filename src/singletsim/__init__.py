@@ -50,11 +50,9 @@ from .probe import (
 )
 from .sequence import (
     CampaignConfig,
-    ReferenceNoise,
     SequenceConfig,
     ShotTable,
     read_dataset,
-    reference_variance,
     run_campaign,
     simulate_shots,
     write_dataset,

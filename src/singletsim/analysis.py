@@ -22,7 +22,6 @@ count-weighted moments of the rows centred on the sample mean.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationError, FitError, InvariantError
+from .fileio import write_json
 from .probe import ProbeConfig, readout_noise_sigma, snr
-from .sequence import ShotTable, reference_variance
+from .sequence import ShotTable
 
 PINV_RCOND = 1e-10
 BOOTSTRAP_BLOCK = 16  # resamples per block: each (block, shots) array stays near 1 MB
@@ -389,13 +389,19 @@ class AnalysisResult:
 def resolve_v0(
     table: ShotTable, probe: ProbeConfig | None, options: AnalysisOptions
 ) -> tuple[float, int]:
-    """Read-out total variance: reference-shot estimate or analytic 3*sigma^2."""
+    """Read-out total variance and the reference-shot count it rests on.
+
+    The trace of the reference rows' second-round sample covariance, or
+    the analytic 3*sigma^2 (with count 0) under ``use_analytic_v0``.
+    """
     if options.use_analytic_v0:
         if probe is None:
             raise EstimationError("analytic v0 requires probe constants")
         return 3.0 * readout_noise_sigma(probe) ** 2, 0
-    ref = reference_variance(table)
-    return ref.v0, ref.n_reference
+    refs = table.references
+    if len(refs) < 2:
+        raise EstimationError("need at least 2 reference shots")
+    return float(np.trace(sample_covariance(refs.f2))), len(refs)
 
 
 def _joint_blocks(c6: np.ndarray):
@@ -549,7 +555,8 @@ def cutoff_scan(
 
     Returns one row per cutoff with keys C, xi2, xi2_stderr, n_selected;
     the witness is evaluated on the second measurement of the selected
-    shots, pooled across atom-number bins.
+    shots, pooled across atom-number bins.  Where fewer than 2 shots are
+    selected, xi2 and xi2_stderr are nan.
     """
     options = AnalysisOptions() if options is None else options
     v0, _ = resolve_v0(table, probe, options)
@@ -563,7 +570,7 @@ def cutoff_scan(
     for c, mask in zip(map(float, cutoffs), masks):
         n_selected = int(mask.sum())
         if n_selected < 2:
-            rows.append({"C": c, "xi2": math.nan, "xi2_stderr": math.nan, "n_selected": 0})
+            rows.append({"C": c, "xi2": math.nan, "xi2_stderr": math.nan, "n_selected": n_selected})
             continue
         w = _selection_witness(f2[mask], n[mask], v0, options, rng)
         rows.append({"C": c, "xi2": w.xi2, "xi2_stderr": w.xi2_stderr, "n_selected": n_selected})
@@ -614,7 +621,7 @@ def report_dict(result: AnalysisResult) -> dict:
 
 
 def write_report(path, result: AnalysisResult) -> None:
-    Path(path).write_text(json.dumps(report_dict(result), indent=2, sort_keys=True) + "\n")
+    write_json(path, report_dict(result))
 
 
 def write_cutoff_scan_csv(path, rows) -> None:

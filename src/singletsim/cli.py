@@ -13,8 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from dataclasses import replace
@@ -39,6 +37,7 @@ from .errors import (
     InvariantError,
     SchemaError,
 )
+from .fileio import read_csv, write_json
 from .magnetometry import fit_fid, read_fid_csv, write_estimate_json
 from .probe import calibrate_g1
 from .sequence import read_dataset, run_campaign, write_dataset
@@ -76,7 +75,7 @@ def cmd_simulate(args) -> int:
             "n_records": len(table),
             "config": config_to_dict(cfg),
         }
-        provenance_path.write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+        write_json(provenance_path, provenance)
     except BaseException:
         _cleanup([dataset_path, provenance_path])
         raise
@@ -159,33 +158,19 @@ def cmd_fidfit(args) -> int:
     return 0
 
 
+def _calibration_pair(row, line) -> tuple[float, float]:
+    pair = (float(row[0]), float(row[1]))
+    if not all(map(math.isfinite, pair)):
+        raise ValueError("non-finite phi_rad or n_atoms")
+    return pair
+
+
 def cmd_calibrate(args) -> int:
     _require_positive(args, "f")
-    path = Path(args.pairs)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty calibration file") from None
-        if tuple(header) != CALIBRATION_COLUMNS:
-            raise SchemaError(
-                f"{path}: bad columns {header}, expected {list(CALIBRATION_COLUMNS)}"
-            )
-        pairs = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                pair = (float(row[0]), float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(f"{path}:{i}: {exc}") from None
-            if not all(map(math.isfinite, pair)):
-                raise SchemaError(f"{path}:{i}: non-finite phi_rad or n_atoms")
-            pairs.append(pair)
+    pairs = read_csv(args.pairs, CALIBRATION_COLUMNS, _calibration_pair)
     slope, stderr = calibrate_g1(pairs, f=args.f)
     payload = {"g1": slope, "g1_stderr": stderr, "n_pairs": len(pairs)}
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(args.out, payload)
     print(f"wrote {args.out}")
     return 0
 

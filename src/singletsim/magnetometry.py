@@ -18,15 +18,13 @@ mirror solution.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import EstimationError, FitError, SchemaError
+from .errors import EstimationError, FitError
+from .fileio import read_csv, write_json
 from .spins import GYROMAGNETIC_RATIO
 
 PARAM_NAMES = ("bx", "by", "bz", "t2", "f0")
@@ -296,34 +294,23 @@ def read_fid_csv(path) -> tuple[np.ndarray, np.ndarray]:
     an unparsable or non-finite number, a negative time or a branch other
     than z or y.
     """
-    path = Path(path)
-    branches: dict[str, list] = {"z": [], "y": []}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty FID file") from None
-        if tuple(header) != FID_CSV_COLUMNS:
-            raise SchemaError(f"{path}: bad columns {header}, expected {list(FID_CSV_COLUMNS)}")
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"{path}:{i}: expected 3 fields")
-            try:
-                sample = (float(row[0]) * 1e-6, float(row[1]))
-                if not all(map(math.isfinite, sample)):
-                    raise ValueError("non-finite t_us or theta_rad")
-                if sample[0] < 0:
-                    raise ValueError("t must be non-negative")
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{i}: {exc}") from None
-            branch = row[2].strip()
-            if branch not in branches:
-                raise SchemaError(f"{path}:{i}: branch must be 'z' or 'y', got {branch!r}")
-            branches[branch].append(sample)
-    return tuple(np.array(branches[b], dtype=float).reshape(-1, 2) for b in "zy")
+
+    def parse(row, line):
+        sample = (float(row[0]) * 1e-6, float(row[1]))
+        if not all(map(math.isfinite, sample)):
+            raise ValueError("non-finite t_us or theta_rad")
+        if sample[0] < 0:
+            raise ValueError("t must be non-negative")
+        branch = row[2].strip()
+        if branch not in ("z", "y"):
+            raise ValueError(f"branch must be 'z' or 'y', got {branch!r}")
+        return branch, sample
+
+    rows = read_csv(path, FID_CSV_COLUMNS, parse)
+    return tuple(
+        np.array([s for b, s in rows if b == branch], dtype=float).reshape(-1, 2)
+        for branch in "zy"
+    )
 
 
 def write_estimate_json(path, estimate: FieldEstimate) -> None:
@@ -342,4 +329,4 @@ def write_estimate_json(path, estimate: FieldEstimate) -> None:
             [v * 1e3 for v in sol] for sol in estimate.equivalent_solutions
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)

@@ -47,7 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError, SchemaError
+from .errors import ConfigError
+from .fileio import read_csv
 from .probe import ProbeConfig, backaction_sigma, readout_noise_sigma
 from .spins import (
     PSD_RTOL,
@@ -402,30 +403,6 @@ def run_campaign(campaign: CampaignConfig, seq_cfg: SequenceConfig) -> ShotTable
     return _simulate_cycles(campaign, seq_cfg, range(campaign.n_cycles))
 
 
-@dataclass(frozen=True)
-class ReferenceNoise:
-    """Read-out noise estimated from no-atom reference shots.
-
-    ``gamma0``/``v0`` come from the second-round vectors, the round the
-    witness is evaluated on.
-    """
-
-    gamma0: np.ndarray
-    v0: float
-    n_reference: int
-
-
-def reference_variance(table: ShotTable) -> ReferenceNoise:
-    """Covariance of the table's reference (no-atom) shots and its trace."""
-    from .analysis import sample_covariance
-
-    refs = table.references
-    if len(refs) < 2:
-        raise EstimationError("need at least 2 reference shots")
-    gamma0 = sample_covariance(refs.f2)
-    return ReferenceNoise(gamma0=gamma0, v0=float(np.trace(gamma0)), n_reference=len(refs))
-
-
 def write_dataset(path, table: ShotTable) -> None:
     """Write a shot table as CSV with the fixed column schema.
 
@@ -460,57 +437,35 @@ def read_dataset(path) -> ShotTable:
     non-negative (zero on reference rows); and each (cycle_id, seq_index)
     may appear on one line only.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty dataset file") from None
-        if tuple(header) != DATASET_COLUMNS:
-            raise SchemaError(
-                f"{path}: bad columns {header}, expected {list(DATASET_COLUMNS)}"
+    line_of: dict[tuple, int] = {}
+
+    def parse(row, line):
+        key = (int(row[0]), int(row[1]))
+        if max(map(abs, key)) >= 2**63:
+            raise ValueError("cycle_id and seq_index must fit in 64 bits")
+        ref = _REFERENCE_TOKENS.get(row[2].strip())
+        if ref is None:
+            raise ValueError(
+                f"is_reference must be one of {', '.join(_REFERENCE_TOKENS)}, got {row[2]!r}"
             )
-        line_of: dict[tuple, int] = {}
-        is_ref, values = [], []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(DATASET_COLUMNS):
-                raise SchemaError(f"{path}:{i}: expected {len(DATASET_COLUMNS)} fields")
-            try:
-                key = (int(row[0]), int(row[1]))
-                if max(map(abs, key)) >= 2**63:
-                    raise ValueError("cycle_id and seq_index must fit in 64 bits")
-                ref = _REFERENCE_TOKENS.get(row[2].strip())
-                if ref is None:
-                    raise ValueError(
-                        f"is_reference must be one of {', '.join(_REFERENCE_TOKENS)}, "
-                        f"got {row[2]!r}"
-                    )
-                shot = list(map(float, row[3:]))
-                if not all(map(math.isfinite, shot)):
-                    raise ValueError("non-finite n_atoms or readout")
-                if shot[0] < 0:
-                    raise ValueError("negative n_atoms")
-                if ref and shot[0] != 0:
-                    raise ValueError("reference shots must have n_atoms = 0")
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{i}: {exc}") from None
-            first = line_of.setdefault(key, i)
-            if first != i:
-                raise SchemaError(
-                    f"{path}:{i}: duplicate (cycle_id, seq_index) = {key}, "
-                    f"first on line {first}"
-                )
-            is_ref.append(ref)
-            values.append(shot)
+        shot = list(map(float, row[3:]))
+        if not all(map(math.isfinite, shot)):
+            raise ValueError("non-finite n_atoms or readout")
+        if shot[0] < 0:
+            raise ValueError("negative n_atoms")
+        if ref and shot[0] != 0:
+            raise ValueError("reference shots must have n_atoms = 0")
+        first = line_of.setdefault(key, line)
+        if first != line:
+            raise ValueError(f"duplicate (cycle_id, seq_index) = {key}, first on line {first}")
+        return [ref, *shot]
+
+    values = np.array(read_csv(path, DATASET_COLUMNS, parse), dtype=float).reshape(-1, 8)
     keys = np.array(list(line_of), dtype=np.int64).reshape(-1, 2)
-    values = np.array(values, dtype=float).reshape(-1, 7)
     return ShotTable(
         cycle_id=keys[:, 0],
         seq_index=keys[:, 1],
-        is_reference=is_ref,
-        n_atoms=values[:, 0],
-        f=values[:, 1:],
+        is_reference=values[:, 0],
+        n_atoms=values[:, 1],
+        f=values[:, 2:],
     )

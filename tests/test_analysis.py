@@ -11,6 +11,7 @@ from singletsim import (
     AnalysisOptions,
     EstimationError,
     FitError,
+    ProbeConfig,
     SequenceConfig,
     analyze_dataset,
     conditional_covariance,
@@ -25,7 +26,12 @@ from singletsim import (
     snr,
     squeezing_parameter,
 )
-from singletsim.analysis import report_dict, write_noise_scaling_csv, write_report
+from singletsim.analysis import (
+    report_dict,
+    resolve_v0,
+    write_noise_scaling_csv,
+    write_report,
+)
 from singletsim.sequence import CampaignConfig
 from singletsim.spins import PSD_RTOL
 from tests.conftest import schur_trace, shot_table
@@ -381,6 +387,34 @@ def synthetic_campaign(probe, seed=0, n_cycles=60, initial_atoms=1.5e6):
     return run_campaign(campaign, cfg), cfg
 
 
+class TestResolveV0:
+    def test_converges_to_readout_noise(self, field):
+        probe = ProbeConfig(readout_noise_override=500.0, efficiency=1.0)
+        cfg = SequenceConfig(field=field, probe=probe)
+        table = shot_table(*simulate_shots(cfg, 0.0, 3000, np.random.default_rng(8)), 0.0, True)
+        v0, n_reference = resolve_v0(table, None, AnalysisOptions())
+        expected = 3 * 500.0**2
+        se = expected * math.sqrt(2.0 / (3 * 3000))
+        assert abs(v0 - expected) < 4 * se
+        # The first round's read-out variance, as the analysis reports it.
+        result = analyze_dataset(table, options=AnalysisOptions(n_resamples=2))
+        assert result.v0 == v0
+        assert abs(result.reference_v1_tilde + result.v0 - expected) < 4 * se
+        assert n_reference == result.n_reference == 3000
+
+    def test_zero_noise(self, field):
+        probe = ProbeConfig(readout_noise_override=0.0)
+        cfg = SequenceConfig(field=field, probe=probe)
+        table = shot_table(*simulate_shots(cfg, 0.0, 10, np.random.default_rng(9)), 0.0, True)
+        result = analyze_dataset(table, options=AnalysisOptions(n_resamples=2))
+        assert result.v0 == pytest.approx(0.0, abs=1e-12)
+
+    def test_too_few_references(self, seq_ideal):
+        table = shot_table(*simulate_shots(seq_ideal, 0.0, 1, np.random.default_rng(10)), 0.0, True)
+        with pytest.raises(EstimationError, match="need at least 2 reference shots"):
+            resolve_v0(table, None, AnalysisOptions())
+
+
 class TestAnalyzeDataset:
     def test_conditional_path_matches_kalman(self, probe_ideal):
         table, _ = synthetic_campaign(probe_ideal, seed=21)
@@ -525,6 +559,19 @@ class TestCutoffScan:
         )
         counts = [r["n_selected"] for r in rows]
         assert counts == sorted(counts)
+
+    def test_counts_match_selection(self, probe_paper):
+        # The published config at 20 cycles: the smallest cutoffs select
+        # 0 or 1 shot, too few for a witness but still counted.
+        table, _ = synthetic_campaign(probe_paper, n_cycles=20)
+        options = AnalysisOptions(n_resamples=50)
+        cutoffs = [0.05, 0.1, 0.15, 0.2, 0.25]
+        rows = cutoff_scan(table, cutoffs, probe_paper, options)
+        counts = [len(select_shots(table, c, n_bins=options.n_bins)) for c in cutoffs]
+        assert [r["n_selected"] for r in rows] == counts
+        assert 1 in counts
+        for r in rows:
+            assert math.isnan(r["xi2"]) == math.isnan(r["xi2_stderr"]) == (r["n_selected"] < 2)
 
 
 def test_schur_kalman_consistency_on_batch(seq_ideal):

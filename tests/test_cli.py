@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from singletsim import fid_signal, load_config
-from singletsim.cli import main
+from singletsim.cli import CALIBRATION_COLUMNS, main
 from singletsim.config import config_from_dict, config_to_dict
-from singletsim.sequence import read_dataset
+from singletsim.magnetometry import FID_CSV_COLUMNS
+from singletsim.sequence import DATASET_COLUMNS, read_dataset
 
 TINY_CAMPAIGN = {
     "seed": 11,
@@ -538,8 +539,18 @@ class TestCalibrate:
         pairs.write_text("phi,atoms\n1,2\n")
         assert main(["calibrate", str(pairs), "--out", str(tmp_path / "g.json")]) == 3
 
-    @pytest.mark.parametrize("bad_row", ["nan,1e5", "0.01,inf", "-inf,2e5"])
-    def test_non_finite_row_exit_code(self, tmp_path, capsys, bad_row):
+    @pytest.mark.parametrize(
+        "bad_row, reason",
+        [
+            ("nan,1e5", "non-finite phi_rad or n_atoms"),
+            ("0.01,inf", "non-finite phi_rad or n_atoms"),
+            ("-inf,2e5", "non-finite phi_rad or n_atoms"),
+            ("0.1,1e6,999", "expected 2 fields"),
+            ("0.1", "expected 2 fields"),
+        ],
+        ids=["nan,1e5", "0.01,inf", "-inf,2e5", "0.1,1e6,999", "0.1"],
+    )
+    def test_non_finite_row_exit_code(self, tmp_path, capsys, bad_row, reason):
         lines = calibration_lines()
         lines[3] = bad_row
         pairs = tmp_path / "pairs.csv"
@@ -547,7 +558,7 @@ class TestCalibrate:
         out = tmp_path / "g.json"
         assert main(["calibrate", str(pairs), "--out", str(out)]) == 3
         assert not out.exists()
-        assert f"{pairs}:4: non-finite phi_rad or n_atoms" in capsys.readouterr().err
+        assert f"{pairs}:4: {reason}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -571,3 +582,40 @@ def test_bad_option_value_exit_code(tmp_path, capsys, command, option, value):
     assert main([command, str(data), "--out", str(out), f"{option}={value}"]) == 2
     assert not out.exists()
     assert f"{option} must be finite and positive" in capsys.readouterr().err
+
+
+# Per input file: its columns and one valid row.
+INPUT_FILES = {
+    "analyze": (DATASET_COLUMNS, "0,0,1,0.0,1.0,2.0,3.0,4.0,5.0,6.0"),
+    "fidfit": (FID_CSV_COLUMNS, "0.0,0.0,z"),
+    "calibrate": (CALIBRATION_COLUMNS, "0.01,1e5"),
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "directory", "non-utf8", "oversize-field", "empty", "field-count"]
+)
+@pytest.mark.parametrize("command", list(INPUT_FILES))
+def test_bad_input_file_exit_code(tmp_path, capsys, command, case):
+    columns, good_row = INPUT_FILES[command]
+    header = ",".join(columns)
+    path = tmp_path / "input.csv"
+    expected = f"{path}: "
+    if case == "directory":
+        path.mkdir()
+    elif case == "non-utf8":
+        path.write_bytes(b"\xff" + header.encode() + b"\n")
+    elif case == "oversize-field":
+        path.write_text(header + "\n" + "9" * 200_000 + good_row[1:] + "\n")
+        expected = f"{path}:2: field larger than field limit"
+    elif case == "empty":
+        path.write_text("")
+        expected = f"{path}: empty file"
+    elif case == "field-count":
+        # The blank line is skipped but counted: the bad row is line 4.
+        path.write_text("\n".join([header, good_row, "", good_row + ",0"]) + "\n")
+        expected = f"{path}:4: expected {len(columns)} fields"
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert f"data error: {expected}" in capsys.readouterr().err

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from singletsim import (
-    AnalysisOptions,
     CampaignConfig,
     ConfigError,
-    EstimationError,
     MagneticField,
     ProbeConfig,
     SchemaError,
     SequenceConfig,
     ShotTable,
-    analyze_dataset,
     read_dataset,
-    reference_variance,
     readout_noise_sigma,
     run_campaign,
     sample_covariance,
@@ -225,32 +221,6 @@ class TestCampaign:
             CampaignConfig(n_cycles=0)
         with pytest.raises(ValueError):
             CampaignConfig(atom_jitter=-0.1)
-
-
-class TestReferenceVariance:
-    def test_converges_to_readout_noise(self, field):
-        probe = ProbeConfig(readout_noise_override=500.0, efficiency=1.0)
-        cfg = SequenceConfig(field=field, probe=probe)
-        table = shot_table(*simulate_shots(cfg, 0.0, 3000, np.random.default_rng(8)), 0.0, True)
-        ref = reference_variance(table)
-        expected = 3 * 500.0**2
-        se = expected * math.sqrt(2.0 / (3 * 3000))
-        assert abs(ref.v0 - expected) < 4 * se
-        # The first round's read-out variance, as the analysis reports it.
-        result = analyze_dataset(table, options=AnalysisOptions(n_resamples=2))
-        assert abs(result.reference_v1_tilde + result.v0 - expected) < 4 * se
-        assert ref.n_reference == 3000
-
-    def test_zero_noise(self, field):
-        probe = ProbeConfig(readout_noise_override=0.0)
-        cfg = SequenceConfig(field=field, probe=probe)
-        table = shot_table(*simulate_shots(cfg, 0.0, 10, np.random.default_rng(9)), 0.0, True)
-        assert reference_variance(table).v0 == pytest.approx(0.0, abs=1e-12)
-
-    def test_too_few_references(self, seq_ideal):
-        table = shot_table(*simulate_shots(seq_ideal, 0.0, 1, np.random.default_rng(10)), 0.0, True)
-        with pytest.raises(EstimationError):
-            reference_variance(table)
 
 
 class TestShotTable:
