@@ -36,13 +36,11 @@ from .magnetometry import (
     fid_signal,
     fit_fid,
     read_fid_csv,
-    t2_from_gradient,
 )
 from .probe import (
     ProbeConfig,
     PulseOutcome,
     calibrate_g1,
-    danm_estimate,
     predicted_conditional_covariance,
     readout_noise_sigma,
     simulate_pulse,

@@ -367,12 +367,12 @@ class AnalysisOptions:
     def __post_init__(self):
         if self.mean_mode not in ("per_bin", "global"):
             raise ValueError("mean_mode must be 'per_bin' or 'global'")
-        if self.n_bins < 1 or self.min_bin_shots < 2 or self.n_resamples < 2:
-            raise ValueError("n_bins >= 1, min_bin_shots >= 2, n_resamples >= 2 required")
-        if not (0 < self.cutoff < math.inf and 0 < self.f < math.inf):
-            raise ValueError("cutoff and f must be finite and positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, low in (("n_bins", 1), ("min_bin_shots", 2), ("n_resamples", 2), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("cutoff", "f"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -96,17 +96,6 @@ def fid_signal(
     return value if value.ndim else float(value)
 
 
-def t2_from_gradient(sigma_cloud: float, gradient: float, gamma: float = GYROMAGNETIC_RATIO) -> float:
-    """Dephasing time 1/(sigma * gamma * dB/dz) of a cloud in a gradient.
-
-    A vanishing gradient or cloud width returns ``inf`` (no dephasing).
-    """
-    if sigma_cloud < 0 or gradient < 0:
-        raise ValueError("sigma_cloud and gradient must be non-negative")
-    denom = sigma_cloud * gamma * gradient
-    return math.inf if denom == 0.0 else 1.0 / denom
-
-
 def _fft_larmor_frequency(t: np.ndarray, theta: np.ndarray) -> float:
     """Angular frequency of the dominant spectral line (rad/s), 0 if flat."""
     if len(t) < 8:

@@ -186,16 +186,6 @@ def predicted_conditional_covariance(prep_cov, probe: ProbeConfig) -> np.ndarray
     return 0.5 * (cond + cond.T)
 
 
-def danm_estimate(phi: float, probe: ProbeConfig, f: float = 1.0) -> float:
-    """Atom number from the rotation angle of a fully pumped sample.
-
-    Inverts phi = g1 * f * N_A.
-    """
-    if f == 0:
-        raise ValueError("f must be non-zero")
-    return phi / (probe.g1 * f)
-
-
 def calibrate_g1(pairs, f: float = 1.0) -> tuple[float, float]:
     """Least-squares calibration of g1 from (phi, n_atoms) pairs.
 

@@ -162,8 +162,7 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, payload)
         out = tmp_path / "indefinite"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert not (out / "shots.csv").exists()
-        assert not (out / "provenance.json").exists()
+        assert not out.exists()
         assert "prep_noise_cov" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -334,6 +333,15 @@ class TestAnalyze:
         assert report["v0"] > 0
         assert abs(report["reference_v1_tilde"]) < 0.3 * report["v0"]
 
+    def test_one_reference_row_leaves_no_output(self, tmp_path, capsys):
+        columns, reference_row = INPUT_FILES["analyze"]
+        shots = tmp_path / "one_reference.csv"
+        shots.write_text(",".join(columns) + "\n" + reference_row + "\n")
+        out = tmp_path / "out"
+        assert main(["analyze", str(shots), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "data error: need at least 2 reference shots" in capsys.readouterr().err
+
     def test_schema_error_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -374,17 +382,17 @@ class TestAnalyze:
         assert f"{bad}:5: duplicate (cycle_id, seq_index) = (0, 1), first on line 3" in err
 
     @pytest.mark.parametrize(
-        "option, analysis",
+        "option, analysis, message",
         [
-            (["--cutoff", "0"], {}),
-            (["--bins", "0"], {}),
-            (["--resamples", "1"], {}),
-            (["--cutoff-scan", "0:1:0.5"], {}),
-            (["--cutoff-scan", "nan:1:0.5"], {}),
-            (["--cutoff-scan", "0.25:inf:0.25"], {}),
-            (["--cutoff", "nan"], {}),
-            (["--cutoff", "inf"], {}),
-            ([], {"f": math.nan}),
+            ([], {"cutoff": 0}, "analysis: cutoff must be finite and positive"),
+            ([], {"n_bins": 0}, "analysis: n_bins must be >= 1"),
+            ([], {"n_resamples": 1}, "analysis: n_resamples must be >= 2"),
+            (["--cutoff-scan", "0:1:0.5"], {}, "--cutoff-scan requires"),
+            (["--cutoff-scan", "nan:1:0.5"], {}, "--cutoff-scan requires"),
+            (["--cutoff-scan", "0.25:inf:0.25"], {}, "--cutoff-scan requires"),
+            ([], {"cutoff": math.nan}, "analysis.cutoff must be a finite number"),
+            ([], {"cutoff": math.inf}, "analysis.cutoff must be a finite number"),
+            ([], {"f": math.nan}, "analysis.f must be a finite number"),
         ],
         ids=[
             "cutoff",
@@ -398,7 +406,9 @@ class TestAnalyze:
             "config-f-nan",
         ],
     )
-    def test_bad_option_value_exit_code(self, dataset, tmp_path, capsys, option, analysis):
+    def test_bad_option_value_exit_code(
+        self, dataset, tmp_path, capsys, option, analysis, message
+    ):
         shots, cfg_path = dataset
         if analysis:
             payload = {**TINY_CAMPAIGN, "analysis": {**TINY_CAMPAIGN["analysis"], **analysis}}
@@ -406,8 +416,9 @@ class TestAnalyze:
         out = tmp_path / "bad_option"
         rc = main(["analyze", str(shots), "--out", str(out), "--config", str(cfg_path), *option])
         assert rc == 2
-        assert not (out / "report.json").exists()
-        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
     def test_conditioning_invariant_exit_code(self, dataset, tmp_path, capsys, monkeypatch):
         import singletsim.analysis as analysis_mod
@@ -424,6 +435,20 @@ class TestAnalyze:
         assert "numerical failure: bin 0: conditional variance" in err
         assert not (out / "report.json").exists()
         assert not (out / "noise_scaling.csv").exists()
+
+    def test_failed_write_removes_outputs(self, dataset, tmp_path, capsys, monkeypatch):
+        import singletsim.cli as cli_mod
+
+        def full_disk(path, result):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli_mod, "write_noise_scaling_csv", full_disk)
+        shots, cfg_path = dataset
+        out = tmp_path / "full"
+        rc = main(["analyze", str(shots), "--out", str(out), "--config", str(cfg_path)])
+        assert rc == 2
+        assert "cannot write output: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_paper_operating_point_top_bin(self, tmp_path):
         # Campaign around 1.1e6 atoms at the measured readout
@@ -489,7 +514,7 @@ class TestFidfit:
         samples.write_text("")
         assert main(["fidfit", str(samples), "--out", str(tmp_path / "e.json")]) == 3
 
-    def test_fit_failure_writes_residual_log(self, tmp_path, monkeypatch):
+    def test_fit_failure_writes_nothing(self, tmp_path, monkeypatch, capsys):
         import singletsim.cli as cli_mod
         from singletsim import FitError
 
@@ -501,10 +526,21 @@ class TestFidfit:
         samples.write_text("t_us,theta_rad,branch\n0.0,0.0,z\n1.0,0.0,z\n")
         out = tmp_path / "estimate.json"
         assert main(["fidfit", str(samples), "--out", str(out)]) == 4
-        assert not out.exists()
-        log = out.with_suffix(".log")
-        assert log.exists()
-        assert "residual" in log.read_text()
+        assert "numerical failure: did not converge" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [samples]
+
+    def test_config_g1_scales_polarization(self, tmp_path):
+        # theta is linear in g1 * f0: doubling the configured g1 halves f0.
+        samples = tmp_path / "fid.csv"
+        samples.write_text("\n".join(fid_trace_lines()) + "\n")
+        cfg_path = write_config(tmp_path, {"probe": {"g1": 1.8e-7}})
+        default, doubled = tmp_path / "default.json", tmp_path / "doubled.json"
+        assert main(["fidfit", str(samples), "--out", str(default)]) == 0
+        assert main(["fidfit", str(samples), "--out", str(doubled), "--config", str(cfg_path)]) == 0
+        default, doubled = json.loads(default.read_text()), json.loads(doubled.read_text())
+        assert default["f0_spins"] == pytest.approx(1e6, rel=1e-6)
+        assert doubled["f0_spins"] == pytest.approx(default["f0_spins"] / 2, rel=1e-6)
+        assert doubled["t2_us"] == pytest.approx(default["t2_us"], rel=1e-6)
 
     def test_degenerate_single_branch_flagged(self, tmp_path):
         t = np.arange(0.0, 1.5e-3, 1e-6)
@@ -528,6 +564,15 @@ class TestCalibrate:
         payload = json.loads(out.read_text())
         assert payload["g1"] == pytest.approx(9.0e-8, rel=1e-12)
         assert payload["g1_stderr"] == pytest.approx(0.0, abs=1e-18)
+
+    def test_config_f_scales_slope(self, tmp_path):
+        # phi = g1 f N: at f = 2 the same pairs give half the coupling.
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("\n".join(calibration_lines()) + "\n")
+        cfg_path = write_config(tmp_path, {"analysis": {"f": 2}})
+        out = tmp_path / "g1.json"
+        assert main(["calibrate", str(pairs), "--out", str(out), "--config", str(cfg_path)]) == 0
+        assert json.loads(out.read_text())["g1"] == pytest.approx(4.5e-8, rel=1e-12)
 
     def test_constant_column_fails(self, tmp_path):
         pairs = tmp_path / "pairs.csv"
@@ -561,35 +606,94 @@ class TestCalibrate:
         assert f"{pairs}:4: {reason}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, option, value",
-    [
-        ("fidfit", "--g1", "0"),
-        ("fidfit", "--g1", "nan"),
-        ("fidfit", "--g1", "-9e-8"),
-        ("fidfit", "--gamma", "0"),
-        ("fidfit", "--gamma", "inf"),
-        ("calibrate", "--f", "nan"),
-        ("calibrate", "--f", "0"),
-    ],
-)
-def test_bad_option_value_exit_code(tmp_path, capsys, command, option, value):
-    # The input file is valid: only the option value is wrong.
-    lines = fid_trace_lines() if command == "fidfit" else calibration_lines()
-    data = tmp_path / "input.csv"
-    data.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out.json"
-    assert main([command, str(data), "--out", str(out), f"{option}={value}"]) == 2
-    assert not out.exists()
-    assert f"{option} must be finite and positive" in capsys.readouterr().err
-
-
 # Per input file: its columns and one valid row.
 INPUT_FILES = {
     "analyze": (DATASET_COLUMNS, "0,0,1,0.0,1.0,2.0,3.0,4.0,5.0,6.0"),
     "fidfit": (FID_CSV_COLUMNS, "0.0,0.0,z"),
     "calibrate": (CALIBRATION_COLUMNS, "0.01,1e5"),
 }
+
+
+# The ids keep the names of the command-line flags these keys replaced.
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("fidfit", "probe", "g1", 0),
+        ("fidfit", "probe", "g1", math.nan),
+        ("fidfit", "probe", "g1", -9e-8),
+        ("fidfit", "field", "gyromagnetic_ratio", 0),
+        ("fidfit", "field", "gyromagnetic_ratio", math.inf),
+        ("calibrate", "analysis", "f", math.nan),
+        ("calibrate", "analysis", "f", 0),
+    ],
+    ids=[
+        "fidfit---g1-0",
+        "fidfit---g1-nan",
+        "fidfit---g1--9e-8",
+        "fidfit---gamma-0",
+        "fidfit---gamma-inf",
+        "calibrate---f-nan",
+        "calibrate---f-0",
+    ],
+)
+def test_bad_option_value_exit_code(tmp_path, capsys, command, section, key, value):
+    # The input file is valid: only the config value is wrong.
+    lines = fid_trace_lines() if command == "fidfit" else calibration_lines()
+    data = tmp_path / "input.csv"
+    data.write_text("\n".join(lines) + "\n")
+    cfg_path = write_config(tmp_path, {section: {key: value}})
+    out = tmp_path / "out.json"
+    assert main([command, str(data), "--out", str(out), "--config", str(cfg_path)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{section}.{key} must be" in err or f"{section}: {key} must be" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("analyze", "--bins", "4"),
+        ("analyze", "--cutoff", "0.75"),
+        ("analyze", "--resamples", "30"),
+        ("fidfit", "--g1", "9e-8"),
+        ("fidfit", "--gamma", "4.374e6"),
+        ("calibrate", "--f", "1"),
+    ],
+)
+def test_removed_option_rejected(tmp_path, capsys, command, option, value):
+    # These values are config keys only; with abbreviations off,
+    # --cutoff is not taken for --cutoff-scan either.
+    argv = [command, str(tmp_path / "input.csv"), "--out", str(tmp_path / "out"), option, value]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "fidfit", "calibrate"])
+def test_unwritable_output_exit_code(tiny_dataset, tmp_path, capsys, command):
+    # An output directory that is a regular file, or a JSON path in a
+    # missing directory.
+    if command in ("simulate", "analyze"):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        inputs = ["--config", str(write_config(tmp_path, TINY_CAMPAIGN))]
+        if command == "analyze":
+            inputs.append(str(tiny_dataset))
+    else:
+        lines = fid_trace_lines() if command == "fidfit" else calibration_lines()
+        data = tmp_path / "input.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "missing" / "out.json"
+        inputs = [str(data)]
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output: " in err and str(out) in err
+    if out.parent == tmp_path:
+        assert out.read_text() == "keep\n"
+    else:
+        assert not out.parent.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from singletsim import (
     SchemaError,
     fid_signal,
     fit_fid,
-    t2_from_gradient,
 )
 from singletsim.magnetometry import (
     DEFAULT_DURATION_S,
@@ -197,26 +196,6 @@ class TestFitFid:
         )
         assert np.allclose(coarse.b, fine.b, rtol=1e-6)
         assert coarse.t2 == pytest.approx(fine.t2, rel=1e-6)
-
-
-class TestT2FromGradient:
-    def test_gradient_scaling(self):
-        t2 = t2_from_gradient(2.68e-3, 1.0)
-        assert t2_from_gradient(2.68e-3, 2.0) == pytest.approx(t2 / 2)
-
-    def test_round_trip_at_paper_width(self):
-        # Invert T2 = 745 us at the 2.68 mm cloud, then re-apply.
-        sigma = 2.68e-3
-        gradient = 1.0 / (sigma * GYROMAGNETIC_RATIO * T2_PAPER)
-        assert t2_from_gradient(sigma, gradient) == pytest.approx(T2_PAPER, rel=1e-12)
-
-    def test_zero_gradient_infinite(self):
-        assert t2_from_gradient(2.68e-3, 0.0) == math.inf
-        assert t2_from_gradient(0.0, 1.0) == math.inf
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            t2_from_gradient(-1.0, 1.0)
 
 
 class TestFidIo:

@@ -7,7 +7,6 @@ from singletsim import (
     CalibrationError,
     ProbeConfig,
     calibrate_g1,
-    danm_estimate,
     make_tss,
     predicted_conditional_covariance,
     readout_noise_sigma,
@@ -171,23 +170,6 @@ class TestPredictedConditionalCovariance:
         pred = predicted_conditional_covariance(np.zeros((3, 3)), probe_ideal)
         s2 = readout_noise_sigma(probe_ideal) ** 2
         assert np.allclose(pred, s2 * np.eye(3))
-
-
-class TestDanm:
-    def test_zero_angle(self, probe_ideal):
-        assert danm_estimate(0.0, probe_ideal) == 0.0
-
-    def test_forward_inverse(self, probe_ideal):
-        assert danm_estimate(probe_ideal.g1 * 1e6, probe_ideal, f=1.0) == pytest.approx(1e6)
-
-    def test_round_trip(self, probe_ideal):
-        for n in (1e4, 7.7e5, 1.5e6):
-            phi = probe_ideal.g1 * 1.0 * n
-            assert danm_estimate(phi, probe_ideal, f=1.0) == pytest.approx(n, rel=1e-12)
-
-    def test_zero_f_rejected(self, probe_ideal):
-        with pytest.raises(ValueError):
-            danm_estimate(1.0, probe_ideal, f=0.0)
 
 
 class TestCalibrateG1:

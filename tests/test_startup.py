@@ -34,7 +34,7 @@ print(json.dumps(loaded))
 CONFIG = {
     "seed": 3,
     "campaign": {"n_cycles": 3, "initial_atoms": 6e5},
-    "analysis": {"min_bin_shots": 5, "n_resamples": 40},
+    "analysis": {"n_bins": 4, "min_bin_shots": 5, "n_resamples": 40},
 }
 
 
@@ -60,7 +60,7 @@ def test_simulate_calibrate_analyze(tmp_path):
     lines += [f"{float(9.0e-8 * n)!r},{float(n)!r}" for n in np.linspace(1e5, 1.5e6, 6)]
     pairs.write_text("\n".join(lines) + "\n")
     run, analysis = tmp_path / "run", tmp_path / "analysis"
-    analyze = ["analyze", str(run / "shots.csv"), "--out", str(analysis), "--bins", "4"]
+    analyze = ["analyze", str(run / "shots.csv"), "--out", str(analysis)]
 
     loaded = run_fresh(
         [
