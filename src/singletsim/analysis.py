@@ -12,12 +12,17 @@ squeezing witness is
 with xi2 < 1 detecting entanglement and (1 - xi2) * n_atoms lower-
 bounding the number of entangled atoms.
 
-Standard errors (ddof=1) come from one seeded bootstrap over shots,
-``_bootstrap_covariances``, shared by both witness paths: per block of
-resamples it draws ``rng.integers(0, m, size=(k, m))`` (the stream of
-one ``size=m`` draw per resample), counts the draws with one
-``bincount`` and forms each resample's unbiased covariance from
-count-weighted moments of the rows centred on the sample mean.
+Standard errors are delta-method (influence-function) estimates and
+use no random draws.  A total variance is the mean of |x - x_bar|^2
+over the m shots behind it, so its stderr is std(|x - x_bar|^2,
+ddof=1) / sqrt(m), and the witness stderr is that over f * n_atoms
+(Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993).  The
+selection path takes x = f2 of the selected shots.  The conditional
+path takes the regression residuals r = f2c - f1c @ K, with
+K = g1^{-1} g12 the gain ``conditional_covariance`` returns: the Schur
+trace is their total variance, and K's own estimation error drops out
+to first order because K minimizes it.  ``v0`` is a constant here, so
+its own error is not included.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from .errors import EstimationError, FitError, InvariantError
 from .fileio import write_json
 from .probe import ProbeConfig, readout_noise_sigma, snr
 from .sequence import ShotTable
+from .spins import ALLOWED_F
 
 PINV_RCOND = 1e-10
-BOOTSTRAP_BLOCK = 16  # resamples per block: each (block, shots) array stays near 1 MB
 
 
 # ---------------------------------------------------------------------------
@@ -51,33 +56,17 @@ def sample_covariance(vectors) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _bootstrap_covariances(x: np.ndarray, n_resamples: int, rng) -> np.ndarray:
-    """(n_resamples, d, d) bootstrap covariances of the rows of ``x``."""
-    m, d = x.shape
-    xc = x - x.mean(axis=0)
-    outer = (xc[:, :, None] * xc[:, None, :]).reshape(m, d * d)
-    covs = np.empty((n_resamples, d, d))
-    for start in range(0, n_resamples, BOOTSTRAP_BLOCK):
-        k = min(BOOTSTRAP_BLOCK, n_resamples - start)
-        idx = rng.integers(0, m, size=(k, m)) + m * np.arange(k)[:, None]
-        counts = np.bincount(idx.ravel(), minlength=k * m).reshape(k, m).astype(float)
-        mean = counts @ xc / m
-        second = (counts @ outer).reshape(k, d, d)
-        covs[start : start + k] = (second - m * mean[:, :, None] * mean[:, None, :]) / (m - 1)
-    return 0.5 * (covs + covs.swapaxes(1, 2))
-
-
 @dataclass(frozen=True)
 class ConditionalCovariance:
-    """Schur complement g2 - g12^T g1^{-1} g12 and singularity flag, per block of a stack."""
+    """Schur complement g2 - g12^T K, the gain K = g1^{-1} g12 and the singularity flag."""
 
     matrix: np.ndarray
-    pinv_used: bool | np.ndarray
+    gain: np.ndarray
+    pinv_used: bool
 
     @property
-    def trace(self) -> float | np.ndarray:
-        t = np.trace(self.matrix, axis1=-2, axis2=-1)
-        return float(t) if t.ndim == 0 else t
+    def trace(self) -> float:
+        return float(np.trace(self.matrix))
 
 
 def conditional_covariance(g1, g2, g12, rcond: float = PINV_RCOND) -> ConditionalCovariance:
@@ -86,20 +75,19 @@ def conditional_covariance(g1, g2, g12, rcond: float = PINV_RCOND) -> Conditiona
     ``g12`` is cov(F1_i, F2_j).  A singular first-measurement covariance
     falls back to the pseudo-inverse (cutoff ``rcond`` relative to the
     largest singular value) and is flagged rather than silently
-    regularized.  The blocks may be 3x3 or stacks (..., 3, 3), each
-    block conditioned on its own.
+    regularized.
     """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     g12 = np.asarray(g12, dtype=float)
     sv = np.linalg.svd(g1, compute_uv=False)
-    pinv_used = sv[..., -1] <= rcond * sv[..., 0]
-    solved = np.empty(g12.shape)
-    solved[~pinv_used] = np.linalg.solve(g1[~pinv_used], g12[~pinv_used])
-    solved[pinv_used] = np.linalg.pinv(g1[pinv_used], rcond=rcond) @ g12[pinv_used]
-    cond = g2 - np.swapaxes(g12, -1, -2) @ solved
-    flag = bool(pinv_used) if pinv_used.ndim == 0 else pinv_used
-    return ConditionalCovariance(0.5 * (cond + np.swapaxes(cond, -1, -2)), flag)
+    pinv_used = bool(sv[-1] <= rcond * sv[0])
+    if pinv_used:
+        gain = np.linalg.pinv(g1, rcond=rcond) @ g12
+    else:
+        gain = np.linalg.solve(g1, g12)
+    cond = g2 - g12.T @ gain
+    return ConditionalCovariance(0.5 * (cond + cond.T), gain, pinv_used)
 
 
 # ---------------------------------------------------------------------------
@@ -173,27 +161,15 @@ class WitnessResult:
     negative_variance: bool = False
 
 
-def _witness(xi2: float, stderr: float, n_atoms: float, v_tilde: float) -> WitnessResult:
-    bound = max(0.0, (1.0 - xi2) * n_atoms)
-    sig = (1.0 - xi2) / stderr if (xi2 < 1.0 and stderr > 0.0) else 0.0
-    return WitnessResult(xi2, stderr, bound, sig, v_tilde < 0.0)
-
-
 def squeezing_parameter(
-    v_tilde: float,
-    n_atoms: float,
-    f: float = 1.0,
-    *,
-    vectors=None,
-    v0: float = 0.0,
-    n_resamples: int = 1000,
-    rng: np.random.Generator | None = None,
+    v_tilde: float, n_atoms: float, f: float = 1.0, *, vectors=None
 ) -> WitnessResult:
     """Witness xi2 = v_tilde / (f * n_atoms) from a total variance.
 
-    When the measurement ``vectors`` behind v_tilde are supplied, the
-    standard error is bootstrapped: each resample recomputes
-    trace(sample covariance) - v0.  Without them the stderr is 0.
+    When the m measurement ``vectors`` behind v_tilde are supplied, the
+    standard error is the delta-method std(|x - x_bar|^2, ddof=1) /
+    sqrt(m) / (f * n_atoms).  For m = 2 both |x - x_bar|^2 are equal,
+    so it is 0 up to rounding.  Without vectors the stderr is 0.
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
@@ -202,12 +178,12 @@ def squeezing_parameter(
     if vectors is not None:
         x = np.asarray(vectors, dtype=float)
         if x.ndim != 2 or x.shape[0] < 2:
-            raise EstimationError("need at least 2 vectors to bootstrap")
-        rng = np.random.default_rng(0) if rng is None else rng
-        covs = _bootstrap_covariances(x, n_resamples, rng)
-        vals = (np.trace(covs, axis1=1, axis2=2) - v0) / (f * n_atoms)
-        stderr = float(np.std(vals, ddof=1))
-    return _witness(xi2, stderr, n_atoms, v_tilde)
+            raise EstimationError("need at least 2 vectors for a standard error")
+        sq = np.sum((x - x.mean(axis=0)) ** 2, axis=1)
+        stderr = float(np.std(sq, ddof=1)) / math.sqrt(len(sq)) / (f * n_atoms)
+    bound = max(0.0, (1.0 - xi2) * n_atoms)
+    sig = (1.0 - xi2) / stderr if (xi2 < 1.0 and stderr > 0.0) else 0.0
+    return WitnessResult(xi2, stderr, bound, sig, v_tilde < 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +335,20 @@ class AnalysisOptions:
     min_bin_shots: int = 25
     cutoff: float = 0.75
     mean_mode: str = "per_bin"
-    n_resamples: int = 1000
-    seed: int = 0
+    n_resamples: int = 1000  # ignored (stderrs are delta-method); configs that set it still load
     use_analytic_v0: bool = False
     f: float = 1.0
 
     def __post_init__(self):
         if self.mean_mode not in ("per_bin", "global"):
             raise ValueError("mean_mode must be 'per_bin' or 'global'")
-        for name, low in (("n_bins", 1), ("min_bin_shots", 2), ("n_resamples", 2), ("seed", 0)):
+        for name, low in (("n_bins", 1), ("min_bin_shots", 2), ("n_resamples", 2)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        for name in ("cutoff", "f"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError("cutoff must be finite and positive")
+        if self.f not in ALLOWED_F:
+            raise ValueError(f"f must be one of {ALLOWED_F}, got {self.f!r}")
 
 
 @dataclass(frozen=True)
@@ -404,34 +380,21 @@ def resolve_v0(
     return float(np.trace(sample_covariance(refs.f2))), len(refs)
 
 
-def _joint_blocks(c6: np.ndarray):
-    """(g1, g2, g12) blocks of joint (f1, f2) covariances, shape (..., 6, 6)."""
-    return c6[..., :3, :3], c6[..., 3:, 3:], c6[..., :3, 3:]
-
-
-def _selection_witness(f2, n_atoms, v0: float, options: AnalysisOptions, rng) -> WitnessResult:
-    """Witness on the second measurement of selected shots, bootstrapped."""
+def _selection_witness(f2, n_atoms, v0: float, f: float) -> WitnessResult:
+    """Witness on the second measurement of selected shots."""
     v2 = float(np.trace(sample_covariance(f2)))
-    return squeezing_parameter(
-        v2 - v0,
-        float(np.mean(n_atoms)),
-        options.f,
-        vectors=f2,
-        v0=v0,
-        n_resamples=options.n_resamples,
-        rng=rng,
-    )
+    return squeezing_parameter(v2 - v0, float(np.mean(n_atoms)), f, vectors=f2)
 
 
 def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mask):
     """One bin of the pipeline: covariance blocks and both witnesses.
 
     ``x`` holds the bin's (f1, f2) rows, shape (m, 6); ``sel_mask``
-    marks its shots inside the selection cutoff.  Deterministic given
-    (options.seed, bin index).
+    marks its shots inside the selection cutoff.
     """
     n_mean = float(bn.mean())
-    g1, g2, g12 = _joint_blocks(sample_covariance(x))
+    c6 = sample_covariance(x)
+    g1, g2, g12 = c6[:3, :3], c6[3:, 3:], c6[:3, 3:]
     cond = conditional_covariance(g1, g2, g12)
     v1 = float(np.trace(g1))
     v2 = float(np.trace(g2))
@@ -457,16 +420,14 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mas
         gamma1_singular=cond.pinv_used,
     )
 
-    rng = np.random.default_rng(np.random.SeedSequence(options.seed, spawn_key=(b_idx,)))
-    boot = _bootstrap_covariances(x, options.n_resamples, rng)
-    vals = (conditional_covariance(*_joint_blocks(boot)).trace - v0) / (options.f * n_mean)
-    xi2 = report.v_cond_tilde / (options.f * n_mean)
-    witness = _witness(xi2, float(np.std(vals, ddof=1)), n_mean, report.v_cond_tilde)
+    xc = x - x.mean(axis=0)
+    residuals = xc[:, 3:] - xc[:, :3] @ cond.gain
+    witness = squeezing_parameter(report.v_cond_tilde, n_mean, options.f, vectors=residuals)
 
     n_selected = int(sel_mask.sum())
     selection = None
     if n_selected >= options.min_bin_shots:
-        selection = _selection_witness(x[sel_mask, 3:], bn[sel_mask], v0, options, rng)
+        selection = _selection_witness(x[sel_mask, 3:], bn[sel_mask], v0, options.f)
     return BinAnalysis(report, witness, selection, n_selected)
 
 
@@ -556,12 +517,12 @@ def cutoff_scan(
     Returns one row per cutoff with keys C, xi2, xi2_stderr, n_selected;
     the witness is evaluated on the second measurement of the selected
     shots, pooled across atom-number bins.  Where fewer than 2 shots are
-    selected, xi2 and xi2_stderr are nan.
+    selected, xi2 and xi2_stderr are nan; where exactly 2 are, the
+    stderr is 0 up to rounding (see ``squeezing_parameter``).
     """
     options = AnalysisOptions() if options is None else options
     v0, _ = resolve_v0(table, probe, options)
     cutoffs = list(cutoffs)
-    rng = np.random.default_rng(np.random.SeedSequence(options.seed, spawn_key=(0xC,)))
     atoms = table.atoms
     f2, n = atoms.f2, atoms.n_atoms
     groups = _centering_groups(n, options.mean_mode, options.n_bins)
@@ -572,7 +533,7 @@ def cutoff_scan(
         if n_selected < 2:
             rows.append({"C": c, "xi2": math.nan, "xi2_stderr": math.nan, "n_selected": n_selected})
             continue
-        w = _selection_witness(f2[mask], n[mask], v0, options, rng)
+        w = _selection_witness(f2[mask], n[mask], v0, options.f)
         rows.append({"C": c, "xi2": w.xi2, "xi2_stderr": w.xi2_stderr, "n_selected": n_selected})
     return rows
 
@@ -607,6 +568,7 @@ def report_dict(result: AnalysisResult) -> dict:
             "ent_bound": b.witness.entangled_atoms_lower_bound,
             "n_selected": b.n_selected,
             "xi2_selected": b.selection.xi2 if b.selection else None,
+            "xi2_selected_stderr": b.selection.xi2_stderr if b.selection else None,
             "gamma1_singular": b.report.gamma1_singular,
         }
         bins.append(entry)

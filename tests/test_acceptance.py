@@ -60,14 +60,7 @@ def test_criterion_1_witness_calibration():
     f1, _ = simulate_shots(cfg, n_atoms, m, np.random.default_rng(2024))
     v0 = 3.0 * readout_noise_sigma(cfg.probe) ** 2
     v1 = float(np.trace(sample_covariance(f1)))
-    witness = squeezing_parameter(
-        v1 - v0,
-        n_atoms,
-        vectors=f1,
-        v0=v0,
-        n_resamples=300,
-        rng=np.random.default_rng(0),
-    )
+    witness = squeezing_parameter(v1 - v0, n_atoms, vectors=f1)
     elapsed = time.monotonic() - start
     assert witness.xi2 == pytest.approx(2.00, abs=0.02)
     # No false entanglement: xi2 must not sit below 1 beyond 3 sigma.
@@ -163,7 +156,7 @@ def test_criterion_5_selection_path():
 
     table = shot_table(f1, f2, n_atoms)
     v0 = 3.0 * MEASURED_SENSITIVITY**2
-    options = AnalysisOptions(n_resamples=150, use_analytic_v0=True, n_bins=1)
+    options = AnalysisOptions(use_analytic_v0=True, n_bins=1)
     cutoffs = [0.25 * k for k in range(1, 13)]
     rows = cutoff_scan(table, cutoffs, cfg.probe, options)
     xi2_values = [r["xi2"] for r in rows]
@@ -206,7 +199,7 @@ def test_criterion_6_fit_recovery():
     cfg = ideal_sequence(efficiency=0.75)
     campaign = CampaignConfig(n_cycles=602, master_seed=606)
     table = run_campaign(campaign, cfg)
-    options = AnalysisOptions(n_bins=10, n_resamples=250)
+    options = AnalysisOptions(n_bins=10)
     result = analyze_dataset(table, probe=cfg.probe, options=options)
     b_fit = result.fits["snr_model"]
     assert b_fit is not None
@@ -273,7 +266,7 @@ def test_criterion_8_determinism(tmp_path):
     config = {
         "seed": 88,
         "campaign": {"n_cycles": 30, "initial_atoms": 1.2e6},
-        "analysis": {"n_bins": 6, "n_resamples": 120},
+        "analysis": {"n_bins": 6},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

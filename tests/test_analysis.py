@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,9 +93,10 @@ class TestConditionalCovariance:
         f2 = shared + rng.standard_normal((m, 3))
         c6 = sample_covariance(np.hstack([f1, f2]))
         g1, g2, g12 = c6[:3, :3], c6[3:, 3:], c6[:3, 3:]
-        cond = conditional_covariance(g1, g2, g12).matrix
-        a = np.linalg.solve(g1, g12).T
-        resid_cov = sample_covariance(f2 - f1 @ a.T)
+        out = conditional_covariance(g1, g2, g12)
+        cond = out.matrix
+        assert np.array_equal(out.gain, np.linalg.solve(g1, g12))
+        resid_cov = sample_covariance(f2 - f1 @ out.gain)
         scale = np.trace(cond) / 3
         assert np.allclose(resid_cov, cond, atol=3 * scale * math.sqrt(2.0 / m) * 3)
 
@@ -106,6 +106,7 @@ class TestConditionalCovariance:
         g12 = np.diag([0.5, 0.5, 0.0])
         out = conditional_covariance(g1, g2, g12)
         assert out.pinv_used
+        assert np.array_equal(out.gain, np.linalg.pinv(g1, rcond=1e-10) @ g12)
         assert np.all(np.isfinite(out.matrix))
         assert out.matrix[2, 2] == pytest.approx(1.0)
 
@@ -127,15 +128,14 @@ def random_joint_covariance(rng, scale, g1_rank):
 
 
 def blocks(joint):
-    return joint[..., :3, :3], joint[..., 3:, 3:], joint[..., :3, 3:]
+    return joint[:3, :3], joint[3:, 3:], joint[:3, 3:]
 
 
 def assert_schur_bounds(joint, cond):
     """PSD, and trace at most trace(g2), both up to PSD_RTOL * trace(g2)."""
-    g2_trace = np.trace(joint[..., 3:, 3:], axis1=-2, axis2=-1)
-    slack = PSD_RTOL * g2_trace
-    assert np.all(cond.trace <= g2_trace + slack)
-    assert np.all(np.linalg.eigvalsh(cond.matrix)[..., 0] >= -slack)
+    slack = PSD_RTOL * np.trace(joint[3:, 3:])
+    assert cond.trace <= np.trace(joint[3:, 3:]) + slack
+    assert np.linalg.eigvalsh(cond.matrix)[0] >= -slack
 
 
 @given(
@@ -150,23 +150,6 @@ def test_schur_complement_psd_and_bounded(seed, log_scale, g1_rank):
     # A rank-deficient first block takes the pseudo-inverse path.
     assert cond.pinv_used == (g1_rank < 3)
     assert_schur_bounds(joint, cond)
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    ranks=st.lists(st.integers(1, 3), min_size=1, max_size=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_schur_complement_stack(seed, ranks):
-    rng = np.random.default_rng(seed)
-    joint = np.stack([random_joint_covariance(rng, 1e6, r) for r in ranks])
-    cond = conditional_covariance(*blocks(joint))
-    assert cond.pinv_used.tolist() == [r < 3 for r in ranks]
-    assert_schur_bounds(joint, cond)
-    # Each block of the stack is conditioned on its own.
-    for block, matrix in zip(joint, cond.matrix):
-        single = conditional_covariance(*blocks(block)).matrix
-        assert np.allclose(matrix, single, rtol=0.0, atol=1e-12 * np.trace(block))
 
 
 class TestSelectShots:
@@ -237,23 +220,21 @@ class TestSqueezingParameter:
         assert w.negative_variance
         assert w.xi2 == pytest.approx(-0.01)
 
-    def test_bootstrap_stderr_scale(self):
+    def test_delta_stderr_scale(self):
         rng = np.random.default_rng(13)
         m = 20_000
         vectors = rng.standard_normal((m, 3)) * 800.0
         v = float(np.trace(sample_covariance(vectors)))
         n_atoms = 1e6
-        w = squeezing_parameter(
-            v, n_atoms, vectors=vectors, n_resamples=400, rng=np.random.default_rng(0)
-        )
-        # Three iid channels: se(v)/fN ~ v*sqrt(2/3m)/fN.
+        w = squeezing_parameter(v, n_atoms, vectors=vectors)
+        # Three iid channels: se(v)/fN ~ v*sqrt(2/3m)/fN.  The estimate's
+        # own relative spread is sqrt(6/(4m)) ~ 1% (|x|^2 is chi^2_3,
+        # kurtosis 7), so 5% is 5 of its standard deviations.
         expected = v * math.sqrt(2.0 / (3 * m)) / n_atoms
-        assert w.xi2_stderr == pytest.approx(expected, rel=0.3)
+        assert w.xi2_stderr == pytest.approx(expected, rel=0.05)
         # xi2 ~ 1.9 here: no squeezing, so no detection significance.
         assert w.significance_sigmas == 0.0
-        squeezed = squeezing_parameter(
-            v, 4e6, vectors=vectors, n_resamples=400, rng=np.random.default_rng(0)
-        )
+        squeezed = squeezing_parameter(v, 4e6, vectors=vectors)
         assert squeezed.xi2 < 1.0
         assert squeezed.significance_sigmas > 0.0
 
@@ -338,7 +319,8 @@ class TestSnrModelFit:
             assert b_p == pytest.approx(b, rel=1e-13, abs=0)
 
     # (n_atoms_mean, v_cond_tilde, xi2_stderr) of the ten report bins of
-    # the published operating point (config {}, seed 1).
+    # the published operating point (config {}, seed 1), with the stderrs
+    # of the 1000-resample bootstrap that preceded the delta method.
     PUBLISHED_BINS = (
         (256343.08235620422, 328242.4306467618, 0.23279448058748803),
         (311069.264200457, 436423.5100766383, 0.22234909009336282),
@@ -397,7 +379,7 @@ class TestResolveV0:
         se = expected * math.sqrt(2.0 / (3 * 3000))
         assert abs(v0 - expected) < 4 * se
         # The first round's read-out variance, as the analysis reports it.
-        result = analyze_dataset(table, options=AnalysisOptions(n_resamples=2))
+        result = analyze_dataset(table, options=AnalysisOptions())
         assert result.v0 == v0
         assert abs(result.reference_v1_tilde + result.v0 - expected) < 4 * se
         assert n_reference == result.n_reference == 3000
@@ -406,7 +388,7 @@ class TestResolveV0:
         probe = ProbeConfig(readout_noise_override=0.0)
         cfg = SequenceConfig(field=field, probe=probe)
         table = shot_table(*simulate_shots(cfg, 0.0, 10, np.random.default_rng(9)), 0.0, True)
-        result = analyze_dataset(table, options=AnalysisOptions(n_resamples=2))
+        result = analyze_dataset(table, options=AnalysisOptions())
         assert result.v0 == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_references(self, seq_ideal):
@@ -418,13 +400,13 @@ class TestResolveV0:
 class TestAnalyzeDataset:
     def test_conditional_path_matches_kalman(self, probe_ideal):
         table, _ = synthetic_campaign(probe_ideal, seed=21)
-        options = AnalysisOptions(n_bins=6, n_resamples=120)
+        options = AnalysisOptions(n_bins=6)
         result = analyze_dataset(table, probe=probe_ideal, options=options)
         assert result.bins
         for b in result.bins:
             n = b.report.n_atoms_mean
             predicted = 2.0 / (1.0 + snr(probe_ideal, n))
-            # Bins hold ~120 shots; gate on the bootstrapped stderr.
+            # Bins hold ~120 shots; gate on the witness stderr.
             tol = 4 * b.witness.xi2_stderr + 0.05 * predicted
             assert b.witness.xi2 == pytest.approx(predicted, abs=tol)
             assert b.report.v_cond_tilde <= b.report.v2_tilde
@@ -432,7 +414,7 @@ class TestAnalyzeDataset:
     def test_reference_only_dataset(self, seq_ideal):
         f1, f2 = simulate_shots(seq_ideal, 0.0, 400, np.random.default_rng(22))
         table = shot_table(f1, f2, 0.0, is_reference=True)
-        result = analyze_dataset(table, options=AnalysisOptions(n_resamples=50))
+        result = analyze_dataset(table, options=AnalysisOptions())
         assert result.bins == []
         assert abs(result.reference_v1_tilde) < 0.2 * result.v0
 
@@ -451,7 +433,7 @@ class TestAnalyzeDataset:
             np.append(n_atoms, np.zeros(10)),
             np.arange(70) >= 60,
         )
-        options = AnalysisOptions(n_bins=4, min_bin_shots=20, n_resamples=50)
+        options = AnalysisOptions(n_bins=4, min_bin_shots=20)
         result = analyze_dataset(table, options=options)
         assert result.bins == []
         assert len(result.skipped_bins) == 4
@@ -459,7 +441,7 @@ class TestAnalyzeDataset:
 
     def test_report_schema(self, probe_ideal, tmp_path):
         table, _ = synthetic_campaign(probe_ideal, seed=24, n_cycles=40)
-        options = AnalysisOptions(n_bins=5, n_resamples=80)
+        options = AnalysisOptions(n_bins=5)
         result = analyze_dataset(table, probe=probe_ideal, options=options)
         payload = report_dict(result)
         assert set(payload) >= {"v0", "bins", "fits", "skipped_bins"}
@@ -488,9 +470,23 @@ class TestAnalyzeDataset:
         header = csv_path.read_text().splitlines()[0]
         assert header == "n_atoms,v1_tilde,v2_tilde,v_cond_tilde"
 
+    def test_selected_stderr_reported(self, probe_ideal):
+        # C = 2 leaves the two lowest of five bins under min_bin_shots.
+        table, _ = synthetic_campaign(probe_ideal, seed=24, n_cycles=40)
+        result = analyze_dataset(table, options=AnalysisOptions(n_bins=5, cutoff=2.0))
+        entries = report_dict(result)["bins"]
+        has_selection = [e["xi2_selected"] is not None for e in entries]
+        assert any(has_selection) and not all(has_selection)
+        for entry in entries:
+            stderr = entry["xi2_selected_stderr"]
+            if entry["xi2_selected"] is None:
+                assert stderr is None
+            else:
+                assert math.isfinite(stderr) and stderr > 0
+
     def test_fits_present_and_sane(self, probe_ideal):
         table, _ = synthetic_campaign(probe_ideal, seed=25, n_cycles=150)
-        options = AnalysisOptions(n_bins=8, n_resamples=100)
+        options = AnalysisOptions(n_bins=8)
         result = analyze_dataset(table, probe=probe_ideal, options=options)
         fit1 = result.fits["unconditional_1"]
         assert fit1 is not None
@@ -504,22 +500,16 @@ class TestAnalyzeDataset:
 
     def test_analytic_v0(self, probe_ideal):
         table, _ = synthetic_campaign(probe_ideal, seed=26, n_cycles=30)
-        options = AnalysisOptions(n_bins=4, n_resamples=50, use_analytic_v0=True)
+        options = AnalysisOptions(n_bins=4, use_analytic_v0=True)
         result = analyze_dataset(table, probe=probe_ideal, options=options)
         assert result.v0 == pytest.approx(3 * readout_noise_sigma(probe_ideal) ** 2)
 
     def test_deterministic(self, probe_ideal):
         table, _ = synthetic_campaign(probe_ideal, seed=27, n_cycles=30)
-        options = AnalysisOptions(n_bins=4, n_resamples=60)
+        options = AnalysisOptions(n_bins=4)
         r1 = analyze_dataset(table, probe=probe_ideal, options=options)
         r2 = analyze_dataset(table, probe=probe_ideal, options=options)
         assert report_dict(r1) == report_dict(r2)
-        # The seed drives the bootstrap only: the witnesses stay, the stderrs move.
-        r3 = analyze_dataset(table, probe=probe_ideal, options=replace(options, seed=1))
-        assert [b.witness.xi2 for b in r3.bins] == [b.witness.xi2 for b in r1.bins]
-        assert all(
-            b3.witness.xi2_stderr != b1.witness.xi2_stderr for b1, b3 in zip(r1.bins, r3.bins)
-        )
 
     @pytest.mark.parametrize("s, rtol", [(2.0, 0.0), (3.0, 1e-12)])
     def test_witness_scale_invariant(self, probe_ideal, s, rtol):
@@ -530,14 +520,14 @@ class TestAnalyzeDataset:
         table, _ = synthetic_campaign(probe_ideal, seed=30, n_cycles=60)
         scaled = shot_table(table.f1 * s, table.f2 * s, table.n_atoms * s**2, table.is_reference)
         # C = 3 leaves every bin enough selected shots for its own witness.
-        options = AnalysisOptions(n_bins=4, n_resamples=200, cutoff=3.0)
+        options = AnalysisOptions(n_bins=4, cutoff=3.0)
         want = report_dict(analyze_dataset(table, options=options))["bins"]
         got = report_dict(analyze_dataset(scaled, options=options))["bins"]
         assert len(got) == len(want) == 4
         for g, w in zip(got, want):
             assert w["xi2_selected"] is not None
             assert g["n_selected"] == w["n_selected"]
-            for key in ("xi2", "xi2_stderr", "xi2_selected"):
+            for key in ("xi2", "xi2_stderr", "xi2_selected", "xi2_selected_stderr"):
                 assert g[key] == pytest.approx(w[key], rel=rtol, abs=0), key
 
 
@@ -545,18 +535,14 @@ class TestCutoffScan:
     def test_row_grid(self, probe_ideal):
         table, _ = synthetic_campaign(probe_ideal, seed=28, n_cycles=30)
         cutoffs = [0.25 * k for k in range(1, 13)]
-        rows = cutoff_scan(
-            table, cutoffs, probe_ideal, AnalysisOptions(n_resamples=50)
-        )
+        rows = cutoff_scan(table, cutoffs, probe_ideal, AnalysisOptions())
         assert len(rows) == 12
         assert [r["C"] for r in rows] == pytest.approx(cutoffs)
         assert all(r["n_selected"] >= 0 for r in rows)
 
     def test_selected_counts_monotone(self, probe_ideal):
         table, _ = synthetic_campaign(probe_ideal, seed=29, n_cycles=30)
-        rows = cutoff_scan(
-            table, [0.5, 1.0, 2.0, 4.0], probe_ideal, AnalysisOptions(n_resamples=50)
-        )
+        rows = cutoff_scan(table, [0.5, 1.0, 2.0, 4.0], probe_ideal, AnalysisOptions())
         counts = [r["n_selected"] for r in rows]
         assert counts == sorted(counts)
 
@@ -564,7 +550,7 @@ class TestCutoffScan:
         # The published config at 20 cycles: the smallest cutoffs select
         # 0 or 1 shot, too few for a witness but still counted.
         table, _ = synthetic_campaign(probe_paper, n_cycles=20)
-        options = AnalysisOptions(n_resamples=50)
+        options = AnalysisOptions()
         cutoffs = [0.05, 0.1, 0.15, 0.2, 0.25]
         rows = cutoff_scan(table, cutoffs, probe_paper, options)
         counts = [len(select_shots(table, c, n_bins=options.n_bins)) for c in cutoffs]

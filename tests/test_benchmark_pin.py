@@ -1,16 +1,29 @@
-"""The functions the benchmark's span tracer wraps by name must exist.
+"""What the benchmark relies on must stay in the package.
 
 ``perfbench/spans.py`` looks each ``TRACED`` key up with a plain
 ``getattr`` on ``singletsim.<layer>``, so deleting or renaming one of
-those functions breaks the benchmark's trace mode.  The file is parsed,
-not imported, so the test leaves the benchmark directory untouched.
+those functions breaks the benchmark's trace mode; that file is parsed,
+not imported.  ``perfbench/workloads.py`` holds each workload's config,
+so a config key it sets must stay in the schema; it is imported with
+bytecode writing off, so the benchmark directory stays untouched.
+Finally ``analysis.py`` makes no random draws: its witness stderrs are
+delta-method, so every analysis output depends on the data alone.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+from singletsim import config_from_dict
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+ANALYSIS = ROOT / "src" / "singletsim" / "analysis.py"
 
 
 def traced_names() -> list[str]:
@@ -32,3 +45,37 @@ def test_traced_functions_resolve():
         if not callable(getattr(module, attr, None)):
             missing.append(name)
     assert missing == [], f"perfbench/spans.py TRACED names missing: {missing}"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules.
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_workload_configs_load(tiny):
+    workloads = load_workloads()
+    assert workloads.NAMES
+    for name in workloads.NAMES:
+        config = workloads.build(name, tiny=tiny).config
+        config_from_dict({**config, "seed": 1})
+
+
+def test_analysis_draws_no_random_numbers():
+    banned = {"default_rng", "SeedSequence", "integers"}
+    found = []
+    for node in ast.walk(ast.parse(ANALYSIS.read_text())):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in banned:
+                found.append((node.lineno, name))
+    assert found == []

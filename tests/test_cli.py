@@ -246,7 +246,7 @@ def tiny_dataset(tmp_path_factory):
         ("analysis", "n_resamples", 2.5),
         ("analysis", "min_bin_shots", 2.5),
         ("analysis", "use_analytic_v0", 1),
-        ("analysis", "seed", -3),
+        ("analysis", "f", 0.7),
         ("probe", "light_backaction", "no"),
         ("sequence", "intra_pulse_rotation", "false"),
         ("probe", "readout_noise_override", True),
@@ -424,7 +424,8 @@ class TestAnalyze:
         import singletsim.analysis as analysis_mod
 
         def inflated(g1, g2, g12, *args, **kwargs):
-            return analysis_mod.ConditionalCovariance(2.0 * np.asarray(g2), False)
+            gain = np.zeros((3, 3))
+            return analysis_mod.ConditionalCovariance(2.0 * np.asarray(g2), gain, False)
 
         monkeypatch.setattr(analysis_mod, "conditional_covariance", inflated)
         shots, cfg_path = dataset
@@ -625,6 +626,7 @@ INPUT_FILES = {
         ("fidfit", "field", "gyromagnetic_ratio", math.inf),
         ("calibrate", "analysis", "f", math.nan),
         ("calibrate", "analysis", "f", 0),
+        ("calibrate", "analysis", "f", 0.7),
     ],
     ids=[
         "fidfit---g1-0",
@@ -634,6 +636,7 @@ INPUT_FILES = {
         "fidfit---gamma-inf",
         "calibrate---f-nan",
         "calibrate---f-0",
+        "calibrate---f-0.7",
     ],
 )
 def test_bad_option_value_exit_code(tmp_path, capsys, command, section, key, value):

@@ -52,7 +52,6 @@ NON_DEFAULT = {
         "cutoff": 1.5,
         "mean_mode": "global",
         "n_resamples": 50,
-        "seed": 7,
         "use_analytic_v0": True,
         "f": 1.5,
     },
@@ -83,7 +82,7 @@ class TestRoundTrip:
         assert json.loads(json.dumps(resolved)) == resolved
 
     def test_settable_value_count(self):
-        assert 1 + sum(len(keys) for keys in SCHEMA.values()) == 28
+        assert 1 + sum(len(keys) for keys in SCHEMA.values()) == 27
 
     def test_removed_keys_are_unknown(self):
         # Old provenance files holding them are refused, not half-read.
@@ -92,6 +91,7 @@ class TestRoundTrip:
             ({"probe": {"g2": -4.1e-9}}, "probe.g2: unknown key"),
             ({"sequence": {"n_pulses": 6}}, "sequence.n_pulses: unknown key"),
             ({"sequence": {"pulses_per_period": 3}}, "pulses_per_period: unknown key"),
+            ({"analysis": {"seed": 0}}, "analysis.seed: unknown key"),
         ]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 config_from_dict({"kind": "provenance", "config": payload})
