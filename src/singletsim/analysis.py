@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EstimationError, FitError, InvariantError
-from .fileio import write_json
+from .fileio import write_csv, write_json
 from .probe import ProbeConfig, readout_noise_sigma, snr
 from .sequence import ShotTable
 from .spins import ALLOWED_F
@@ -95,55 +94,44 @@ def conditional_covariance(g1, g2, g12, rcond: float = PINV_RCOND) -> Conditiona
 
 
 def _quantile_bins(n_atoms: np.ndarray, n_bins: int) -> list[np.ndarray]:
-    """Index masks for equal-population bins over the atom-number range."""
-    edges = np.quantile(n_atoms, np.linspace(0.0, 1.0, n_bins + 1))
-    edges = np.unique(edges)
+    """Index masks for equal-population bins over the atom-number range.
+
+    No shots, or one atom number only, give one bin of every shot.
+    """
+    levels = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.unique(np.quantile(n_atoms, levels) if len(n_atoms) else [])
     if len(edges) < 2:
         return [np.arange(len(n_atoms))]
     idx = np.searchsorted(edges[1:-1], n_atoms, side="right")
     return [np.flatnonzero(idx == k) for k in range(len(edges) - 1)]
 
 
-def _centering_groups(n_atoms: np.ndarray, mean_mode: str, n_bins: int) -> list[np.ndarray]:
-    """Shot groups whose own f1 mean centres the selection ball.
-
-    The atom-number bins (``"per_bin"``) or all shots as one group
-    (``"global"``).
-    """
-    if mean_mode not in ("per_bin", "global"):
-        raise ValueError("mean_mode must be 'per_bin' or 'global'")
-    if mean_mode == "per_bin" and len(n_atoms):
-        return _quantile_bins(n_atoms, n_bins)
-    return [np.arange(len(n_atoms))]
-
-
-def _selection_masks(f1, n_atoms, cutoffs, groups) -> np.ndarray:
+def _selection_masks(f1, n_atoms, cutoffs, bins) -> np.ndarray:
     """One row per cutoff C: |f1 - <f1>|^2 < C * n_atoms for each atom shot.
 
-    Each shot is centred on the f1 mean of its group in ``groups``.
+    Each shot is centred on the f1 mean of its atom-number bin in ``bins``.
     """
     cutoffs = np.asarray(cutoffs, dtype=float)
     if np.any(cutoffs <= 0):
         raise ValueError("cutoff must be positive")
     dist2 = np.empty(len(f1))
-    for idx in groups:
+    for idx in bins:
         if len(idx):
             dist2[idx] = np.sum((f1[idx] - f1[idx].mean(axis=0)) ** 2, axis=1)
     return dist2 < cutoffs[:, None] * n_atoms
 
 
-def select_shots(
-    table: ShotTable, cutoff: float, *, mean_mode: str = "per_bin", n_bins: int = 10
-) -> ShotTable:
+def select_shots(table: ShotTable, cutoff: float, *, n_bins: int = 10) -> ShotTable:
     """Shots whose first measurement lies near the ensemble mean.
 
     Keeps non-reference shots with |f1 - <f1>|^2 < cutoff * n_atoms and
-    returns them as a table in input order.  The centering mean is taken
-    per atom-number bin by default, or globally with ``mean_mode="global"``.
+    returns them as a table in input order.  <f1> is the mean of the
+    shot's own atom-number bin, one of ``n_bins``; ``n_bins=1`` centres
+    every shot on the global mean.
     """
     atoms = table.atoms
-    groups = _centering_groups(atoms.n_atoms, mean_mode, n_bins)
-    return atoms[_selection_masks(atoms.f1, atoms.n_atoms, [cutoff], groups)[0]]
+    bins = _quantile_bins(atoms.n_atoms, n_bins)
+    return atoms[_selection_masks(atoms.f1, atoms.n_atoms, [cutoff], bins)[0]]
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,7 @@ def squeezing_parameter(
     When the m measurement ``vectors`` behind v_tilde are supplied, the
     standard error is the delta-method std(|x - x_bar|^2, ddof=1) /
     sqrt(m) / (f * n_atoms).  For m = 2 both |x - x_bar|^2 are equal,
-    so it is 0 up to rounding.  Without vectors the stderr is 0.
+    so it is 0, as it is without vectors.
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
@@ -180,7 +168,8 @@ def squeezing_parameter(
         if x.ndim != 2 or x.shape[0] < 2:
             raise EstimationError("need at least 2 vectors for a standard error")
         sq = np.sum((x - x.mean(axis=0)) ** 2, axis=1)
-        stderr = float(np.std(sq, ddof=1)) / math.sqrt(len(sq)) / (f * n_atoms)
+        if len(sq) > 2:
+            stderr = float(np.std(sq, ddof=1)) / math.sqrt(len(sq)) / (f * n_atoms)
     bound = max(0.0, (1.0 - xi2) * n_atoms)
     sig = (1.0 - xi2) / stderr if (xi2 < 1.0 and stderr > 0.0) else 0.0
     return WitnessResult(xi2, stderr, bound, sig, v_tilde < 0.0)
@@ -282,7 +271,7 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
         residuals, x0=[1.0], jac=jacobian, method="lm", xtol=1e-14, ftol=1e-15
     )
     if not result.success:
-        raise FitError(f"SNR-model fit did not converge: {result.message}; {result}")
+        raise FitError(f"SNR-model fit did not converge: {result.message}")
     jtj = result.jac.T @ result.jac
     dof = len(v) - 1
     sigma2 = 2.0 * result.cost / dof if dof > 0 else 0.0
@@ -334,14 +323,11 @@ class AnalysisOptions:
     n_bins: int = 10
     min_bin_shots: int = 25
     cutoff: float = 0.75
-    mean_mode: str = "per_bin"
     n_resamples: int = 1000  # ignored (stderrs are delta-method); configs that set it still load
     use_analytic_v0: bool = False
     f: float = 1.0
 
     def __post_init__(self):
-        if self.mean_mode not in ("per_bin", "global"):
-            raise ValueError("mean_mode must be 'per_bin' or 'global'")
         for name, low in (("n_bins", 1), ("min_bin_shots", 2), ("n_resamples", 2)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -431,6 +417,14 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mas
     return BinAnalysis(report, witness, selection, n_selected)
 
 
+def _try_fit(fit, *args, **kwargs) -> FitResult | FitError:
+    """``fit(*args, **kwargs)``, or the ``FitError`` it raised."""
+    try:
+        return fit(*args, **kwargs)
+    except FitError as exc:
+        return exc
+
+
 def analyze_dataset(
     table: ShotTable,
     probe: ProbeConfig | None = None,
@@ -441,9 +435,10 @@ def analyze_dataset(
     Each bin gets the covariance blocks of (f1, f2), the conditional
     (Schur-complement) covariance, read-out-subtracted total variances,
     the conditional-path witness, and the selection-path witness at the
-    configured cutoff (centred as ``options.mean_mode`` says).
-    Noise-scaling fits and the SNR-model fit run across bins when
-    enough of them survive.
+    configured cutoff, centred on the bin's own f1 mean.  The three
+    noise-scaling fits and the SNR-model fit run across bins when enough
+    of them survive; each is tried on its own, and one that raises
+    ``FitError`` is kept in ``fits`` as that error.
     """
     options = AnalysisOptions() if options is None else options
     v0, n_ref = resolve_v0(table, probe, options)
@@ -459,8 +454,7 @@ def analyze_dataset(
     if len(atoms):
         n_at = atoms.n_atoms
         bin_rows = _quantile_bins(n_at, options.n_bins)
-        groups = bin_rows if options.mean_mode == "per_bin" else [np.arange(len(n_at))]
-        selected = _selection_masks(atoms.f1, n_at, [options.cutoff], groups)[0]
+        selected = _selection_masks(atoms.f1, n_at, [options.cutoff], bin_rows)[0]
         for b_idx, idx in enumerate(bin_rows):
             reason = None
             if len(idx) < options.min_bin_shots:
@@ -474,7 +468,7 @@ def analyze_dataset(
                     _analyze_bin(v0, options, b_idx, atoms.f[idx], n_at[idx], selected[idx])
                 )
 
-    fits: dict[str, FitResult | None] = {
+    fits: dict[str, FitResult | FitError | None] = {
         "unconditional_1": None,
         "unconditional_2": None,
         "conditional": None,
@@ -482,26 +476,20 @@ def analyze_dataset(
     }
     if len(bins) >= 4:
         pts_n = [b.report.n_atoms_mean for b in bins]
-        try:
-            fits["unconditional_1"] = fit_noise_scaling(
-                zip(pts_n, [b.report.v1 for b in bins]), fix_linear=True
-            )
-            fits["unconditional_2"] = fit_noise_scaling(
-                zip(pts_n, [b.report.v2 for b in bins]), fix_linear=True
-            )
-            fits["conditional"] = fit_noise_scaling(
-                zip(pts_n, [b.report.v_cond for b in bins]), fix_linear=False
-            )
-        except FitError:
-            pass
+        for key, attr, fix_linear in (
+            ("unconditional_1", "v1", True),
+            ("unconditional_2", "v2", True),
+            ("conditional", "v_cond", False),
+        ):
+            v = [getattr(b.report, attr) for b in bins]
+            fits[key] = _try_fit(fit_noise_scaling, zip(pts_n, v), fix_linear=fix_linear)
         if probe is not None:
             sig = [
                 b.witness.xi2_stderr * options.f * b.report.n_atoms_mean for b in bins
             ]
             if all(s > 0 for s in sig):
-                fits["snr_model"] = fit_snr_model(
-                    zip(pts_n, [b.report.v_cond_tilde for b in bins]), probe, sigma=sig
-                )
+                v = [b.report.v_cond_tilde for b in bins]
+                fits["snr_model"] = _try_fit(fit_snr_model, zip(pts_n, v), probe, sigma=sig)
 
     return AnalysisResult(v0, n_ref, bins, fits, skipped, reference_v1_tilde, options)
 
@@ -516,17 +504,17 @@ def cutoff_scan(
 
     Returns one row per cutoff with keys C, xi2, xi2_stderr, n_selected;
     the witness is evaluated on the second measurement of the selected
-    shots, pooled across atom-number bins.  Where fewer than 2 shots are
-    selected, xi2 and xi2_stderr are nan; where exactly 2 are, the
-    stderr is 0 up to rounding (see ``squeezing_parameter``).
+    shots, each centred on its atom-number bin's f1 mean and then pooled
+    across bins.  Where fewer than 2 shots are selected, xi2 and
+    xi2_stderr are nan; where exactly 2 are, the stderr is 0 (see
+    ``squeezing_parameter``).
     """
     options = AnalysisOptions() if options is None else options
     v0, _ = resolve_v0(table, probe, options)
     cutoffs = list(cutoffs)
     atoms = table.atoms
     f2, n = atoms.f2, atoms.n_atoms
-    groups = _centering_groups(n, options.mean_mode, options.n_bins)
-    masks = _selection_masks(atoms.f1, n, cutoffs, groups)
+    masks = _selection_masks(atoms.f1, n, cutoffs, _quantile_bins(n, options.n_bins))
     rows = []
     for c, mask in zip(map(float, cutoffs), masks):
         n_selected = int(mask.sum())
@@ -542,9 +530,11 @@ def cutoff_scan(
 # report emission
 
 
-def _fit_to_dict(fit: FitResult | None):
+def _fit_to_dict(fit: FitResult | FitError | None):
     if fit is None:
         return None
+    if isinstance(fit, FitError):
+        return {"error": str(fit)}
     return {
         "params": fit.params,
         "stderrs": fit.stderrs,
@@ -588,18 +578,12 @@ def write_report(path, result: AnalysisResult) -> None:
 
 def write_cutoff_scan_csv(path, rows) -> None:
     """Cutoff-scan table: columns C, xi2, xi2_stderr, n_selected."""
-    lines = ["C,xi2,xi2_stderr,n_selected"]
-    for r in rows:
-        lines.append(
-            f"{r['C']!r},{r['xi2']!r},{r['xi2_stderr']!r},{r['n_selected']}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = ("C", "xi2", "xi2_stderr", "n_selected")
+    write_csv(path, columns, ([r[c] for c in columns] for r in rows))
 
 
 def write_noise_scaling_csv(path, result: AnalysisResult) -> None:
     """Noise-scaling table: columns n_atoms, v1_tilde, v2_tilde, v_cond_tilde."""
-    lines = ["n_atoms,v1_tilde,v2_tilde,v_cond_tilde"]
-    for b in result.bins:
-        r = b.report
-        lines.append(f"{r.n_atoms_mean!r},{r.v1_tilde!r},{r.v2_tilde!r},{r.v_cond_tilde!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    reports = [b.report for b in result.bins]
+    rows = [(r.n_atoms_mean, r.v1_tilde, r.v2_tilde, r.v_cond_tilde) for r in reports]
+    write_csv(path, ("n_atoms", "v1_tilde", "v2_tilde", "v_cond_tilde"), rows)

@@ -18,15 +18,14 @@ checked against the field's annotation:
 - ``int`` takes an integer, never a bool or a float such as ``2.0``;
 - ``float`` takes a finite number, never a bool; ``float | None`` also
   takes ``null``;
-- ``np.ndarray`` takes nested lists of finite numbers, never bools;
-- ``str`` takes a string.
+- ``np.ndarray`` takes nested lists of finite numbers, never bools.
 
 Unknown keys and badly typed values raise ``ConfigError`` naming
 ``section.key``; range checks are the dataclasses' own.  A provenance
 file that still holds a key since removed from the schema
 (``constants``, ``probe.g2``, ``sequence.n_pulses``,
-``sequence.pulses_per_period``) is rejected with ``unknown key`` like
-any other.
+``sequence.pulses_per_period``, ``analysis.seed``, ``analysis.mean_mode``)
+is rejected with ``unknown key`` like any other.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ _TYPE_RULES = {
     float: (_is_finite, "must be a finite number"),
     float | None: (lambda v: v is None or _is_finite(v), "must be a finite number or null"),
     np.ndarray: (_is_finite_array, "must be a list (of lists) of finite numbers"),
-    str: (lambda v: isinstance(v, str), "must be a string"),
 }
 
 

@@ -1,8 +1,10 @@
-"""The one CSV reader and the one JSON writer behind every command.
+"""The one CSV reader and the CSV and JSON writers behind every command.
 
 Each input file (shot records, FID trace, calibration pairs) is read by
-``read_csv`` with its own per-row parse; each JSON output (provenance,
-report, field estimate, calibration) is written by ``write_json``.
+``read_csv`` with its own per-row parse; each CSV output (shot records,
+noise scaling, cutoff scan) is written by ``write_csv`` and each JSON
+output (provenance, report, field estimate, calibration) by
+``write_json``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,18 @@ def read_csv(path, columns, parse) -> list:
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a ``columns`` header line, then ``rows``, in ``csv.writer``'s default dialect.
+
+    A float is written as its ``repr`` (the shortest string that reads
+    back to the same double), and every line ends in CRLF.
+    """
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_json(path, payload) -> None:

@@ -40,15 +40,13 @@ later stage (CSV output and input, analysis) works on.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import read_csv
+from .fileio import read_csv, write_csv
 from .probe import ProbeConfig, backaction_sigma, readout_noise_sigma
 from .spins import (
     PSD_RTOL,
@@ -406,21 +404,16 @@ def run_campaign(campaign: CampaignConfig, seq_cfg: SequenceConfig) -> ShotTable
 def write_dataset(path, table: ShotTable) -> None:
     """Write a shot table as CSV with the fixed column schema.
 
-    Floats are written as their ``repr`` (the shortest string that reads
-    back to the same double), one row per shot in table order.
+    One row per shot in table order, through ``fileio.write_csv``.
     """
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_COLUMNS)
-        writer.writerows(
-            zip(
-                table.cycle_id.tolist(),
-                table.seq_index.tolist(),
-                table.is_reference.astype(int).tolist(),
-                table.n_atoms.tolist(),
-                *table.f.T.tolist(),
-            )
-        )
+    rows = zip(
+        table.cycle_id.tolist(),
+        table.seq_index.tolist(),
+        table.is_reference.astype(int).tolist(),
+        table.n_atoms.tolist(),
+        *table.f.T.tolist(),
+    )
+    write_csv(path, DATASET_COLUMNS, rows)
 
 
 _REFERENCE_TOKENS = {

@@ -174,7 +174,7 @@ class TestSelectShots:
     def test_ball_semantics_global(self):
         table = self._make(np.random.default_rng(10))
         cutoff = 0.75
-        selected = select_shots(table, cutoff, mean_mode="global").seq_index.tolist()
+        selected = select_shots(table, cutoff, n_bins=1).seq_index.tolist()
         f1 = table.f1
         center = f1.mean(axis=0)
         inside = [

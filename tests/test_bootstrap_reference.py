@@ -156,11 +156,14 @@ def test_squeezing_parameter_matches_loop():
 
 
 def test_two_vectors_have_zero_stderr():
-    # Both |x - x_bar|^2 of two vectors are equal, so the delta stderr
-    # vanishes up to rounding.
-    vectors = np.array([[1000.0, -250.0, 31.0], [-400.0, 725.0, 9.0]])
-    w = squeezing_parameter(1.0, 1e6, vectors=vectors)
-    assert w.xi2_stderr == pytest.approx(0.0, abs=1e-15 * np.sum(vectors**2) / 1e6)
+    # Both |x - x_bar|^2 of two vectors are equal, so the delta stderr is
+    # exactly 0, never a rounding residue that would read as a huge
+    # significance.
+    for seed in range(1, 9):
+        vectors = np.random.default_rng(seed).standard_normal((2, 3))
+        w = squeezing_parameter(1e5, 1e6, vectors=vectors)
+        assert w.xi2_stderr == 0.0, seed
+        assert w.significance_sigmas == 0.0, seed
 
 
 def test_cutoff_scan_matches_loop(table):
@@ -180,9 +183,10 @@ def test_cutoff_scan_matches_loop(table):
         assert_agrees(row["xi2_stderr"], boot)
 
 
-def test_global_mean_mode_reaches_bins():
+def test_per_bin_selection_reaches_bins():
     # Two atom-number bins whose f1 means sit at -/+ 0.8 sqrt(N) along z:
-    # centring on each bin's mean and on the global mean select differently.
+    # centring on each bin's mean and on the global mean select differently,
+    # and each bin's selection count is its share of the per-bin selection.
     rng = np.random.default_rng(17)
     n = rng.uniform(5e5, 1.5e6, 400)
     f1 = rng.standard_normal((400, 3)) * np.sqrt(2.0 * n / 3.0)[:, None]
@@ -195,11 +199,14 @@ def test_global_mean_mode_reaches_bins():
         np.append(n, np.zeros(20)),
         np.arange(420) >= 400,
     )
-    options = AnalysisOptions(n_bins=2, mean_mode="global", cutoff=1.0)
+    options = AnalysisOptions(n_bins=2, cutoff=1.0)
     result = analyze_dataset(table, options=options)
-    selected = set(select_shots(table, 1.0, mean_mode="global", n_bins=2).seq_index.tolist())
     groups = _quantile_bins(n, options.n_bins)
-    shares = [sum(i in selected for i in idx) for idx in groups]
-    assert [b.n_selected for b in result.bins] == shares
-    per_bin = analyze_dataset(table, options=AnalysisOptions(n_bins=2))
-    assert [b.n_selected for b in per_bin.bins] != shares
+
+    def shares(selection):
+        selected = set(selection.seq_index.tolist())
+        return [sum(i in selected for i in idx) for idx in groups]
+
+    per_bin = shares(select_shots(table, 1.0, n_bins=options.n_bins))
+    assert [b.n_selected for b in result.bins] == per_bin
+    assert shares(select_shots(table, 1.0, n_bins=1)) != per_bin

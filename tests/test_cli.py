@@ -726,3 +726,65 @@ def test_bad_input_file_exit_code(tmp_path, capsys, command, case):
     assert main([command, str(path), "--out", str(out)]) == 3
     assert not out.exists()
     assert f"data error: {expected}" in capsys.readouterr().err
+
+
+FIT_CAMPAIGN = {
+    "seed": 3,
+    "campaign": {"n_cycles": 20},
+    "analysis": {"n_bins": 4, "min_bin_shots": 5},
+}
+FIT_KEYS = ("unconditional_1", "unconditional_2", "conditional", "snr_model")
+
+
+@pytest.fixture(scope="module")
+def fit_dataset(tmp_path_factory):
+    """A dataset with four bins, on which all four fits succeed."""
+    out = tmp_path_factory.mktemp("fits")
+    cfg_path = write_config(out, FIT_CAMPAIGN)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out / "run")]) == 0
+    return out / "run" / "shots.csv", cfg_path
+
+
+@pytest.mark.parametrize("failing", FIT_KEYS)
+def test_failed_fit_is_reported(fit_dataset, tmp_path, monkeypatch, failing):
+    # The fits run in FIT_KEYS order; a FitError in one of them is written
+    # under its key and the other fits and outputs stand.
+    import singletsim.analysis as analysis_mod
+    from singletsim import FitError
+
+    calls = []
+
+    def failing_on(fit):
+        def wrapped(*args, **kwargs):
+            calls.append(fit)
+            if FIT_KEYS[len(calls) - 1] == failing:
+                raise FitError("forced failure")
+            return fit(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("fit_noise_scaling", "fit_snr_model"):
+        monkeypatch.setattr(analysis_mod, name, failing_on(getattr(analysis_mod, name)))
+    shots, cfg_path = fit_dataset
+    out = tmp_path / "an"
+    assert main(["analyze", str(shots), "--out", str(out), "--config", str(cfg_path)]) == 0
+    assert len(calls) == 4
+    fits = json.loads((out / "report.json").read_text())["fits"]
+    assert fits[failing] == {"error": "forced failure"}
+    for key in FIT_KEYS:
+        if key != failing:
+            assert set(fits[key]) == {"params", "stderrs", "residual_norm", "model_tag"}, key
+    assert (out / "noise_scaling.csv").is_file()
+
+
+def test_csv_outputs_share_one_dialect(fit_dataset, tmp_path):
+    # Every CSV output is written by fileio.write_csv: csv.writer's
+    # default dialect, every line ending in \r\n.
+    shots, cfg_path = fit_dataset
+    out = tmp_path / "an"
+    argv = ["analyze", str(shots), "--out", str(out), "--config", str(cfg_path)]
+    assert main([*argv, "--cutoff-scan", "0.25:3.0:0.25"]) == 0
+    for path in (shots, out / "noise_scaling.csv", out / "cutoff_scan.csv"):
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n"), path.name
+        assert data.count(b"\n") == data.count(b"\r\n") > 1, path.name

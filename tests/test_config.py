@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singletsim import ConfigError
-from singletsim.config import SCHEMA, SECTIONS, config_from_dict, config_to_dict
+from singletsim.config import (
+    _TYPE_RULES,
+    SCHEMA,
+    SECTIONS,
+    config_from_dict,
+    config_to_dict,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,7 +56,6 @@ NON_DEFAULT = {
         "n_bins": 4,
         "min_bin_shots": 5,
         "cutoff": 1.5,
-        "mean_mode": "global",
         "n_resamples": 50,
         "use_analytic_v0": True,
         "f": 1.5,
@@ -82,7 +87,12 @@ class TestRoundTrip:
         assert json.loads(json.dumps(resolved)) == resolved
 
     def test_settable_value_count(self):
-        assert 1 + sum(len(keys) for keys in SCHEMA.values()) == 27
+        assert 1 + sum(len(keys) for keys in SCHEMA.values()) == 26
+
+    def test_every_type_rule_is_used(self):
+        # A rule no annotation asks for is dead code.
+        assert set(_TYPE_RULES) == {h for keys in SCHEMA.values() for h in keys.values()}
+        assert len(_TYPE_RULES) == 5
 
     def test_removed_keys_are_unknown(self):
         # Old provenance files holding them are refused, not half-read.
@@ -92,6 +102,7 @@ class TestRoundTrip:
             ({"sequence": {"n_pulses": 6}}, "sequence.n_pulses: unknown key"),
             ({"sequence": {"pulses_per_period": 3}}, "pulses_per_period: unknown key"),
             ({"analysis": {"seed": 0}}, "analysis.seed: unknown key"),
+            ({"analysis": {"mean_mode": "per_bin"}}, "analysis.mean_mode: unknown key"),
         ]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 config_from_dict({"kind": "provenance", "config": payload})
@@ -132,12 +143,8 @@ def wrong_kind(hint, default):
     if hint is float or hint == (float | None):
         wrong = [st.booleans(), NON_FINITE, st.text(), scalar_list]
         return st.one_of(*wrong, *([st.none()] if hint is float else []))
-    if hint is np.ndarray:
-        return st.one_of(
-            st.floats(), st.booleans(), st.text(), st.none(), with_bad_entry(default)
-        )
-    assert hint is str, hint
-    return st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), scalar_list)
+    assert hint is np.ndarray, hint
+    return st.one_of(st.floats(), st.booleans(), st.text(), st.none(), with_bad_entry(default))
 
 
 @pytest.mark.parametrize(
