@@ -41,12 +41,13 @@ from .errors import (
     InvariantError,
     SchemaError,
 )
-from .fileio import read_csv, write_json
+from .fileio import read_table, write_json
 from .magnetometry import fit_fid, read_fid_csv, write_estimate_json
 from .probe import calibrate_g1
 from .sequence import read_dataset, run_campaign, write_dataset
 
 CALIBRATION_COLUMNS = ("phi_rad", "n_atoms")
+_CALIBRATION_DTYPE = np.dtype([(name, float) for name in CALIBRATION_COLUMNS])
 
 
 def _config(args) -> RunConfig:
@@ -162,9 +163,19 @@ def _calibration_pair(row, line) -> tuple[float, float]:
     return pair
 
 
+def _calibration_pairs_valid(rows) -> bool:
+    return bool(all(np.all(np.isfinite(rows[name])) for name in CALIBRATION_COLUMNS))
+
+
+def _read_pairs(path) -> np.ndarray:
+    """The (phi_rad, n_atoms) rows of a calibration CSV as an (n, 2) array."""
+    rows = read_table(path, _CALIBRATION_DTYPE, _calibration_pair, _calibration_pairs_valid)
+    return np.column_stack([rows[name] for name in CALIBRATION_COLUMNS])
+
+
 def cmd_calibrate(args) -> int:
     cfg = _config(args)
-    pairs = read_csv(args.pairs, CALIBRATION_COLUMNS, _calibration_pair)
+    pairs = _read_pairs(args.pairs)
     slope, stderr = calibrate_g1(pairs, f=cfg.analysis.f)
     payload = {"g1": slope, "g1_stderr": stderr, "n_pairs": len(pairs)}
     write_json(args.out, payload)

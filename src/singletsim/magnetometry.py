@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, FitError
-from .fileio import read_csv, write_json
+from .fileio import read_table, write_json
 from .spins import GYROMAGNETIC_RATIO
 
 PARAM_NAMES = ("bx", "by", "bz", "t2", "f0")
@@ -275,6 +275,35 @@ def fit_fid(
 # file formats
 
 
+# The FID CSV's columns as read; two characters, so a longer branch token
+# cannot be cut down to an accepted one.
+_FID_DTYPE = np.dtype(list(zip(FID_CSV_COLUMNS, (float, float, "U2"))))
+
+
+def _parse_fid_sample(row, line) -> tuple:
+    t_us, theta = float(row[0]), float(row[1])
+    t = t_us * 1e-6
+    if not (math.isfinite(t) and math.isfinite(theta)):
+        raise ValueError("non-finite t_us or theta_rad")
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    branch = row[2].strip()
+    if branch not in ("z", "y"):
+        raise ValueError(f"branch must be 'z' or 'y', got {branch!r}")
+    return t_us, theta, branch
+
+
+def _fid_samples_valid(rows) -> bool:
+    """Whether every row passes ``_parse_fid_sample`` with its branch as read."""
+    t, branch = rows["t_us"] * 1e-6, rows["branch"]
+    return bool(
+        np.all(np.isfinite(t))
+        and np.all(np.isfinite(rows["theta_rad"]))
+        and not np.any(t < 0)
+        and np.all((branch == "z") | (branch == "y"))
+    )
+
+
 def read_fid_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read an FID trace (columns t_us, theta_rad, branch) into (z, y) arrays.
 
@@ -283,22 +312,11 @@ def read_fid_csv(path) -> tuple[np.ndarray, np.ndarray]:
     an unparsable or non-finite number, a negative time or a branch other
     than z or y.
     """
-
-    def parse(row, line):
-        sample = (float(row[0]) * 1e-6, float(row[1]))
-        if not all(map(math.isfinite, sample)):
-            raise ValueError("non-finite t_us or theta_rad")
-        if sample[0] < 0:
-            raise ValueError("t must be non-negative")
-        branch = row[2].strip()
-        if branch not in ("z", "y"):
-            raise ValueError(f"branch must be 'z' or 'y', got {branch!r}")
-        return branch, sample
-
-    rows = read_csv(path, FID_CSV_COLUMNS, parse)
+    rows = read_table(path, _FID_DTYPE, _parse_fid_sample, _fid_samples_valid)
+    t = rows["t_us"] * 1e-6
     return tuple(
-        np.array([s for b, s in rows if b == branch], dtype=float).reshape(-1, 2)
-        for branch in "zy"
+        np.column_stack((t[mask], rows["theta_rad"][mask]))
+        for mask in (rows["branch"] == branch for branch in "zy")
     )
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import read_csv, write_csv
+from .fileio import read_table, write_csv
 from .probe import ProbeConfig, backaction_sigma, readout_noise_sigma
 from .spins import (
     PSD_RTOL,
@@ -416,9 +416,31 @@ def write_dataset(path, table: ShotTable) -> None:
     write_csv(path, DATASET_COLUMNS, rows)
 
 
-_REFERENCE_TOKENS = {
-    "0": False, "1": True, "false": False, "true": True, "False": False, "True": True
-}
+# Each accepted is_reference token, as the token the numpy pass accepts.
+_REFERENCE_TOKENS = {"0": "0", "1": "1", "false": "0", "true": "1", "False": "0", "True": "1"}
+
+# The shot CSV's columns as read; is_reference is read as text.  Two
+# characters, so a longer token cannot be cut down to an accepted one.
+_DATASET_DTYPE = np.dtype(
+    [(name, np.int64) for name in DATASET_COLUMNS[:2]]
+    + [(DATASET_COLUMNS[2], "U2")]
+    + [(name, float) for name in DATASET_COLUMNS[3:]]
+)
+
+
+def _shots_valid(rows) -> bool:
+    """Whether ``read_dataset``'s row parse passes every row, with its token as read."""
+    ref = rows["is_reference"]
+    values = np.column_stack([rows[name] for name in DATASET_COLUMNS[3:]])
+    if not (np.all((ref == "0") | (ref == "1")) and np.all(np.isfinite(values))):
+        return False
+    n_atoms = rows["n_atoms"]
+    if np.any(n_atoms < 0) or np.any(n_atoms[ref == "1"] != 0):
+        return False
+    cycle_id, seq_index = rows["cycle_id"], rows["seq_index"]
+    order = np.lexsort((seq_index, cycle_id))
+    cycle_id, seq_index = cycle_id[order], seq_index[order]
+    return not np.any((cycle_id[1:] == cycle_id[:-1]) & (seq_index[1:] == seq_index[:-1]))
 
 
 def read_dataset(path) -> ShotTable:
@@ -426,7 +448,7 @@ def read_dataset(path) -> ShotTable:
 
     The error names ``path:line``.  ``is_reference`` must be one of 0, 1,
     true, false, True, False; ``cycle_id``/``seq_index`` must fit in 64
-    bits; values must be finite, ``n_atoms``
+    bits (signed); values must be finite, ``n_atoms``
     non-negative (zero on reference rows); and each (cycle_id, seq_index)
     may appear on one line only.
     """
@@ -434,7 +456,7 @@ def read_dataset(path) -> ShotTable:
 
     def parse(row, line):
         key = (int(row[0]), int(row[1]))
-        if max(map(abs, key)) >= 2**63:
+        if not all(-(2**63) <= k < 2**63 for k in key):
             raise ValueError("cycle_id and seq_index must fit in 64 bits")
         ref = _REFERENCE_TOKENS.get(row[2].strip())
         if ref is None:
@@ -446,19 +468,18 @@ def read_dataset(path) -> ShotTable:
             raise ValueError("non-finite n_atoms or readout")
         if shot[0] < 0:
             raise ValueError("negative n_atoms")
-        if ref and shot[0] != 0:
+        if ref == "1" and shot[0] != 0:
             raise ValueError("reference shots must have n_atoms = 0")
         first = line_of.setdefault(key, line)
         if first != line:
             raise ValueError(f"duplicate (cycle_id, seq_index) = {key}, first on line {first}")
-        return [ref, *shot]
+        return (*key, ref, *shot)
 
-    values = np.array(read_csv(path, DATASET_COLUMNS, parse), dtype=float).reshape(-1, 8)
-    keys = np.array(list(line_of), dtype=np.int64).reshape(-1, 2)
+    rows = read_table(path, _DATASET_DTYPE, parse, _shots_valid)
     return ShotTable(
-        cycle_id=keys[:, 0],
-        seq_index=keys[:, 1],
-        is_reference=values[:, 0],
-        n_atoms=values[:, 1],
-        f=values[:, 2:],
+        cycle_id=rows["cycle_id"],
+        seq_index=rows["seq_index"],
+        is_reference=rows["is_reference"] == "1",
+        n_atoms=rows["n_atoms"],
+        f=np.column_stack([rows[name] for name in DATASET_COLUMNS[4:]]),
     )

@@ -381,6 +381,29 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"{bad}:5: duplicate (cycle_id, seq_index) = (0, 1), first on line 3" in err
 
+    @pytest.mark.parametrize("column", ["cycle_id", "seq_index"])
+    @pytest.mark.parametrize("value", [-(2**63), 2**63 - 1, -(2**63) - 1, 2**63])
+    def test_key_range_is_int64(self, dataset, tmp_path, capsys, column, value):
+        # Keys are signed 64-bit: both ends of [-2**63, 2**63) are read,
+        # one past either end names the line.
+        shots, _ = dataset
+        lines = shots.read_text().splitlines()
+        row = lines[3].split(",")
+        row[lines[0].split(",").index(column)] = str(value)
+        lines[3] = ",".join(row)
+        edited = tmp_path / "keys.csv"
+        edited.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "keys_analysis"
+        rc = main(["analyze", str(edited), "--out", str(out)])
+        if -(2**63) <= value < 2**63:
+            assert rc == 0
+            assert (out / "report.json").exists()
+        else:
+            assert rc == 3
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert f"{edited}:4: cycle_id and seq_index must fit in 64 bits" in err
+
     @pytest.mark.parametrize(
         "option, analysis, message",
         [

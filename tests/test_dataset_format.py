@@ -4,7 +4,8 @@
 one line per row, integers as written, floats as ``repr``, the csv
 module's ``\\r\\n`` terminators.  ``write_dataset`` must produce the same
 bytes from a campaign table, and a read followed by a write must
-reproduce the file.
+reproduce the file.  ``fileio.write_csv`` itself must match ``csv.writer``
+byte for byte on every kind of int and float value, Python or numpy.
 """
 
 import csv
@@ -21,6 +22,7 @@ from singletsim import (
     run_campaign,
     write_dataset,
 )
+from singletsim import fileio
 from singletsim.sequence import DATASET_COLUMNS
 from tests.conftest import FIELD_111
 
@@ -99,3 +101,53 @@ def test_read_columns_bit_equal(table, tmp_path):
         got, want = getattr(loaded, name), getattr(table, name)
         assert got.dtype == want.dtype
         assert np.array_equal(bits(got), bits(want)), name
+
+
+# Each kind of value the program writes, and the float edge cases.
+WRITER_VALUES = [
+    0,
+    -7,
+    2**63 - 1,
+    np.int64(-(2**63)),
+    np.int32(12),
+    True,
+    0.1,
+    -0.0,
+    1e16,
+    1e-05,
+    5e-324,
+    1.7976931348623157e308,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    np.float64(-0.0),
+    np.float64(1e16),
+    np.float64(1e-05),
+    np.float64(5e-324),
+    np.float64("nan"),
+    np.float64("-inf"),
+    np.float64(0.30000000000000004),
+]
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # More rows than one write chunk, each mixing Python and numpy values.
+    n = len(WRITER_VALUES)
+    rows = [
+        [WRITER_VALUES[(i + k) % n] for k in range(4)] + [i, np.float64(i) / 7]
+        for i in range(3 * fileio._WRITE_ROWS + 5)
+    ]
+    columns = ("a", "b", "c", "d", "i", "x")
+    written, expected = tmp_path / "written.csv", tmp_path / "expected.csv"
+    fileio.write_csv(written, columns, iter(rows))
+    with expected.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+def test_write_csv_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    fileio.write_csv(path, ("a", "b"), [])
+    assert path.read_bytes() == b"a,b\r\n"
