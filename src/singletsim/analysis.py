@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import EstimationError, FitError, InvariantError
 from .fileio import write_csv, write_json
+from .lsq import levenberg_marquardt
 from .probe import ProbeConfig, readout_noise_sigma, snr
 from .sequence import ShotTable
 from .spins import ALLOWED_F
@@ -181,10 +182,18 @@ def squeezing_parameter(
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's parameters with their standard errors.
+
+    ``nfev`` and ``status`` are the iterative solver's residual-evaluation
+    count and stop reason (``lsq.LsqResult``); None for a linear fit.
+    """
+
     params: dict
     stderrs: dict
     residual_norm: float
     model_tag: str
+    nfev: int | None = None
+    status: str | None = None
 
 
 def fit_noise_scaling(points, fix_linear: bool, sigma=None) -> FitResult:
@@ -245,15 +254,13 @@ def fit_noise_scaling(points, fix_linear: bool, sigma=None) -> FitResult:
 def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     """Fit the efficiency b in v_cond_tilde(N) = 2N / (1 + b * zeta(N)).
 
-    One-parameter damped (Levenberg-Marquardt) least squares with the
-    analytic Jacobian -2 N zeta w / (1 + b zeta)^2, so the fit does not
-    depend on finite-difference steps; zeta is the ideal SNR computed
-    from the probe constants at each point.  ``ftol=1e-15`` lets the fit
-    run on to the stationary point of the weighted cost instead of
-    stopping at the default 1e-8 relative cost reduction.
+    One-parameter ``lsq.levenberg_marquardt`` fit from b = 1 with the
+    analytic Jacobian -2 N zeta w / (1 + b zeta)^2, which also gives the
+    stderr; zeta is the ideal SNR computed from the probe constants at
+    each point.  ``ftol=1e-15`` lets the fit run on to the stationary
+    point of the weighted cost instead of stopping at a 1e-8 relative
+    cost reduction.
     """
-    import scipy.optimize  # not at module top: keeps `import singletsim` scipy-free
-
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise FitError("need at least 2 (n_atoms, v_cond_tilde) points")
@@ -267,20 +274,20 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     def jacobian(theta):
         return (-2.0 * n * zeta * weights / (1.0 + theta[0] * zeta) ** 2)[:, None]
 
-    result = scipy.optimize.least_squares(
-        residuals, x0=[1.0], jac=jacobian, method="lm", xtol=1e-14, ftol=1e-15
-    )
+    result = levenberg_marquardt(residuals, jacobian, [1.0], xtol=1e-14, ftol=1e-15)
     if not result.success:
-        raise FitError(f"SNR-model fit did not converge: {result.message}")
+        raise FitError(f"SNR-model fit did not converge in {result.nfev} residual evaluations")
     jtj = result.jac.T @ result.jac
     dof = len(v) - 1
-    sigma2 = 2.0 * result.cost / dof if dof > 0 else 0.0
+    sigma2 = float(result.fun @ result.fun) / dof if dof > 0 else 0.0
     stderr = math.sqrt(sigma2 * np.linalg.inv(jtj)[0, 0]) if jtj[0, 0] > 0 else math.inf
     return FitResult(
         {"b": float(result.x[0])},
         {"b": float(stderr)},
         float(np.linalg.norm(result.fun)),
         "snr_damping",
+        result.nfev,
+        result.status,
     )
 
 
@@ -535,12 +542,15 @@ def _fit_to_dict(fit: FitResult | FitError | None):
         return None
     if isinstance(fit, FitError):
         return {"error": str(fit)}
-    return {
+    entry = {
         "params": fit.params,
         "stderrs": fit.stderrs,
         "residual_norm": fit.residual_norm,
         "model_tag": fit.model_tag,
     }
+    if fit.nfev is not None:
+        entry.update(nfev=fit.nfev, status=fit.status)
+    return entry
 
 
 def report_dict(result: AnalysisResult) -> dict:

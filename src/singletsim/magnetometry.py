@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import EstimationError, FitError
 from .fileio import read_table, write_json
+from .lsq import levenberg_marquardt
 from .spins import GYROMAGNETIC_RATIO
 
 PARAM_NAMES = ("bx", "by", "bz", "t2", "f0")
@@ -43,7 +44,9 @@ class FieldEstimate:
 
     ``flags`` names parameters (or issues) the data could not
     constrain; ``equivalent_solutions`` lists field vectors that fit the
-    data exactly as well (sign degeneracy of the model).
+    data exactly as well (sign degeneracy of the model).  ``nfev`` and
+    ``status`` are the solver's residual-evaluation count and stop
+    reason (``lsq.LsqResult``).
     """
 
     b: np.ndarray
@@ -51,6 +54,8 @@ class FieldEstimate:
     f0: float
     residual_norm: float
     covariance: np.ndarray
+    nfev: int
+    status: str
     param_names: tuple = PARAM_NAMES
     flags: tuple = ()
     equivalent_solutions: tuple = ()
@@ -94,6 +99,65 @@ def fid_signal(
         sin_e = np.sin(omega) * envelope
         value = (g1 / b_mag**2) * (by * bz * (1.0 - cos_e) + bx * b_mag * sin_e) * f0
     return value if value.ndim else float(value)
+
+
+def fid_jacobian(t, params, init_axis: str, g1: float, gamma: float = GYROMAGNETIC_RATIO):
+    """Derivatives of the fit's FID model with respect to (bx, by, bz, t2, f0).
+
+    The model is ``fid_signal(t, (bx, by, bz), init_axis, f0, g1, T2)``
+    with T2 = abs(t2), or 1e-30 where t2 = 0, as ``fit_fid`` evaluates
+    it; so the t2 column carries sign(t2) and is 0 at t2 = 0.  Returns an
+    (len(t), 5) array.  At zero field the model is the constant
+    zero-field limit, whose only nonzero derivative is g1 along f0 on the
+    z branch.
+    """
+    if init_axis not in ("z", "y"):
+        raise ValueError("init_axis must be 'z' or 'y'")
+    bx, by, bz, t2, f0 = (float(v) for v in params)
+    t = np.asarray(t, dtype=float)
+    jac = np.zeros((t.size, 5))
+    b2 = bx**2 + by**2 + bz**2
+    if b2 == 0.0:
+        if init_axis == "z":
+            jac[:, 4] = g1
+        return jac
+    big_t2 = abs(t2) or 1e-30
+    b_mag = math.sqrt(b2)
+    u = t**2 / big_t2**2
+    envelope = np.exp(-u)
+    omega = gamma * b_mag * t
+    cos_e = np.cos(omega) * envelope
+    sin_e = np.sin(omega) * envelope
+    d_envelope = envelope * (2.0 * u / big_t2)  # dE/dT2
+    d_omega = gamma * t / b_mag  # d(omega)/d(b_k) = d_omega * b_k
+    amp = g1 * f0
+    b = (bx, by, bz)
+    if init_axis == "z":
+        # theta = amp * (nz2 (1 - cos_e) + cos_e), nz2 = bz^2 / B^2
+        perp2 = bx**2 + by**2
+        d_nz2 = (-2.0 * bz**2 * bx / b2**2, -2.0 * bz**2 * by / b2**2, 2.0 * bz * perp2 / b2**2)
+        osc = (perp2 / b2) * sin_e * d_omega
+        for k in range(3):
+            jac[:, k] = amp * (d_nz2[k] * (1.0 - cos_e) - osc * b[k])
+        jac[:, 3] = amp * (perp2 / b2) * np.cos(omega) * d_envelope
+        jac[:, 4] = g1 * (bz**2 + perp2 * cos_e) / b2
+    else:
+        # theta = amp * (p (1 - cos_e) + q sin_e), p = by bz / B^2, q = bx / B
+        p, q = by * bz / b2, bx / b_mag
+        d_p = (
+            -2.0 * by * bz * bx / b2**2,
+            bz * (bx**2 + bz**2 - by**2) / b2**2,
+            by * (bx**2 + by**2 - bz**2) / b2**2,
+        )
+        b3 = b2 * b_mag
+        d_q = ((by**2 + bz**2) / b3, -bx * by / b3, -bx * bz / b3)
+        osc = (p * sin_e + q * cos_e) * d_omega
+        for k in range(3):
+            jac[:, k] = amp * (d_p[k] * (1.0 - cos_e) + d_q[k] * sin_e + osc * b[k])
+        jac[:, 3] = amp * (q * np.sin(omega) - p * np.cos(omega)) * d_envelope
+        jac[:, 4] = g1 * (p * (1.0 - cos_e) + q * sin_e)
+    jac[:, 3] *= np.sign(t2)
+    return jac
 
 
 def _fft_larmor_frequency(t: np.ndarray, theta: np.ndarray) -> float:
@@ -192,12 +256,14 @@ def fit_fid(
     parameters: (Bx, By, Bz, T2, f0), with the two preparations
     sharing the polarization magnitude f0.  Initial guesses come from
     the FFT line position, the non-decaying signal levels, and an
-    envelope log-fit.  Parameters the data leave unconstrained (zero
-    Jacobian column, e.g. the transverse split for a z-branch-only
-    data set) are reported in ``flags``.
+    envelope log-fit.  The fit is ``lsq.levenberg_marquardt`` with the
+    analytic Jacobian ``fid_jacobian``, which also gives, at the
+    solution, the covariance sigma^2 pinv(J^T J) and the identifiability
+    checks.  Parameters the data leave unconstrained (zero Jacobian
+    column, e.g. the transverse split for a z-branch-only data set) are
+    reported in ``flags``; a fit that runs out of its 20000 residual
+    evaluations raises ``FitError``.
     """
-    import scipy.optimize  # not at module top: keeps `import singletsim` scipy-free
-
     # Transposed copies: each of t and theta is one contiguous array.
     (tz, thz), (ty, thy) = (
         np.asarray(s, dtype=float).reshape(-1, 2).T.copy() for s in (z_samples, y_samples)
@@ -210,24 +276,27 @@ def fit_fid(
         raise EstimationError("FID samples must span a positive time range")
 
     x0 = _initial_guess(tz, thz, ty, thy, g1, gamma, duration)
+    branches = [(t, th, axis) for t, th, axis in ((tz, thz, "z"), (ty, thy, "y")) if len(t)]
 
     def residuals(p):
         bx, by, bz, t2, f0 = p
-        b = (bx, by, bz)
-        out = []
-        if len(tz):
-            out.append(fid_signal(tz, b, "z", f0, g1, abs(t2) or 1e-30, gamma) - thz)
-        if len(ty):
-            out.append(fid_signal(ty, b, "y", f0, g1, abs(t2) or 1e-30, gamma) - thy)
-        return np.concatenate(out)
+        return np.concatenate(
+            [
+                fid_signal(t, (bx, by, bz), axis, f0, g1, abs(t2) or 1e-30, gamma) - th
+                for t, th, axis in branches
+            ]
+        )
+
+    def jacobian(p):
+        return np.concatenate([fid_jacobian(t, p, axis, g1, gamma) for t, _, axis in branches])
 
     scale = np.array([1e-3, 1e-3, 1e-3, max(duration / 2, 1e-9), max(abs(x0[4]), 1.0)])
-    result = scipy.optimize.least_squares(
-        residuals, x0=x0, method="lm", x_scale=scale, xtol=1e-15, ftol=1e-15, max_nfev=20000
+    result = levenberg_marquardt(
+        residuals, jacobian, x0, x_scale=scale, xtol=1e-15, ftol=1e-15, max_nfev=20000
     )
     if not result.success:
         raise FitError(
-            f"FID fit did not converge: {result.message} "
+            f"FID fit did not converge in {result.nfev} residual evaluations "
             f"(final residual norm {np.linalg.norm(result.fun):.3g})"
         )
 
@@ -248,7 +317,7 @@ def fit_fid(
         flags.append("degenerate_geometry")
 
     dof = n_total - len(params)
-    sigma2 = 2.0 * result.cost / dof if dof > 0 else 0.0
+    sigma2 = float(result.fun @ result.fun) / dof if dof > 0 else 0.0
     jtj = result.jac.T @ result.jac
     cov = sigma2 * np.linalg.pinv(jtj, rcond=1e-12)
 
@@ -268,6 +337,8 @@ def fit_fid(
         covariance=cov,
         flags=tuple(flags),
         equivalent_solutions=(tuple(float(v) for v in mirror),),
+        nfev=result.nfev,
+        status=result.status,
     )
 
 
@@ -335,5 +406,7 @@ def write_estimate_json(path, estimate: FieldEstimate) -> None:
         "equivalent_solutions_mG": [
             [v * 1e3 for v in sol] for sol in estimate.equivalent_solutions
         ],
+        "nfev": estimate.nfev,
+        "status": estimate.status,
     }
     write_json(path, payload)

@@ -178,6 +178,13 @@ def predicted_conditional_covariance(prep_cov, probe: ProbeConfig) -> np.ndarray
     Subtracting the readout floor 3 s^2 from its trace leaves the Kalman
     posterior of the atomic state; for a thermal state that trace is
     2 n_atoms / (1 + zeta_eff).
+
+    Axis order: the result is in the frame of ``prep_cov``, the
+    preparation frame (x, y, z) of ``SequenceConfig.prep_noise_cov``.
+    Shot data and ``analysis.conditional_covariance`` of it are in pulse
+    order (z, y, x), so compare element by element only after reversing
+    both axes, ``result[::-1, ::-1]``.  The traces agree either way; for
+    a non-isotropic ``prep_cov`` the elements do not.
     """
     s2 = readout_noise_sigma(probe) ** 2
     prep = np.asarray(prep_cov, dtype=float)

@@ -1,0 +1,196 @@
+"""The numpy Levenberg-Marquardt solver against MINPACK's, via scipy.
+
+scipy is a test-only dependency: ``scipy.optimize.least_squares`` with
+``method="lm"`` runs MINPACK's ``lmder`` and serves as the oracle for
+both fits, on the published FID trace and the published ``{}`` dataset.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+import singletsim.analysis as analysis_mod
+import singletsim.magnetometry as magnetometry_mod
+from singletsim import (
+    FitError,
+    analyze_dataset,
+    config_from_dict,
+    fid_signal,
+    fit_fid,
+    fit_snr_model,
+    run_campaign,
+    snr,
+)
+from singletsim.lsq import levenberg_marquardt
+from singletsim.magnetometry import _initial_guess, fid_jacobian
+
+# Traces shaped like the benchmark's published FID input: 2 x 3000
+# samples at 0.5 us of its field, T2 and polarization, with 1 mrad white
+# noise drawn from the given seed.
+G1 = 9.0e-8
+GAMMA = 4.374e6
+FID_B = (9.6e-3, 9.7e-3, 9.9e-3)
+FID_T2 = 745e-6
+FID_F0 = 1.0e6
+
+
+def published_fid_trace(seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(3000) * 0.5e-6
+    noise = 1e-3 * rng.standard_normal((2, t.size))
+    return tuple(
+        np.column_stack((t, fid_signal(t, FID_B, axis, FID_F0, G1, FID_T2, GAMMA) + e))
+        for axis, e in zip("zy", noise)
+    )
+
+
+def minpack_fid_fit(z, y):
+    """fit_fid's problem handed to MINPACK: (x, residuals, covariance)."""
+    (tz, thz), (ty, thy) = (s.T.copy() for s in (z, y))
+    duration = max(tz.max(), ty.max())
+    x0 = _initial_guess(tz, thz, ty, thy, G1, GAMMA, duration)
+
+    def residuals(p):
+        b, t2 = p[:3], abs(p[3]) or 1e-30
+        return np.concatenate(
+            [
+                fid_signal(tz, b, "z", p[4], G1, t2, GAMMA) - thz,
+                fid_signal(ty, b, "y", p[4], G1, t2, GAMMA) - thy,
+            ]
+        )
+
+    scale = np.array([1e-3, 1e-3, 1e-3, max(duration / 2, 1e-9), max(abs(x0[4]), 1.0)])
+    result = scipy.optimize.least_squares(
+        residuals, x0, method="lm", x_scale=scale, xtol=1e-15, ftol=1e-15, max_nfev=20000
+    )
+    assert result.success
+    sigma2 = float(result.fun @ result.fun) / (len(result.fun) - 5)
+    cov = sigma2 * np.linalg.pinv(result.jac.T @ result.jac, rcond=1e-12)
+    return result.x, result.fun, cov
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fid_fit_matches_minpack(seed):
+    z, y = published_fid_trace(seed)
+    est = fit_fid(z, y, G1, GAMMA)
+    x, fun, cov = minpack_fid_fit(z, y)
+    assert est.status in ("ftol", "xtol", "ftol+xtol", "gtol")
+    assert 0 < est.nfev < 50
+    assert x[2] > 0 and x[3] > 0  # already the canonical sign representative
+    assert np.allclose(np.r_[est.b, est.t2, est.f0], x, rtol=1e-7, atol=0)
+    assert est.residual_norm == pytest.approx(np.linalg.norm(fun), rel=1e-12)
+    # MINPACK's covariance comes from a finite-difference Jacobian.
+    assert np.allclose(est.covariance, cov, rtol=1e-4, atol=0)
+
+
+@pytest.fixture(scope="module")
+def published_snr_points():
+    """The (n_atoms, v_cond_tilde) points and sigmas that ``analyze`` fits on ``{}``."""
+    cfg = config_from_dict({})
+    result = analyze_dataset(run_campaign(cfg.campaign, cfg.sequence), cfg.probe, cfg.analysis)
+    n = np.array([b.report.n_atoms_mean for b in result.bins])
+    v = np.array([b.report.v_cond_tilde for b in result.bins])
+    sigma = np.array([b.witness.xi2_stderr * cfg.analysis.f for b in result.bins]) * n
+    return n, v, sigma, cfg.probe, result.fits["snr_model"]
+
+
+def test_snr_fit_matches_minpack(published_snr_points):
+    n, v, sigma, probe, reported = published_snr_points
+    fit = fit_snr_model(zip(n, v), probe, sigma=sigma)
+    assert fit == reported
+
+    zeta = np.array([snr(probe, x) for x in n])
+    result = scipy.optimize.least_squares(
+        lambda b: (2.0 * n / (1.0 + b[0] * zeta) - v) / sigma,
+        [1.0],
+        jac=lambda b: (-2.0 * n * zeta / sigma / (1.0 + b[0] * zeta) ** 2)[:, None],
+        method="lm",
+        xtol=1e-14,
+        ftol=1e-15,
+    )
+    jtj = float(result.jac[:, 0] @ result.jac[:, 0])
+    stderr = math.sqrt(float(result.fun @ result.fun) / (len(n) - 1) / jtj)
+    assert fit.params["b"] == pytest.approx(result.x[0], rel=1e-9, abs=0)
+    assert fit.stderrs["b"] == pytest.approx(stderr, rel=1e-9, abs=0)
+    assert fit.status in ("ftol", "xtol", "ftol+xtol", "gtol")
+    assert fit.nfev > 0
+
+
+# Both branches at the published field, with a zero component, with a
+# transverse-only and an axial-only field, and at negative t2.
+JACOBIAN_POINTS = [
+    (9.6e-3, 9.7e-3, 9.9e-3, 745e-6, 1e6),
+    (0.0, 9.7e-3, 9.9e-3, 745e-6, 1e6),
+    (9.6e-3, 0.0, -9.9e-3, 745e-6, 1e6),
+    (9.6e-3, 9.7e-3, 0.0, 300e-6, 2e6),
+    (0.0, 0.0, 9.9e-3, 745e-6, 1e6),
+    (9.6e-3, -9.7e-3, 9.9e-3, -745e-6, 1e6),
+    (-2e-3, 5e-3, 1e-3, -1e-4, -3e5),
+]
+
+
+@pytest.mark.parametrize("axis", ["z", "y"])
+@pytest.mark.parametrize("params", JACOBIAN_POINTS)
+def test_fid_jacobian_matches_central_differences(axis, params):
+    t = np.linspace(0.0, 1.5e-3, 301)
+    p = np.array(params)
+
+    def model(q):
+        return fid_signal(t, q[:3], axis, q[4], G1, abs(q[3]) or 1e-30, GAMMA)
+
+    jac = fid_jacobian(t, p, axis, G1, GAMMA)
+    steps = np.array([1e-9, 1e-9, 1e-9, 1e-9, 1.0])
+    numeric = np.column_stack(
+        [(model(p + h * e) - model(p - h * e)) / (2 * h) for h, e in zip(steps, np.eye(5))]
+    )
+    # Truncation error sits far below 1e-6 of each column's largest entry;
+    # rounding adds ~eps |model| / h, which 1e-14 |g1 f0| / h covers.
+    tol = 1e-6 * np.max(np.abs(numeric), axis=0) + 1e-14 * G1 * abs(p[4]) / steps
+    assert np.all(np.isfinite(jac))
+    assert np.all(np.abs(jac - numeric) <= tol)
+
+
+def test_fid_jacobian_at_zero_field_and_zero_t2():
+    t = np.linspace(0.0, 1e-3, 11)
+    for axis, d_f0 in (("z", G1), ("y", 0.0)):
+        jac = fid_jacobian(t, (0.0, 0.0, 0.0, 745e-6, 1e6), axis, G1, GAMMA)
+        assert np.array_equal(jac, np.column_stack([np.zeros((11, 4)), np.full(11, d_f0)]))
+        # t2 = 0 evaluates at T2 = 1e-30, where the model is constant in t2.
+        jac = fid_jacobian(t, (9.6e-3, 9.7e-3, 9.9e-3, 0.0, 1e6), axis, G1, GAMMA)
+        assert np.all(np.isfinite(jac)) and np.all(jac[:, 3] == 0.0)
+
+
+def test_solver_reports_exhausted_budget():
+    z, y = published_fid_trace(1)
+    t = z[:, 0]
+    result = levenberg_marquardt(
+        lambda p: fid_signal(t, p[:3], "z", p[4], G1, abs(p[3]) or 1e-30, GAMMA) - z[:, 1],
+        lambda p: fid_jacobian(t, p, "z", G1, GAMMA),
+        [1e-3, 1e-3, 1e-2, 5e-4, 1.2e6],
+        xtol=1e-15,
+        ftol=1e-15,
+        max_nfev=2,
+    )
+    assert result.status == "max_nfev"
+    assert not result.success
+    assert result.nfev == 2
+
+
+def test_fits_raise_fit_error_on_exhausted_budget(monkeypatch, published_snr_points):
+    def capped(*args, **kwargs):
+        return levenberg_marquardt(*args, **{**kwargs, "max_nfev": 2})
+
+    monkeypatch.setattr(analysis_mod, "levenberg_marquardt", capped)
+    monkeypatch.setattr(magnetometry_mod, "levenberg_marquardt", capped)
+    with pytest.raises(FitError, match="FID fit did not converge in 2 residual evaluations"):
+        fit_fid(*published_fid_trace(1), G1, GAMMA)
+    n, v, sigma, probe, _ = published_snr_points
+    with pytest.raises(FitError, match="SNR-model fit did not converge in 2 residual"):
+        fit_snr_model(zip(n, v), probe, sigma=sigma)
+
+
+def test_solver_rejects_tolerances_below_machine_epsilon():
+    with pytest.raises(ValueError, match="machine epsilon"):
+        levenberg_marquardt(lambda x: x, lambda x: np.eye(1), [1.0], xtol=1e-17, ftol=1e-15)
