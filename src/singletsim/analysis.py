@@ -69,21 +69,21 @@ class ConditionalCovariance:
         return float(np.trace(self.matrix))
 
 
-def conditional_covariance(g1, g2, g12, rcond: float = PINV_RCOND) -> ConditionalCovariance:
+def conditional_covariance(g1, g2, g12) -> ConditionalCovariance:
     """Covariance of the second measurement conditioned on the first.
 
     ``g12`` is cov(F1_i, F2_j).  A singular first-measurement covariance
-    falls back to the pseudo-inverse (cutoff ``rcond`` relative to the
-    largest singular value) and is flagged rather than silently
+    falls back to the pseudo-inverse (cutoff ``PINV_RCOND`` relative to
+    the largest singular value) and is flagged rather than silently
     regularized.
     """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     g12 = np.asarray(g12, dtype=float)
     sv = np.linalg.svd(g1, compute_uv=False)
-    pinv_used = bool(sv[-1] <= rcond * sv[0])
+    pinv_used = bool(sv[-1] <= PINV_RCOND * sv[0])
     if pinv_used:
-        gain = np.linalg.pinv(g1, rcond=rcond) @ g12
+        gain = np.linalg.pinv(g1, rcond=PINV_RCOND) @ g12
     else:
         gain = np.linalg.solve(g1, g12)
     cond = g2 - g12.T @ gain
@@ -107,19 +107,16 @@ def _quantile_bins(n_atoms: np.ndarray, n_bins: int) -> list[np.ndarray]:
     return [np.flatnonzero(idx == k) for k in range(len(edges) - 1)]
 
 
-def _selection_masks(f1, n_atoms, cutoffs, bins) -> np.ndarray:
-    """One row per cutoff C: |f1 - <f1>|^2 < C * n_atoms for each atom shot.
+def _centred_dist2(f1, bins) -> np.ndarray:
+    """|f1 - <f1>|^2 per atom shot, <f1> the f1 mean of its bin in ``bins``.
 
-    Each shot is centred on the f1 mean of its atom-number bin in ``bins``.
+    The selection at cutoff C keeps the shots with dist2 < C * n_atoms.
     """
-    cutoffs = np.asarray(cutoffs, dtype=float)
-    if np.any(cutoffs <= 0):
-        raise ValueError("cutoff must be positive")
     dist2 = np.empty(len(f1))
     for idx in bins:
         if len(idx):
             dist2[idx] = np.sum((f1[idx] - f1[idx].mean(axis=0)) ** 2, axis=1)
-    return dist2 < cutoffs[:, None] * n_atoms
+    return dist2
 
 
 def select_shots(table: ShotTable, cutoff: float, *, n_bins: int = 10) -> ShotTable:
@@ -130,9 +127,11 @@ def select_shots(table: ShotTable, cutoff: float, *, n_bins: int = 10) -> ShotTa
     shot's own atom-number bin, one of ``n_bins``; ``n_bins=1`` centres
     every shot on the global mean.
     """
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
     atoms = table.atoms
-    bins = _quantile_bins(atoms.n_atoms, n_bins)
-    return atoms[_selection_masks(atoms.f1, atoms.n_atoms, [cutoff], bins)[0]]
+    dist2 = _centred_dist2(atoms.f1, _quantile_bins(atoms.n_atoms, n_bins))
+    return atoms[dist2 < cutoff * atoms.n_atoms]
 
 
 @dataclass(frozen=True)
@@ -196,13 +195,12 @@ class FitResult:
     status: str | None = None
 
 
-def fit_noise_scaling(points, fix_linear: bool, sigma=None) -> FitResult:
-    """Fit v(N) = v0 + a*N + c*N^2 by linear least squares.
+def fit_noise_scaling(points, fix_linear: bool) -> FitResult:
+    """Fit v(N) = v0 + a*N + c*N^2 by unweighted linear least squares.
 
     With ``fix_linear`` the linear coefficient is pinned to the thermal-
-    state value a = 2 and only (v0, c) are estimated.  Optional per-point
-    ``sigma`` weights the fit.  Parameter standard errors come from the
-    residual covariance.
+    state value a = 2 and only (v0, c) are estimated.  Parameter standard
+    errors come from the residual covariance.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -223,12 +221,8 @@ def fit_noise_scaling(points, fix_linear: bool, sigma=None) -> FitResult:
     else:
         names = ["v0", "a", "c"]
         design = np.column_stack([np.ones_like(n), n, n**2])
-        y = v.copy()
+        y = v
         tag = "noise_scaling_free_linear"
-    if sigma is not None:
-        w = 1.0 / np.asarray(sigma, dtype=float)
-        design = design * w[:, None]
-        y = y * w
     # Column scaling keeps the normal equations conditioned at N ~ 1e6.
     scale = np.linalg.norm(design, axis=0)
     if np.any(scale == 0.0):
@@ -306,7 +300,6 @@ class CovarianceReport:
     v1: float
     v2: float
     v_cond: float
-    v0: float
     v1_tilde: float
     v2_tilde: float
     v_cond_tilde: float
@@ -352,7 +345,6 @@ class AnalysisResult:
     fits: dict
     skipped_bins: list
     reference_v1_tilde: float | None
-    options: AnalysisOptions
 
 
 def resolve_v0(
@@ -404,7 +396,6 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mas
         v1=v1,
         v2=v2,
         v_cond=vc,
-        v0=v0,
         v1_tilde=v1 - v0,
         v2_tilde=v2 - v0,
         v_cond_tilde=vc - v0,
@@ -461,7 +452,7 @@ def analyze_dataset(
     if len(atoms):
         n_at = atoms.n_atoms
         bin_rows = _quantile_bins(n_at, options.n_bins)
-        selected = _selection_masks(atoms.f1, n_at, [options.cutoff], bin_rows)[0]
+        selected = _centred_dist2(atoms.f1, bin_rows) < options.cutoff * n_at
         for b_idx, idx in enumerate(bin_rows):
             reason = None
             if len(idx) < options.min_bin_shots:
@@ -498,7 +489,7 @@ def analyze_dataset(
                 v = [b.report.v_cond_tilde for b in bins]
                 fits["snr_model"] = _try_fit(fit_snr_model, zip(pts_n, v), probe, sigma=sig)
 
-    return AnalysisResult(v0, n_ref, bins, fits, skipped, reference_v1_tilde, options)
+    return AnalysisResult(v0, n_ref, bins, fits, skipped, reference_v1_tilde)
 
 
 def cutoff_scan(
@@ -518,12 +509,15 @@ def cutoff_scan(
     """
     options = AnalysisOptions() if options is None else options
     v0, _ = resolve_v0(table, probe, options)
-    cutoffs = list(cutoffs)
+    cutoffs = [float(c) for c in cutoffs]
+    if any(c <= 0 for c in cutoffs):
+        raise ValueError("cutoff must be positive")
     atoms = table.atoms
     f2, n = atoms.f2, atoms.n_atoms
-    masks = _selection_masks(atoms.f1, n, cutoffs, _quantile_bins(n, options.n_bins))
+    dist2 = _centred_dist2(atoms.f1, _quantile_bins(n, options.n_bins))
     rows = []
-    for c, mask in zip(map(float, cutoffs), masks):
+    for c in cutoffs:
+        mask = dist2 < c * n
         n_selected = int(mask.sum())
         if n_selected < 2:
             rows.append({"C": c, "xi2": math.nan, "xi2_stderr": math.nan, "n_selected": n_selected})

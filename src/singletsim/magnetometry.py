@@ -32,11 +32,6 @@ PARAM_NAMES = ("bx", "by", "bz", "t2", "f0")
 
 FID_CSV_COLUMNS = ("t_us", "theta_rad", "branch")
 
-# Default synthetic-trace sampling: resolves a ~10 kHz Larmor line and a
-# sub-millisecond envelope.
-DEFAULT_SAMPLING_S = 0.5e-6
-DEFAULT_DURATION_S = 1.5e-3
-
 
 @dataclass(frozen=True)
 class FieldEstimate:

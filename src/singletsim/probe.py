@@ -80,16 +80,12 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class PulseOutcome:
-    """One probe pulse: measured spin value and the rotation it caused.
-
-    ``rotation_angle`` is g1 * measured_value by construction.
-    ``component_label`` names the initial-frame component this pulse
-    addresses under the stroboscopic schedule.
+    """One probe pulse: the measured lab-z spin value (spins) and the
+    back-action rotation about z it applied (radians; 0 unless
+    ``light_backaction``).  The Faraday angle is g1 * measured_value.
     """
 
     measured_value: float
-    component_label: str = "z"
-    rotation_angle: float = 0.0
     backaction_angle: float = 0.0
 
 
@@ -123,29 +119,24 @@ def simulate_pulse(
     state: CollectiveSpinState,
     probe: ProbeConfig,
     rng: np.random.Generator,
-    true_z: float | None = None,
-    component_label: str = "z",
 ) -> tuple[PulseOutcome, CollectiveSpinState]:
-    """Simulate one QND pulse reading the lab-z spin component.
+    """One QND pulse reading lab z: the sequential Kalman reference.
 
-    The measured value is true_z + eps with eps ~ N(0, sigma_ro^2).  If
-    ``true_z`` is not supplied it is drawn from the state's Gaussian.
-    The returned state is the Kalman-conditioned posterior (gain
+    The measured value is true_z + eps with eps ~ N(0, sigma_ro^2) and
+    true_z drawn from the state's z marginal.  The returned state is the
+    Kalman-conditioned posterior (gain
     K = cov e_z / (e_z' cov e_z + sigma_ro^2)).
     """
     sigma = readout_noise_sigma(probe)
     var_z = float(state.cov[2, 2])
 
-    if true_z is None:
-        true_z = float(state.mean[2])
-        if var_z > 0.0:
-            # Marginal draw of the z component only.
-            true_z += math.sqrt(var_z) * rng.standard_normal()
+    true_z = float(state.mean[2])
+    if var_z > 0.0:
+        true_z += math.sqrt(var_z) * rng.standard_normal()
 
     total = var_z + sigma**2
     if total == 0.0:
-        outcome = PulseOutcome(true_z, component_label, probe.g1 * true_z)
-        return outcome, state
+        return PulseOutcome(true_z), state
 
     measured = true_z + sigma * rng.standard_normal()
 
@@ -153,7 +144,7 @@ def simulate_pulse(
     mean = state.mean + gain * (measured - state.mean[2])
     cov = state.cov - np.outer(gain, state.cov[2])
     cov = 0.5 * (cov + cov.T)
-    posterior = CollectiveSpinState(mean, cov, state.n_atoms, state.f)
+    posterior = CollectiveSpinState(mean, cov)
 
     backaction = 0.0
     if probe.light_backaction:
@@ -162,8 +153,7 @@ def simulate_pulse(
         rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         posterior = apply_rotation(posterior, rz)
 
-    outcome = PulseOutcome(measured, component_label, probe.g1 * measured, backaction)
-    return outcome, posterior
+    return PulseOutcome(measured, backaction), posterior
 
 
 def predicted_conditional_covariance(prep_cov, probe: ProbeConfig) -> np.ndarray:

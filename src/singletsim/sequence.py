@@ -108,6 +108,11 @@ class SequenceConfig:
     ``period_diffusion`` (spins^2) is an isotropic random walk of the
     true spin between the two rounds, modelling imperfect QND
     repeatability.
+
+    Axis orders differ: ``prep_noise_cov`` and ``prep_mean_offset`` are in
+    the prep frame (x, y, z), ``detector_noise_cov`` in readout order
+    (z, y, x), so ``diag(v, 0, 0)`` inflates the ``f*_x`` columns as prep
+    noise but the ``f*_z`` columns as detector noise.
     """
 
     field: MagneticField

@@ -2,9 +2,9 @@
 
 The ensemble is modelled as a Gaussian over the collective spin vector:
 a 3-component mean (units of spins, hbar = 1) and a 3x3 covariance
-(spins^2).  An unpolarized thermal ensemble of N atoms with single-atom
-spin f has zero mean and per-component variance f(f+1)/3 * N; for f = 1
-this is the familiar (2/3) N.
+(spins^2), and nothing else.  An unpolarized thermal ensemble of N
+atoms with single-atom spin f has zero mean and per-component variance
+f(f+1)/3 * N (``make_tss``); for f = 1 this is the familiar (2/3) N.
 
 Rotation convention
 -------------------
@@ -67,37 +67,21 @@ def check_psd(cov: np.ndarray, name: str = "cov") -> None:
 
 @dataclass(frozen=True)
 class CollectiveSpinState:
-    """Gaussian model of the collective spin of an atomic ensemble.
-
-    Attributes
-    ----------
-    mean : (3,) array, spins
-    cov : (3, 3) array, spins^2; symmetric positive semidefinite
-    n_atoms : float
-    f : float
-        Single-atom spin quantum number (1 for this experiment).
-    """
+    """Gaussian collective spin: ``mean`` (3,) in spins, ``cov`` (3, 3) in
+    spins^2, symmetric positive semidefinite."""
 
     mean: np.ndarray
     cov: np.ndarray
-    n_atoms: float
-    f: float = 1.0
 
     def __post_init__(self):
         mean = _as_vector(self.mean, "mean")
         cov = _as_matrix(self.cov, "cov")
         check_symmetric(cov)
         check_psd(cov)
-        if self.n_atoms < 0:
-            raise ValueError("n_atoms must be non-negative")
-        if self.f not in ALLOWED_F:
-            raise ValueError(f"f must be one of {ALLOWED_F}, got {self.f}")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "n_atoms", float(self.n_atoms))
-        object.__setattr__(self, "f", float(self.f))
 
 
 @dataclass(frozen=True)
@@ -126,12 +110,14 @@ def make_tss(n_atoms: float, f: float = 1.0) -> CollectiveSpinState:
     """Thermal (fully mixed) spin state of ``n_atoms`` spin-f atoms.
 
     Zero mean, isotropic covariance with per-component variance
-    f(f+1)/3 * n_atoms spins^2.
+    f(f+1)/3 * n_atoms spins^2; ``f`` must be one of ``ALLOWED_F``.
     """
     if n_atoms < 0:
         raise ValueError("n_atoms must be non-negative")
+    if f not in ALLOWED_F:
+        raise ValueError(f"f must be one of {ALLOWED_F}, got {f}")
     var = f * (f + 1.0) / 3.0 * n_atoms
-    return CollectiveSpinState(np.zeros(3), np.eye(3) * var, n_atoms, f)
+    return CollectiveSpinState(np.zeros(3), np.eye(3) * var)
 
 
 def larmor_rotation_matrix(field: MagneticField, t: float) -> np.ndarray:
@@ -159,7 +145,7 @@ def apply_rotation(state: CollectiveSpinState, rotation) -> CollectiveSpinState:
         raise ValueError("rotation matrix is not orthogonal within 1e-9")
     cov = r @ state.cov @ r.T
     cov = 0.5 * (cov + cov.T)
-    return CollectiveSpinState(r @ state.mean, cov, state.n_atoms, state.f)
+    return CollectiveSpinState(r @ state.mean, cov)
 
 
 def larmor_period(field: MagneticField) -> float:

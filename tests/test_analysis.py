@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +34,12 @@ from singletsim.analysis import (
     write_noise_scaling_csv,
     write_report,
 )
+from singletsim.config import config_from_dict
 from singletsim.sequence import CampaignConfig
 from singletsim.spins import PSD_RTOL
 from tests.conftest import schur_trace, shot_table
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestSampleCovariance:
@@ -470,6 +476,48 @@ class TestAnalyzeDataset:
         header = csv_path.read_text().splitlines()[0]
         assert header == "n_atoms,v1_tilde,v2_tilde,v_cond_tilde"
 
+    def test_readme_report_block_matches_report(self, probe_ideal):
+        text = README.read_text()
+        section = text[text.index("`analyze` emits `report.json`") :]
+        documented = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        table, _ = synthetic_campaign(probe_ideal, seed=24, n_cycles=40)
+        payload = report_dict(analyze_dataset(table, probe_ideal, AnalysisOptions(n_bins=5)))
+        assert set(documented) == set(payload)
+        assert set(documented["bins"][0]) == set(payload["bins"][0])
+        assert set(documented["fits"]) == set(payload["fits"])
+        for name, fit in payload["fits"].items():
+            assert set(documented["fits"][name]) == set(fit), name
+        skipping = AnalysisOptions(n_bins=5, min_bin_shots=10**6)
+        skipped = report_dict(analyze_dataset(table, probe_ideal, skipping))["skipped_bins"]
+        assert set(documented["skipped_bins"][0]) == set(skipped[0])
+
+    def test_prep_mean_offset_moves_only_the_mean(self):
+        # Every bin's variances, witnesses and selections are centred on
+        # sample means, so a constant offset of the prepared spin cancels.
+        def run(offset):
+            cfg = config_from_dict(
+                {"campaign": {"n_cycles": 120}, "sequence": {"prep_mean_offset": offset}, "seed": 4}
+            )
+            table = run_campaign(cfg.campaign, cfg.sequence)
+            bins = report_dict(analyze_dataset(table, cfg.probe, cfg.analysis))["bins"]
+            return bins, cutoff_scan(table, [0.5, 1.0, 2.0], cfg.probe, cfg.analysis)
+
+        want_bins, want_rows = run([0.0, 0.0, 0.0])
+        got_bins, got_rows = run([3e4, -2e4, 5e4])
+        assert len(got_bins) == len(want_bins) == 10
+        keys = ("v1_tilde", "v2_tilde", "v_cond_tilde", "xi2", "xi2_stderr", "xi2_selected")
+        for g, w in zip(got_bins, want_bins):
+            assert g["n_selected"] == w["n_selected"]
+            for key in keys:
+                if w[key] is None:
+                    assert g[key] is None, key
+                else:
+                    assert g[key] == pytest.approx(w[key], rel=1e-9, abs=0), key
+        for g, w in zip(got_rows, want_rows):
+            assert g["n_selected"] == w["n_selected"] >= 2
+            assert g["xi2"] == pytest.approx(w["xi2"], rel=1e-9, abs=0)
+            assert g["xi2_stderr"] == pytest.approx(w["xi2_stderr"], rel=1e-9, abs=0)
+
     def test_selected_stderr_reported(self, probe_ideal):
         # C = 2 leaves the two lowest of five bins under min_bin_shots.
         table, _ = synthetic_campaign(probe_ideal, seed=24, n_cycles=40)
@@ -545,6 +593,29 @@ class TestCutoffScan:
         rows = cutoff_scan(table, [0.5, 1.0, 2.0, 4.0], probe_ideal, AnalysisOptions())
         counts = [r["n_selected"] for r in rows]
         assert counts == sorted(counts)
+
+    def test_nonpositive_cutoff_rejected(self, probe_ideal):
+        table, _ = synthetic_campaign(probe_ideal, seed=28, n_cycles=5)
+        for cutoffs in ([1.0, 0.0], [-0.5]):
+            with pytest.raises(ValueError, match="cutoff must be positive"):
+                cutoff_scan(table, cutoffs, probe_ideal, AnalysisOptions(n_bins=2))
+
+    def test_scan_memory_does_not_grow_with_cutoffs_times_shots(self):
+        # 3000 cutoffs over 600 atom shots: a (cutoffs x shots) float
+        # product alone would take 14.4 MB; one cutoff at a time keeps the
+        # peak at the rows returned and a few shot-length arrays.
+        cfg = config_from_dict({"campaign": {"n_cycles": 50}, "seed": 3})
+        table = run_campaign(cfg.campaign, cfg.sequence)
+        assert len(table.atoms) == 600
+        cutoffs = np.linspace(0.01, 3.0, 3000)
+        tracemalloc.start()
+        try:
+            rows = cutoff_scan(table, cutoffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3000
+        assert peak < 4e6
 
     def test_counts_match_selection(self, probe_paper):
         # The published config at 20 cycles: the smallest cutoffs select

@@ -11,18 +11,18 @@ from singletsim import (
     fid_signal,
     fit_fid,
 )
-from singletsim.magnetometry import (
-    DEFAULT_DURATION_S,
-    DEFAULT_SAMPLING_S,
-    read_fid_csv,
-    write_estimate_json,
-)
+from singletsim.magnetometry import read_fid_csv, write_estimate_json
 from singletsim.spins import GYROMAGNETIC_RATIO
 
 G1 = 9.0e-8
 F0 = 1.0e6
 B_PAPER = np.array([9.6e-3, 9.7e-3, 9.9e-3])
 T2_PAPER = 745e-6
+
+# Synthetic-trace sampling: resolves a ~10 kHz Larmor line and a
+# sub-millisecond envelope.
+DEFAULT_SAMPLING_S = 0.5e-6
+DEFAULT_DURATION_S = 1.5e-3
 
 
 def time_grid(duration=DEFAULT_DURATION_S, dt=DEFAULT_SAMPLING_S):

@@ -108,12 +108,6 @@ class TestSimulatePulse:
         assert outcome.measured_value == 0.0
         assert np.array_equal(post.cov, state.cov)
 
-    def test_rotation_angle_invariant(self, probe_ideal):
-        outcome, _ = simulate_pulse(make_tss(1e5), probe_ideal, np.random.default_rng(5))
-        assert outcome.rotation_angle == pytest.approx(
-            probe_ideal.g1 * outcome.measured_value, abs=1e-12
-        )
-
     def test_qnd_no_backaction_monte_carlo(self, probe_ideal):
         # Two successive readouts of the same sample must share their
         # marginal distribution: measuring does not move the spin.

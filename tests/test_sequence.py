@@ -109,6 +109,21 @@ class TestRunSequence:
         for k in range(3):
             assert cross[k, k] == pytest.approx(d_var, rel=0.1)
 
+    def test_noise_matrix_axis_orders(self, field):
+        # The same diag(9e6, 0, 0) lands on different columns (z, y, x):
+        # detector noise is in readout order (z, y, x), so on f*_z; prep
+        # noise is in the prep frame (x, y, z), so on f*_x.  The other two
+        # columns keep the thermal (2/3) N plus a readout variance of 1.
+        probe = ProbeConfig(readout_noise_override=1.0)
+        loud = np.diag([9e6, 0.0, 0.0])
+        for key, n_atoms, column in (("detector_noise_cov", 0.0, 0), ("prep_noise_cov", 1e3, 2)):
+            cfg = SequenceConfig(field=field, probe=probe, **{key: loud})
+            for f in simulate_shots(cfg, n_atoms, 20_000, np.random.default_rng(15)):
+                var = f.var(axis=0, ddof=1)
+                assert var[column] == pytest.approx(9e6, rel=0.05), key
+                quiet = np.delete(var, column)
+                assert np.all(quiet < 2.0 * (2.0 / 3.0 * n_atoms + 1.0)), key
+
     def test_intra_pulse_rotation_flag_shifts_component(self, field, probe_ideal):
         m = 1e9
         cfg = SequenceConfig(

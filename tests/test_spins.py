@@ -69,16 +69,16 @@ class TestStateValidation:
         cov = np.eye(3)
         cov[0, 1] = 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            CollectiveSpinState(np.zeros(3), cov, 10.0)
+            CollectiveSpinState(np.zeros(3), cov)
 
     def test_indefinite_cov_rejected(self):
         cov = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="semidefinite"):
-            CollectiveSpinState(np.zeros(3), cov, 10.0)
+            CollectiveSpinState(np.zeros(3), cov)
 
     def test_bad_f_rejected(self):
         with pytest.raises(ValueError, match="f must"):
-            CollectiveSpinState(np.zeros(3), np.eye(3), 10.0, f=0.7)
+            make_tss(10.0, 0.7)
 
 
 class TestLarmorRotation:
@@ -129,7 +129,7 @@ class TestApplyRotation:
         assert np.allclose(out.cov, state.cov, atol=1e-9 * state.cov[0, 0])
 
     def test_mean_permutation(self):
-        state = CollectiveSpinState([0.0, 0.0, 7.0], np.eye(3), 10.0)
+        state = CollectiveSpinState([0.0, 0.0, 7.0], np.eye(3))
         z_to_x = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
         out = apply_rotation(state, z_to_x)
         assert np.allclose(out.mean, [7.0, 0.0, 0.0])
@@ -139,7 +139,7 @@ class TestApplyRotation:
         for _ in range(20):
             cov = random_psd(rng, 1e5)
             mean = rng.standard_normal(3) * 100
-            state = CollectiveSpinState(mean, cov, 10.0)
+            state = CollectiveSpinState(mean, cov)
             out = apply_rotation(state, random_rotation(rng))
             assert np.trace(out.cov) == pytest.approx(np.trace(cov), rel=1e-9)
             assert np.linalg.norm(out.mean) == pytest.approx(
@@ -149,7 +149,7 @@ class TestApplyRotation:
     def test_psd_preserved(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            state = CollectiveSpinState(np.zeros(3), random_psd(rng, 42.0), 10.0)
+            state = CollectiveSpinState(np.zeros(3), random_psd(rng, 42.0))
             out = apply_rotation(state, random_rotation(rng))
             assert np.linalg.eigvalsh(out.cov).min() >= -1e-9 * np.trace(out.cov)
 
@@ -184,7 +184,7 @@ class TestLarmorPeriod:
 def test_rotated_tss_covariances_stay_psd(seed):
     rng = np.random.default_rng(seed)
     n = float(rng.uniform(0, 2e6))
-    state = CollectiveSpinState(np.zeros(3), make_tss(n).cov + random_psd(rng, 1e4), n)
+    state = CollectiveSpinState(np.zeros(3), make_tss(n).cov + random_psd(rng, 1e4))
     out = apply_rotation(state, random_rotation(rng))
     assert np.max(np.abs(out.cov - out.cov.T)) <= 1e-9 * max(np.trace(out.cov), 1.0)
     assert np.linalg.eigvalsh(out.cov).min() >= -1e-9 * max(np.trace(out.cov), 1.0)
