@@ -41,7 +41,6 @@ from .probe import (
     ProbeConfig,
     PulseOutcome,
     calibrate_g1,
-    predicted_conditional_covariance,
     readout_noise_sigma,
     simulate_pulse,
     snr,
@@ -50,6 +49,7 @@ from .sequence import (
     CampaignConfig,
     SequenceConfig,
     ShotTable,
+    engine_covariance,
     read_dataset,
     run_campaign,
     simulate_shots,

@@ -107,6 +107,12 @@ def _quantile_bins(n_atoms: np.ndarray, n_bins: int) -> list[np.ndarray]:
     return [np.flatnonzero(idx == k) for k in range(len(edges) - 1)]
 
 
+def _check_cutoffs(cutoffs) -> None:
+    """The selection rule's one cutoff test: each must satisfy 0 < c < inf."""
+    if not all(0 < c < math.inf for c in cutoffs):
+        raise ValueError("cutoff must be finite and positive")
+
+
 def _centred_dist2(f1, bins) -> np.ndarray:
     """|f1 - <f1>|^2 per atom shot, <f1> the f1 mean of its bin in ``bins``.
 
@@ -127,8 +133,7 @@ def select_shots(table: ShotTable, cutoff: float, *, n_bins: int = 10) -> ShotTa
     shot's own atom-number bin, one of ``n_bins``; ``n_bins=1`` centres
     every shot on the global mean.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+    _check_cutoffs([cutoff])
     atoms = table.atoms
     dist2 = _centred_dist2(atoms.f1, _quantile_bins(atoms.n_atoms, n_bins))
     return atoms[dist2 < cutoff * atoms.n_atoms]
@@ -293,8 +298,6 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
 class CovarianceReport:
     """Per-bin covariance summary of the two vector measurements."""
 
-    gamma1: np.ndarray
-    gamma2: np.ndarray
     gamma12: np.ndarray
     gamma_cond: np.ndarray
     v1: float
@@ -331,8 +334,7 @@ class AnalysisOptions:
         for name, low in (("n_bins", 1), ("min_bin_shots", 2), ("n_resamples", 2)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        if not 0 < self.cutoff < math.inf:
-            raise ValueError("cutoff must be finite and positive")
+        _check_cutoffs([self.cutoff])
         if self.f not in ALLOWED_F:
             raise ValueError(f"f must be one of {ALLOWED_F}, got {self.f!r}")
 
@@ -389,8 +391,6 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mas
             f"bin {b_idx}: conditional variance {vc!r} exceeds unconditional variance {v2!r}"
         )
     report = CovarianceReport(
-        gamma1=g1,
-        gamma2=g2,
         gamma12=g12,
         gamma_cond=cond.matrix,
         v1=v1,
@@ -510,8 +510,7 @@ def cutoff_scan(
     options = AnalysisOptions() if options is None else options
     v0, _ = resolve_v0(table, probe, options)
     cutoffs = [float(c) for c in cutoffs]
-    if any(c <= 0 for c in cutoffs):
-        raise ValueError("cutoff must be positive")
+    _check_cutoffs(cutoffs)
     atoms = table.atoms
     f2, n = atoms.f2, atoms.n_atoms
     dist2 = _centred_dist2(atoms.f1, _quantile_bins(n, options.n_bins))

@@ -34,7 +34,6 @@ from .analysis import (
 )
 from .config import RunConfig, config_from_dict, config_to_dict, load_config
 from .errors import (
-    CalibrationError,
     ConfigError,
     EstimationError,
     FitError,
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
     except (SchemaError, EstimationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (FitError, CalibrationError, InvariantError, np.linalg.LinAlgError) as exc:
+    except (FitError, InvariantError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

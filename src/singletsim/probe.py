@@ -156,33 +156,6 @@ def simulate_pulse(
     return PulseOutcome(measured, backaction), posterior
 
 
-def predicted_conditional_covariance(prep_cov, probe: ProbeConfig) -> np.ndarray:
-    """Measured-space covariance of a spin readout conditioned on a prior one.
-
-    For a preparation covariance S and per-pulse readout variance s^2,
-    both three-component readouts have covariance S + s^2 I and share
-    the atomic part S, so the second conditioned on the first is
-
-        (S + s^2 I) - S (S + s^2 I)^{-1} S.
-
-    Subtracting the readout floor 3 s^2 from its trace leaves the Kalman
-    posterior of the atomic state; for a thermal state that trace is
-    2 n_atoms / (1 + zeta_eff).
-
-    Axis order: the result is in the frame of ``prep_cov``, the
-    preparation frame (x, y, z) of ``SequenceConfig.prep_noise_cov``.
-    Shot data and ``analysis.conditional_covariance`` of it are in pulse
-    order (z, y, x), so compare element by element only after reversing
-    both axes, ``result[::-1, ::-1]``.  The traces agree either way; for
-    a non-isotropic ``prep_cov`` the elements do not.
-    """
-    s2 = readout_noise_sigma(probe) ** 2
-    prep = np.asarray(prep_cov, dtype=float)
-    total = prep + s2 * np.eye(3)
-    cond = total - prep @ np.linalg.solve(total, prep)
-    return 0.5 * (cond + cond.T)
-
-
 def calibrate_g1(pairs, f: float = 1.0) -> tuple[float, float]:
     """Least-squares calibration of g1 from (phi, n_atoms) pairs.
 

@@ -16,6 +16,12 @@ readout noise.  No Kalman estimator state is propagated: the posterior
 never reaches a readout.  ``probe.simulate_pulse`` remains the analytic
 single-pulse reference for the estimator.
 
+Exact moments come from the same engine, not from a separate closed
+form.  Without back-action a shot's readouts are affine in its row of
+standard normals, so ``engine_covariance`` runs the engine on the zero
+row and the unit rows and returns the exact (6, 6) covariance of
+(f1, f2).
+
 Per-shot draw layout.  Each shot consumes one row of standard normals,
 in this column order (bracketed blocks only when the branch is on):
 
@@ -302,9 +308,7 @@ def _rotate_about_z(spin: np.ndarray, angle: np.ndarray) -> np.ndarray:
     return np.column_stack([c * x - s * y, s * x + c * y, spin[:, 2]])
 
 
-def _propagate(
-    cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _propagate(cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """The simulation engine: readouts of shots with per-shot atom numbers.
 
     ``normals`` holds one row of ``draw_columns(cfg)`` standard normals
@@ -347,6 +351,28 @@ def _propagate(
         if kicks is not None:
             spin = _rotate_about_z(spin, kicks[:, k])
     return f
+
+
+def engine_covariance(cfg: SequenceConfig, n_atoms: float) -> np.ndarray:
+    """Exact (6, 6) covariance of one shot's readouts (f1, f2) at ``n_atoms``.
+
+    Rows and columns are the readouts in ``ShotTable.f`` order: first
+    round then second, each (z, y, x).  The engine is affine in its row
+    of normals, so its shots on the zero row and the k unit rows of
+    ``draw_columns(cfg)`` give the offset (``prep_mean_offset``) and the
+    (k, 6) map F, and the covariance is F^T F.  With
+    ``probe.light_backaction`` the readouts are not linear in the draws,
+    and this raises ``ValueError``.
+    """
+    if cfg.probe.light_backaction:
+        raise ValueError(
+            "probe.light_backaction makes the readouts nonlinear in the draws: "
+            "no exact covariance"
+        )
+    k = draw_columns(cfg)
+    f = _propagate(cfg, np.full(k + 1, float(n_atoms)), np.vstack([np.zeros(k), np.eye(k)]))
+    jac = f[1:] - f[0]
+    return jac.T @ jac
 
 
 def simulate_shots(

@@ -159,8 +159,8 @@ def larmor_period(field: MagneticField) -> float:
 def covariance_factor(cov: np.ndarray) -> np.ndarray:
     """Matrix L with L L^T = cov, valid for any PSD matrix.
 
-    Eigendecomposition-based so that singular covariances (e.g. the
-    zero-atom state) factor cleanly.
+    Eigendecomposition-based so that a singular covariance (e.g. a
+    ``detector_noise_cov`` that is zero on some axis) factors cleanly.
     """
     w, v = np.linalg.eigh(cov)
     return v * np.sqrt(np.clip(w, 0.0, None))

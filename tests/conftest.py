@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from singletsim import MagneticField, ProbeConfig, SequenceConfig, ShotTable
+from singletsim import (
+    MagneticField,
+    ProbeConfig,
+    SequenceConfig,
+    ShotTable,
+    conditional_covariance,
+    engine_covariance,
+)
 
 # 16.9 mG along [1,1,1]: T_L = 85 us with the default gyromagnetic ratio.
 FIELD_111 = np.ones(3) * 16.9e-3 / math.sqrt(3.0)
@@ -49,6 +56,16 @@ def schur_trace(f1, f2):
 
     c6 = sample_covariance(np.hstack([f1, f2]))
     return conditional_covariance(c6[:3, :3], c6[3:, 3:], c6[:3, 3:]).trace
+
+
+def engine_schur(cfg, n_atoms):
+    """Exact covariance of f2 conditioned on f1, in readout order (z, y, x).
+
+    The Schur complement of ``engine_covariance``'s blocks, through the
+    same ``conditional_covariance`` the analysis applies to data.
+    """
+    c6 = engine_covariance(cfg, n_atoms)
+    return conditional_covariance(c6[:3, :3], c6[3:, 3:], c6[:3, 3:])
 
 
 def shot_table(f1, f2, n_atoms, is_reference=False):

@@ -26,7 +26,6 @@ from singletsim import (
     larmor_period,
     larmor_rotation_matrix,
     make_tss,
-    predicted_conditional_covariance,
     readout_noise_sigma,
     run_campaign,
     sample_covariance,
@@ -36,7 +35,7 @@ from singletsim import (
 )
 from singletsim.cli import main
 from singletsim.sequence import CampaignConfig
-from tests.conftest import FIELD_111, GAMMA1_PAPER, schur_trace, shot_table
+from tests.conftest import FIELD_111, GAMMA1_PAPER, engine_schur, schur_trace, shot_table
 from tests.test_magnetometry import ode_oracle
 
 MEASURED_SENSITIVITY = 515.0  # spins, the apparatus-level readout noise
@@ -127,8 +126,7 @@ def test_criterion_4_schur_kalman_equivalence():
             field=MagneticField(FIELD_111), probe=probe, prep_noise_cov=tech
         )
         f1, f2 = simulate_shots(cfg, n_atoms, m, rng)
-        prep_cov = make_tss(n_atoms).cov + tech
-        predicted = predicted_conditional_covariance(prep_cov, probe)
+        predicted = engine_schur(cfg, n_atoms).matrix
         # Wishart theory: the Schur complement of a sample covariance is
         # itself Wishart, so var(trace) = 2 tr(Gamma^2) / m.
         se = math.sqrt(2.0 * np.trace(predicted @ predicted) / m)

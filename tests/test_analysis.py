@@ -37,7 +37,7 @@ from singletsim.analysis import (
 from singletsim.config import config_from_dict
 from singletsim.sequence import CampaignConfig
 from singletsim.spins import PSD_RTOL
-from tests.conftest import schur_trace, shot_table
+from tests.conftest import engine_schur, schur_trace, shot_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -168,9 +168,11 @@ class TestSelectShots:
         is_ref = np.arange(m + n_refs) >= m
         return shot_table(f1, f2, np.where(is_ref, 0.0, n_atoms), is_ref)
 
-    def test_infinite_cutoff_selects_all(self):
+    def test_cutoff_above_every_distance_selects_all(self):
         table = self._make(np.random.default_rng(8))
-        assert len(select_shots(table, math.inf)) == len(table)
+        f1 = table.f1
+        ratio = np.sum((f1 - f1.mean(axis=0)) ** 2, axis=1) / table.n_atoms
+        assert len(select_shots(table, 2.0 * ratio.max())) == len(table)
 
     def test_monotone_in_cutoff(self):
         table = self._make(np.random.default_rng(9))
@@ -196,12 +198,15 @@ class TestSelectShots:
 
     def test_reference_shots_excluded(self):
         table = self._make(np.random.default_rng(12), n_refs=5)
-        selected = select_shots(table, math.inf)
+        selected = select_shots(table, 1e12)
+        assert len(selected) == 2000
         assert not selected.is_reference.any()
 
     def test_cutoff_validation(self):
-        with pytest.raises(ValueError):
-            select_shots(shot_table(np.empty((0, 3)), np.empty((0, 3)), []), 0.0)
+        empty = shot_table(np.empty((0, 3)), np.empty((0, 3)), [])
+        for cutoff in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cutoff must be finite and positive"):
+                select_shots(empty, cutoff)
 
 
 class TestSqueezingParameter:
@@ -597,8 +602,14 @@ class TestCutoffScan:
     def test_nonpositive_cutoff_rejected(self, probe_ideal):
         table, _ = synthetic_campaign(probe_ideal, seed=28, n_cycles=5)
         for cutoffs in ([1.0, 0.0], [-0.5]):
-            with pytest.raises(ValueError, match="cutoff must be positive"):
+            with pytest.raises(ValueError, match="cutoff must be finite and positive"):
                 cutoff_scan(table, cutoffs, probe_ideal, AnalysisOptions(n_bins=2))
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+    def test_non_finite_cutoff_rejected(self, probe_ideal, cutoff):
+        table, _ = synthetic_campaign(probe_ideal, seed=28, n_cycles=5)
+        with pytest.raises(ValueError, match="cutoff must be finite and positive"):
+            cutoff_scan(table, [1.0, cutoff], probe_ideal, AnalysisOptions(n_bins=2))
 
     def test_scan_memory_does_not_grow_with_cutoffs_times_shots(self):
         # 3000 cutoffs over 600 atom shots: a (cutoffs x shots) float
@@ -632,15 +643,9 @@ class TestCutoffScan:
 
 
 def test_schur_kalman_consistency_on_batch(seq_ideal):
-    # The empirical conditional trace matches the covariance-level
-    # prediction from the probe model on a fresh batch.
-    from singletsim import predicted_conditional_covariance
-
+    # The empirical conditional trace matches the engine's exact one
+    # on a fresh batch.
     n = 6e5
     f1, f2 = simulate_shots(seq_ideal, n, 50_000, np.random.default_rng(34))
-    predicted = float(
-        np.trace(
-            predicted_conditional_covariance(np.eye(3) * (2 / 3) * n, seq_ideal.probe)
-        )
-    )
+    predicted = engine_schur(seq_ideal, n).trace
     assert schur_trace(f1, f2) == pytest.approx(predicted, rel=0.03)

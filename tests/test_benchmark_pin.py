@@ -5,7 +5,10 @@
 those functions breaks the benchmark's trace mode; that file is parsed,
 not imported.  ``perfbench/workloads.py`` holds each workload's config,
 so a config key it sets must stay in the schema; it is imported with
-bytecode writing off, so the benchmark directory stays untouched.
+bytecode writing off, so the benchmark directory stays untouched.  Its
+output checks test every bin against the squeezing law written with
+its own copy of the published constants, so that law must equal the
+package's exact moments at the empty config.
 Finally ``analysis.py`` makes no random draws: its witness stderrs are
 delta-method, so every analysis output depends on the data alone.
 """
@@ -16,9 +19,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from singletsim import config_from_dict
+from tests.conftest import engine_schur
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -68,6 +73,15 @@ def test_workload_configs_load(tiny):
     for name in workloads.NAMES:
         config = workloads.build(name, tiny=tiny).config
         config_from_dict({**config, "seed": 1})
+
+
+def test_benchmark_squeezing_law_is_the_package_law():
+    workloads = load_workloads()
+    seq = config_from_dict({}).sequence
+    floor = 3.0 * workloads.readout_sigma() ** 2
+    for n in np.linspace(1e5, 1.6e6, 16):
+        law = 2.0 * n / (1.0 + workloads.EFFICIENCY * workloads.snr(n))
+        assert engine_schur(seq, n).trace - floor == pytest.approx(law, rel=1e-12)
 
 
 def test_analysis_draws_no_random_numbers():

@@ -6,15 +6,10 @@ import pytest
 from singletsim import (
     CalibrationError,
     ProbeConfig,
-    SequenceConfig,
     calibrate_g1,
-    conditional_covariance,
     make_tss,
-    predicted_conditional_covariance,
     readout_noise_sigma,
-    sample_covariance,
     simulate_pulse,
-    simulate_shots,
     snr,
 )
 
@@ -153,40 +148,6 @@ class TestSimulatePulse:
         post_mean = weight * measurements.mean(axis=1)
         err_var = np.var(z - post_mean, ddof=1)
         assert err_var == pytest.approx(post_var_pred, rel=0.05)
-
-
-class TestPredictedConditionalCovariance:
-    def test_tss_matches_squeezing_law(self, probe_paper):
-        n = 1.1e6
-        prep = make_tss(n).cov
-        pred = predicted_conditional_covariance(prep, probe_paper)
-        s2 = readout_noise_sigma(probe_paper) ** 2
-        zeta_eff = probe_paper.efficiency * snr(probe_paper, n)
-        assert np.trace(pred) - 3 * s2 == pytest.approx(2 * n / (1 + zeta_eff), rel=1e-10)
-
-    def test_zero_atoms_pure_readout(self, probe_ideal):
-        pred = predicted_conditional_covariance(np.zeros((3, 3)), probe_ideal)
-        s2 = readout_noise_sigma(probe_ideal) ** 2
-        assert np.allclose(pred, s2 * np.eye(3))
-
-    def test_prep_frame_reversed_matches_data_elementwise(self, field):
-        # The prediction is in the prep frame (x, y, z); readouts are in
-        # pulse order (z, y, x).  Reversed, every element agrees with the
-        # sample Schur complement; as it is, only the trace does.
-        n_atoms, m = 1e6, 40_000
-        tech = np.array([[3.0e6, 0.6e6, 0.2e6], [0.6e6, 0.8e6, 0.1e6], [0.2e6, 0.1e6, 0.0]])
-        probe = ProbeConfig(readout_noise_override=1000.0)
-        cfg = SequenceConfig(field=field, probe=probe, prep_noise_cov=tech)
-        f1, f2 = simulate_shots(cfg, n_atoms, m, np.random.default_rng(0))
-        c6 = sample_covariance(np.hstack([f1, f2]))
-        observed = conditional_covariance(c6[:3, :3], c6[3:, 3:], c6[:3, 3:]).matrix
-        pred = predicted_conditional_covariance(make_tss(n_atoms).cov + tech, probe)
-        # Wishart element stderrs, sqrt((S_ij^2 + S_ii S_jj) / m).
-        se = np.sqrt((pred**2 + np.outer(np.diag(pred), np.diag(pred))) / m)
-        assert np.all(np.abs(observed - pred[::-1, ::-1]) < 4.0 * se)
-        assert np.max(np.abs(observed - pred) / se) > 10.0
-        trace_se = math.sqrt(2.0 * np.trace(pred @ pred) / m)
-        assert abs(np.trace(observed) - np.trace(pred)) < 3.0 * trace_se
 
 
 class TestCalibrateG1:
