@@ -128,17 +128,20 @@ def _checked_batch(lines: list) -> list:
 def write_csv(path, columns, rows) -> None:
     """Write a ``columns`` header line, then ``rows``, as ``csv.writer`` would.
 
-    Every field is an int or a float (Python or numpy), written as its
-    ``str`` (for a float, the shortest string that reads back to the same
-    double), comma-separated, and every line ends in CRLF: the bytes of
-    ``csv.writer``'s default dialect.  Rows are joined and written
-    ``_WRITE_ROWS`` at a time.
+    Every row is a tuple or list of exactly ``len(columns)`` fields, each
+    an int or a float (Python or numpy), written as its ``str`` (for a
+    float, the shortest string that reads back to the same double),
+    comma-separated, and every line ends in CRLF: the bytes of
+    ``csv.writer``'s default dialect.  Each row is formatted by one
+    ``%s`` template, so a row of any other width raises ``TypeError``.
+    Rows are written ``_WRITE_ROWS`` at a time.
     """
+    line = ",".join(["%s"] * len(columns)) + "\r\n"
     rows = iter(rows)
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         while chunk := list(islice(rows, _WRITE_ROWS)):
-            fh.write("".join([",".join(map(str, row)) + "\r\n" for row in chunk]))
+            fh.write("".join([line % tuple(row) for row in chunk]))
 
 
 def write_json(path, payload) -> None:

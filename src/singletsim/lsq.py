@@ -168,7 +168,8 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
     first_step = True
     status = None
     while status is None:
-        r, perm, qtf, col_norms = _pivoted_qr(jac(x), f)
+        j, j_at = jac(x), x
+        r, perm, qtf, col_norms = _pivoted_qr(j, f)
         gnorm = 0.0
         if fnorm != 0.0:
             norms = col_norms[perm]
@@ -218,4 +219,5 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
                 status = "max_nfev"
             if status is not None or accepted:
                 break
-    return LsqResult(x, f, jac(x), nfev, status)
+    # x has not moved since the last QR unless the final step was accepted.
+    return LsqResult(x, f, j if x is j_at else jac(x), nfev, status)

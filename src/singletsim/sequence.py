@@ -28,6 +28,11 @@ in this column order (bracketed blocks only when the branch is on):
     spin 3 | [detector 3] | round-1 readout noise 3 | [diffusion 3]
     | round-2 readout noise 3 | [back-action 6]
 
+An atom shot's spin is V diag(sqrt(2N/3 + lambda)) z plus
+``prep_mean_offset``, with z its spin block and (lambda, V) =
+eigh(``prep_noise_cov``): the prepared covariance (2/3) N I + P has P's
+eigenvectors.  A reference shot's spin is 0.
+
 The detector block is drawn when ``detector_noise_cov`` is non-zero,
 diffusion when ``period_diffusion`` > 0, and back-action (one lab-z
 rotation angle per pulse, applied to the true spin after that pulse's
@@ -268,19 +273,21 @@ def draw_columns(cfg: SequenceConfig) -> int:
     )
 
 
-def _prepared_factor(cfg: SequenceConfig, n_atoms: np.ndarray) -> np.ndarray:
-    """Per-shot factors L with L L^T = prepared covariance, shape (n, 3, 3).
+def _prepared_axes(cfg: SequenceConfig, n_atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Axes V (3, 3) and per-shot widths (n, 3) of the prepared spin.
 
     The prepared covariance is the thermal (2/3) N I plus
-    ``prep_noise_cov`` (atoms only).  All shots are factored by one
-    batched ``eigh``, whose eigenvalues also serve as the PSD check.
+    ``prep_noise_cov`` (atoms only).  With (lam, V) = eigh(P), every atom
+    shot's covariance has eigenvalues 2N/3 + lam on V's columns, so one
+    3x3 ``eigh`` serves the whole batch; a shot's spin is V (width * z)
+    and reference shots have width 0.  Raises ``ConfigError`` at the
+    smallest atom number whose prepared covariance is not PSD.
     """
-    cov = np.zeros((len(n_atoms), 3, 3))
-    diag = np.arange(3)
-    cov[:, diag, diag] = (2.0 / 3.0 * n_atoms)[:, None]
-    cov[n_atoms > 0] += cfg.prep_noise_cov
-    w, v = np.linalg.eigh(cov)
-    floor = -PSD_RTOL * np.maximum(np.trace(cov, axis1=1, axis2=2), 1.0)
+    lam, axes = np.linalg.eigh(cfg.prep_noise_cov)
+    atoms = n_atoms > 0
+    w = np.zeros((len(n_atoms), 3))
+    w[atoms] = (2.0 / 3.0 * n_atoms[atoms])[:, None] + lam
+    floor = -PSD_RTOL * np.maximum(w.sum(axis=1), 1.0)
     bad = np.flatnonzero(w[:, 0] < floor)
     if bad.size:
         worst = bad[np.argmin(n_atoms[bad])]
@@ -289,11 +296,11 @@ def _prepared_factor(cfg: SequenceConfig, n_atoms: np.ndarray) -> np.ndarray:
             f"semidefinite at n_atoms = {n_atoms[worst]:.6g} "
             f"(min eig {w[worst, 0]:.3g})"
         )
-    return v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    return axes, np.sqrt(np.clip(w, 0.0, None))
 
 
 def _row_products(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``m @ row`` for every row, ``m`` (3, 3) or one per row (n, 3, 3).
+    """``m @ row`` for every row of ``rows``, ``m`` (3, 3).
 
     A stacked matmul multiplies row by row, so each shot's arithmetic is
     that of a single 3x3 product whatever the batch size: a one-cycle
@@ -320,8 +327,8 @@ def _propagate(cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray) ->
     sigma = readout_noise_sigma(cfg.probe)
     z = iter(np.hsplit(normals, range(3, normals.shape[1], 3)))
 
-    factor = _prepared_factor(cfg, n_atoms)
-    spin = _row_products(factor, next(z))
+    axes, width = _prepared_axes(cfg, n_atoms)
+    spin = _row_products(axes, width * next(z))
     spin[n_atoms > 0] += cfg.prep_mean_offset
     detector = np.zeros((len(n_atoms), 3))
     if cfg.has_detector_noise:
@@ -409,7 +416,9 @@ def _simulate_cycles(
     for i, cycle_id in enumerate(cycle_ids):
         seed = np.random.SeedSequence(campaign.master_seed, spawn_key=(cycle_id,))
         rng = np.random.default_rng(seed)
-        n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * rng.uniform(-1.0, 1.0))
+        # Generator.uniform(-1, 1) bit for bit, without its per-call overhead.
+        jitter = -1.0 + 2.0 * rng.random()
+        n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * jitter)
         n_atoms[i, :n_seq] = n0 * decay
         rng.standard_normal(out=normals[i])
     n_atoms = n_atoms.reshape(-1)

@@ -147,6 +147,28 @@ def test_write_csv_matches_csv_writer(tmp_path):
     assert written.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("n_rows", [2 * fileio._WRITE_ROWS, 2 * fileio._WRITE_ROWS + 1])
+@pytest.mark.parametrize("row_type", [tuple, list])
+def test_write_csv_chunk_edges(tmp_path, row_type, n_rows):
+    # Tuple rows (the shot writer) and list rows (the analysis writers),
+    # at a whole number of write chunks and one row past it.
+    rows = [row_type((i, np.float64(i) / 7, float(-i) / 3)) for i in range(n_rows)]
+    columns = ("i", "x", "y")
+    written, expected = tmp_path / "written.csv", tmp_path / "expected.csv"
+    fileio.write_csv(written, columns, rows)
+    with expected.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("row", [(1, 2.0), [1, 2.0, 3.0, 4.0]])
+def test_write_csv_rejects_a_row_of_the_wrong_width(tmp_path, row):
+    with pytest.raises(TypeError):
+        fileio.write_csv(tmp_path / "bad.csv", ("a", "b", "c"), [(0, 1.0, 2.0), row])
+
+
 def test_write_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     fileio.write_csv(path, ("a", "b"), [])

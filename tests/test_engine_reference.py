@@ -2,8 +2,9 @@
 
 ``reference_campaign`` rebuilds every shot from the draw layout stated
 in the ``singletsim.sequence`` module docstring, one shot and one pulse
-at a time with 3-vectors and 3x3 matrices.  It shares no code with the
-engine beyond the probe/field constants.
+at a time with 3-vectors and 3x3 matrices: each atom shot's prepared
+spin comes from its own ``eigh`` of ``prep_noise_cov``.  It shares no
+code with the engine beyond the probe/field constants.
 """
 
 import math
@@ -47,12 +48,13 @@ def reference_campaign(campaign, cfg):
         n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * rng.uniform(-1.0, 1.0))
         for s in range(n_seq + campaign.reference_shots_per_cycle):
             n = n0 * (1.0 - campaign.loss_fraction) ** s if s < n_seq else 0.0
-            cov = np.eye(3) * (2.0 / 3.0 * n)
-            mean = np.zeros(3)
+            # Prepared spin: V diag(sqrt(2n/3 + lam)) z on P's axes (atoms only).
+            z = rng.standard_normal(3)
+            spin = np.zeros(3)
             if n > 0:
-                cov = cov + cfg.prep_noise_cov
-                mean = cfg.prep_mean_offset
-            spin = mean + factor(cov) @ rng.standard_normal(3)
+                lam, axes = np.linalg.eigh(cfg.prep_noise_cov)
+                width = np.sqrt(np.clip(2.0 / 3.0 * n + lam, 0.0, None))
+                spin = cfg.prep_mean_offset + axes @ (width * z)
             detector = np.zeros(3)
             if has_detector:
                 detector = factor(cfg.detector_noise_cov) @ rng.standard_normal(3)

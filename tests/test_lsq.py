@@ -12,6 +12,7 @@ import pytest
 import scipy.optimize
 
 import singletsim.analysis as analysis_mod
+import singletsim.lsq as lsq_mod
 import singletsim.magnetometry as magnetometry_mod
 from singletsim import (
     FitError,
@@ -83,6 +84,34 @@ def test_fid_fit_matches_minpack(seed):
     assert est.residual_norm == pytest.approx(np.linalg.norm(fun), rel=1e-12)
     # MINPACK's covariance comes from a finite-difference Jacobian.
     assert np.allclose(est.covariance, cov, rtol=1e-4, atol=0)
+
+
+def test_fid_fit_evaluates_one_jacobian_per_factorization(monkeypatch):
+    # The solver stops on gtol, where x has not moved since the last QR,
+    # so the returned Jacobian is that QR's: no extra evaluation.
+    calls = {"jac": 0, "qr": 0}
+    results = []
+    pivoted_qr = lsq_mod._pivoted_qr
+
+    def counting_qr(*args):
+        calls["qr"] += 1
+        return pivoted_qr(*args)
+
+    def solver(fun, jac, x0, **kwargs):
+        def counting_jac(x):
+            calls["jac"] += 1
+            return jac(x)
+
+        results.append((levenberg_marquardt(fun, counting_jac, x0, **kwargs), jac))
+        return results[-1][0]
+
+    monkeypatch.setattr(lsq_mod, "_pivoted_qr", counting_qr)
+    monkeypatch.setattr(magnetometry_mod, "levenberg_marquardt", solver)
+    fit_fid(*published_fid_trace(1), G1, GAMMA)
+    (result, jac), = results
+    assert result.status == "gtol"
+    assert calls["jac"] == calls["qr"] > 0
+    assert np.array_equal(result.jac, jac(result.x))
 
 
 @pytest.fixture(scope="module")

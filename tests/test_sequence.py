@@ -219,6 +219,27 @@ class TestCampaign:
         assert np.array_equal(chunk.f1, solo.f1)
         assert np.array_equal(chunk.f2, solo.f2)
 
+    def test_substream_isolation_all_linear_branches(self, field, probe_ideal):
+        # A one-cycle rerun reproduces its shots bit for bit with every
+        # linear branch on, where the prepared spin's axes are not the identity.
+        cfg = SequenceConfig(
+            field=field,
+            probe=probe_ideal,
+            prep_noise_cov=np.array([[3e5, 1e5, -5e4], [1e5, 2e5, 2e4], [-5e4, 2e4, 1e5]]),
+            prep_mean_offset=np.array([400.0, -250.0, 120.0]),
+            detector_noise_cov=np.array([[1e5, 2e4, 0.0], [2e4, 8e4, 1e4], [0.0, 1e4, 6e4]]),
+            period_diffusion=1e4,
+            intra_pulse_rotation=True,
+        )
+        campaign = small_campaign(seed=13)
+        full = run_campaign(campaign, cfg)
+        per_cycle = campaign.sequences_per_cycle + campaign.reference_shots_per_cycle
+        for cycle in range(campaign.n_cycles):
+            solo = _simulate_cycles(campaign, cfg, [cycle])
+            chunk = full[cycle * per_cycle : (cycle + 1) * per_cycle]
+            assert np.array_equal(chunk.n_atoms, solo.n_atoms)
+            assert np.array_equal(chunk.f, solo.f)
+
     def test_jitter_bounds(self, seq_ideal):
         campaign = small_campaign(n_cycles=20, atom_jitter=0.05)
         table = run_campaign(campaign, seq_ideal)
