@@ -134,14 +134,22 @@ def write_csv(path, columns, rows) -> None:
     comma-separated, and every line ends in CRLF: the bytes of
     ``csv.writer``'s default dialect.  Each row is formatted by one
     ``%s`` template, so a row of any other width raises ``TypeError``.
-    Rows are written ``_WRITE_ROWS`` at a time.
+    Rows are written ``_WRITE_ROWS`` at a time.  A call that raises once
+    it has opened ``path`` removes the file, so it leaves no truncated
+    CSV behind.
     """
+    path = Path(path)
     line = ",".join(["%s"] * len(columns)) + "\r\n"
     rows = iter(rows)
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        while chunk := list(islice(rows, _WRITE_ROWS)):
-            fh.write("".join([line % tuple(row) for row in chunk]))
+    fh = path.open("w", newline="")
+    try:
+        with fh:
+            fh.write(",".join(columns) + "\r\n")
+            while chunk := list(islice(rows, _WRITE_ROWS)):
+                fh.write("".join([line % tuple(row) for row in chunk]))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path, payload) -> None:

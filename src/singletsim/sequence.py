@@ -7,13 +7,13 @@ two three-component measurements f1 and f2 of the same sample.  A
 *campaign* repeats sequences over trap-loading cycles with geometric
 atom loss and appends no-atom reference shots at the end of each cycle.
 
-All shots go through one vectorized engine (``simulate_shots``; a
-campaign is a single call over every shot).  Each shot's true spin
-vector is drawn at preparation from the prepared Gaussian and
-propagated deterministically through the rotations as a row of an
-(n, 3) array; pulse outcomes are that vector's lab-z component plus
-readout noise.  No Kalman estimator state is propagated: the posterior
-never reaches a readout.  ``probe.simulate_pulse`` remains the analytic
+All shots go through one vectorized engine, ``_propagate``: a campaign
+is a single call over every shot, as is a ``simulate_shots`` batch.
+Each shot's true spin vector is drawn at preparation from the prepared
+Gaussian and propagated deterministically through the rotations as a
+row of an (n, 3) array; pulse outcomes are that vector's lab-z
+component plus readout noise.  No Kalman estimator state is
+propagated: the posterior never reaches a readout.  ``probe.simulate_pulse`` remains the analytic
 single-pulse reference for the estimator.
 
 Exact moments come from the same engine, not from a separate closed
@@ -39,11 +39,14 @@ rotation angle per pulse, applied to the true spin after that pulse's
 readout) when ``probe.light_backaction`` is set.  The full row is drawn
 even where a term vanishes (reference shots, zero readout noise).
 
-Campaigns are deterministic given the master seed: each cycle derives
-an independent random substream from (master_seed, cycle_id), draws one
-uniform for its atom-number jitter, then one block of rows for its
-shots in ``seq_index`` order (atom shots, then references).  Results do
-not depend on evaluation order.
+Campaigns are deterministic given the master seed.  Cycle c draws from
+``Generator(PCG64(SeedSequence(master_seed, spawn_key=(c,))))``: one
+``random()`` for its atom-number jitter, then one block of rows of
+normals for its shots in ``seq_index`` order (atom shots, then
+references).  The engine derives these generator states for all cycles
+in one array pass, without building the objects (``_substream_states``),
+so results do not depend on evaluation order and a one-cycle rerun
+reproduces its shots.
 
 A campaign is returned as one ``ShotTable``, the columnar dataset every
 later stage (CSV output and input, analysis) works on.
@@ -52,6 +55,7 @@ later stage (CSV output and input, analysis) works on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +81,9 @@ N_PULSES = 2 * PULSES_PER_PERIOD
 # How far each component of the field's unit vector may lie from
 # 1/sqrt(3); ``SequenceConfig`` says why the field must be on that axis.
 FIELD_AXIS_ATOL = 1e-6
+
+# A cycle's id is its substream's spawn key, which must be one uint32 word.
+MAX_CYCLES = 2**32
 
 DATASET_COLUMNS = (
     "cycle_id",
@@ -253,6 +260,8 @@ class CampaignConfig:
             raise ValueError("loss_fraction must be in [0, 1)")
         if self.n_cycles < 1 or self.sequences_per_cycle < 1:
             raise ValueError("n_cycles and sequences_per_cycle must be positive")
+        if self.n_cycles > MAX_CYCLES:
+            raise ValueError(f"n_cycles must be at most 2**32 = {MAX_CYCLES}")
         if self.initial_atoms < 0:
             raise ValueError("initial_atoms must be non-negative")
         if self.reference_shots_per_cycle < 0:
@@ -400,31 +409,124 @@ def simulate_shots(
     return f[:, :3], f[:, 3:]
 
 
+# numpy's SeedSequence: its pool size and hash constants (uint32 words).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant: (xor, multiplier) of each hash step."""
+    while True:
+        step = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(step)
+        init = step
+
+
+def _hashmix(words: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    words = (words ^ xor) * mult
+    return words ^ (words >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    words = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return words ^ (words >> _XSHIFT)
+
+
+def _substream_states(master_seed: int, cycle_ids: np.ndarray) -> np.ndarray:
+    """Each cycle's ``SeedSequence(master_seed, spawn_key=(c,)).generate_state(4, uint64)``.
+
+    numpy's entropy hash, run for every cycle at once in uint32 array
+    arithmetic: the seed's little-endian 32-bit words zero-padded to the
+    pool size, then the cycle id as one spawn word (so ids must be below
+    2**32); the pool is hashed, mixed with itself and with every word
+    past it, and hashed out to 8 words.  Returns the (n, 4) uint64 words
+    PCG64 seeds from (``_pcg64_state``).
+    """
+    seed = operator.index(master_seed)
+    run = [seed & _MASK32]
+    while seed := seed >> 32:
+        run.append(seed & _MASK32)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = np.empty((len(run) + 1, len(cycle_ids)), dtype=np.uint32)
+    entropy[:-1] = np.array(run, dtype=np.uint32)[:, None]
+    entropy[-1] = cycle_ids
+
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, constants) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = np.empty((len(cycle_ids), 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        state[:, i] = _hashmix(pool[i % _POOL_SIZE], constants)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words) -> dict:
+    """The ``PCG64.state`` that seeding from ``words`` (4 ints) sets.
+
+    PCG64 reads (initstate, initseq) as two 128-bit ints, high word
+    first, and runs ``pcg_setseq_128_srandom_r``.
+    """
+    init_hi, init_lo, seq_hi, seq_lo = words
+    inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
+    state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _simulate_cycles(
     campaign: CampaignConfig, seq_cfg: SequenceConfig, cycle_ids
 ) -> ShotTable:
     """Shots of the given loading cycles, each on its own random substream.
 
     Each cycle draws its jitter and its block of normals from
-    (master_seed, cycle_id); all shots then go through the engine at once.
+    (master_seed, cycle_id), as the module docstring states; all shots
+    then go through the engine at once.  Cycle ids must lie in
+    [0, ``MAX_CYCLES``).
     """
+    ids = np.asarray(cycle_ids)
+    if ids.size and not (ids.min() >= 0 and ids.max() < MAX_CYCLES):
+        raise ValueError(f"cycle ids must lie in [0, 2**32), got {ids.min()}..{ids.max()}")
+    words = _substream_states(campaign.master_seed, ids)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
     n_seq = campaign.sequences_per_cycle
     per_cycle = n_seq + campaign.reference_shots_per_cycle
     decay = np.array([(1.0 - campaign.loss_fraction) ** s for s in range(n_seq)])
-    n_atoms = np.zeros((len(cycle_ids), per_cycle))
-    normals = np.empty((len(cycle_ids), per_cycle, draw_columns(seq_cfg)))
-    for i, cycle_id in enumerate(cycle_ids):
-        seed = np.random.SeedSequence(campaign.master_seed, spawn_key=(cycle_id,))
-        rng = np.random.default_rng(seed)
-        # Generator.uniform(-1, 1) bit for bit, without its per-call overhead.
-        jitter = -1.0 + 2.0 * rng.random()
-        n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * jitter)
-        n_atoms[i, :n_seq] = n0 * decay
+    uniforms = np.empty(len(ids))
+    normals = np.empty((len(ids), per_cycle, draw_columns(seq_cfg)))
+    for i in range(len(ids)):
+        bits.state = _pcg64_state(words[i].tolist())
+        uniforms[i] = rng.random()
         rng.standard_normal(out=normals[i])
+    # Generator.uniform(-1, 1) bit for bit, without its per-call overhead.
+    jitter = -1.0 + 2.0 * uniforms
+    n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * jitter)
+    n_atoms = np.zeros((len(ids), per_cycle))
+    n_atoms[:, :n_seq] = n0[:, None] * decay
     n_atoms = n_atoms.reshape(-1)
-    seq_index = np.tile(np.arange(per_cycle), len(cycle_ids))
+    seq_index = np.tile(np.arange(per_cycle), len(ids))
     return ShotTable(
-        cycle_id=np.repeat(np.asarray(cycle_ids, dtype=np.int64), per_cycle),
+        cycle_id=np.repeat(ids.astype(np.int64), per_cycle),
         seq_index=seq_index,
         is_reference=seq_index >= n_seq,
         n_atoms=n_atoms,

@@ -201,6 +201,15 @@ class TestSimulate:
         assert not (out / "shots.csv").exists()
         assert "--seed: master_seed must be non-negative" in capsys.readouterr().err
 
+    def test_too_many_cycles_exit_code(self, tmp_path, capsys):
+        # A cycle's spawn key is one uint32 word; the config refuses more
+        # cycles before anything is allocated.
+        cfg_path = write_config(tmp_path, {"campaign": {"n_cycles": 2**32 + 1}})
+        out = tmp_path / "too_many"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "campaign: n_cycles must be at most 2**32" in capsys.readouterr().err
+
     def test_zero_field_exit_code(self, tmp_path, capsys):
         payload = {**TINY_CAMPAIGN, "field": {"b": [0, 0, 0]}}
         cfg_path = write_config(tmp_path, payload)

@@ -169,6 +169,15 @@ def test_write_csv_rejects_a_row_of_the_wrong_width(tmp_path, row):
         fileio.write_csv(tmp_path / "bad.csv", ("a", "b", "c"), [(0, 1.0, 2.0), row])
 
 
+def test_write_csv_leaves_no_file_when_a_row_fails(tmp_path):
+    # The bad row comes after a whole write chunk has reached the file.
+    path = tmp_path / "bad.csv"
+    rows = [(i, 1.0, 2.0) for i in range(200)] + [(200, 1.0)]
+    with pytest.raises(TypeError):
+        fileio.write_csv(path, ("a", "b", "c"), rows)
+    assert not path.exists()
+
+
 def test_write_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     fileio.write_csv(path, ("a", "b"), [])

@@ -8,6 +8,7 @@ code with the engine beyond the probe/field constants.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,3 +117,21 @@ def test_engine_matches_per_shot_loop(probe, branches):
         assert table.is_reference[i] == (s >= CAMPAIGN.sequences_per_cycle)
         assert table.n_atoms[i] == n  # bit-identical
         np.testing.assert_allclose(table.f[i], readouts, rtol=1e-12, atol=atol)
+
+
+@pytest.mark.parametrize("seed", [2**96, 2**128 + 1], ids=["4-word-seed", "5-word-seed"])
+def test_engine_matches_per_shot_loop_at_a_multi_word_seed(seed):
+    # A seed of four 32-bit words fills SeedSequence's pool with no zero
+    # padding; at five, a seed word joins the spawn word past the pool.
+    probe = ProbeConfig(light_backaction=True, n_photons=4e13)
+    cfg = SequenceConfig(field=MagneticField(FIELD_111), probe=probe, **ALL_BRANCHES)
+    campaign = replace(CAMPAIGN, master_seed=seed)
+    table = run_campaign(campaign, cfg)
+    expected = reference_campaign(campaign, cfg)
+    assert len(table) == len(expected)
+    for i, (cycle, s, n, readouts) in enumerate(expected):
+        assert (table.cycle_id[i], table.seq_index[i]) == (cycle, s)
+        assert table.n_atoms[i] == n  # bit-identical
+        np.testing.assert_allclose(
+            table.f[i], readouts, rtol=1e-12, atol=1e-9 * readout_noise_sigma(probe)
+        )

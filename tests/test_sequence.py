@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singletsim import (
     CampaignConfig,
@@ -19,7 +21,13 @@ from singletsim import (
     snr,
     write_dataset,
 )
-from singletsim.sequence import DATASET_COLUMNS, _simulate_cycles
+from singletsim.sequence import (
+    DATASET_COLUMNS,
+    MAX_CYCLES,
+    _pcg64_state,
+    _simulate_cycles,
+    _substream_states,
+)
 from tests.conftest import schur_trace, shot_table
 
 
@@ -257,6 +265,48 @@ class TestCampaign:
             CampaignConfig(n_cycles=0)
         with pytest.raises(ValueError):
             CampaignConfig(atom_jitter=-0.1)
+
+    def test_cycle_count_bounded_by_the_spawn_word(self):
+        assert CampaignConfig(n_cycles=MAX_CYCLES).n_cycles == 2**32
+        with pytest.raises(ValueError, match="n_cycles must be at most 2"):
+            CampaignConfig(n_cycles=MAX_CYCLES + 1)
+
+    @pytest.mark.parametrize("cycle_id", [-1, 2**32, 2**40])
+    def test_cycle_id_outside_the_spawn_word_rejected(self, seq_ideal, cycle_id):
+        with pytest.raises(ValueError, match=r"cycle ids must lie in \[0, 2\*\*32\)"):
+            _simulate_cycles(small_campaign(), seq_ideal, [0, cycle_id])
+
+
+def numpy_substream_state(seed, cycle_id):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(cycle_id,))).state
+
+
+def substream_states(seed, cycle_ids):
+    words = _substream_states(seed, np.array(cycle_ids))
+    return [_pcg64_state(row) for row in words.tolist()]
+
+
+class TestSubstreamSeeding:
+    """The engine's cycle states are those numpy's SeedSequence and PCG64 give."""
+
+    CYCLE_IDS = [0, 1, 601, 2**31, 2**32 - 1]
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96, 2**128 + 1, 2**300],
+        ids=["0", "1", "2**32-1", "2**32", "2**63-1", "2**64", "2**96", "2**128+1", "2**300"],
+    )
+    def test_matches_numpy(self, seed):
+        expected = [numpy_substream_state(seed, c) for c in self.CYCLE_IDS]
+        assert substream_states(seed, self.CYCLE_IDS) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**256 - 1),
+        cycle_id=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_numpy_property(self, seed, cycle_id):
+        assert substream_states(seed, [cycle_id]) == [numpy_substream_state(seed, cycle_id)]
 
 
 class TestShotTable:
