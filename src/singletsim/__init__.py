@@ -52,7 +52,6 @@ from .sequence import (
     engine_covariance,
     read_dataset,
     run_campaign,
-    simulate_shots,
     write_dataset,
 )
 from .spins import (
@@ -62,7 +61,6 @@ from .spins import (
     apply_rotation,
     larmor_period,
     larmor_rotation_matrix,
-    make_tss,
 )
 
 __version__ = "0.1.0"

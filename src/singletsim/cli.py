@@ -46,6 +46,8 @@ from .probe import calibrate_g1
 from .sequence import read_dataset, run_campaign, write_dataset
 
 CALIBRATION_COLUMNS = ("phi_rad", "n_atoms")
+# The most cutoffs one --cutoff-scan may ask for (~30 s of scan).
+_MAX_SCAN_POINTS = 100_000
 _CALIBRATION_DTYPE = np.dtype([(name, float) for name in CALIBRATION_COLUMNS])
 
 
@@ -114,15 +116,12 @@ def _parse_scan(spec: str) -> list[float]:
         raise ConfigError(
             "--cutoff-scan requires finite values with start > 0, step > 0 and stop >= start"
         )
-    values = []
-    k = 0
-    while True:
-        c = start + k * step
-        if c > stop + 1e-9:
-            break
-        values.append(round(c, 12))
-        k += 1
-    return values
+    # The 1e-9 step fraction keeps a stop that rounding puts just short of
+    # the last point; every point is rounded to 12 significant digits.
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_SCAN_POINTS:
+        raise ConfigError(f"--cutoff-scan {spec!r} has more than {_MAX_SCAN_POINTS} points")
+    return [float(f"{start + k * step:.12g}") for k in range(math.floor(span) + 1)]
 
 
 def cmd_analyze(args) -> int:

@@ -257,7 +257,9 @@ def fit_fid(
     checks.  Parameters the data leave unconstrained (zero Jacobian
     column, e.g. the transverse split for a z-branch-only data set) are
     reported in ``flags``; a fit that runs out of its 20000 residual
-    evaluations raises ``FitError``.
+    evaluations raises ``FitError``, as does a residual norm that is not
+    finite at the initial guess, or a residual norm or Jacobian (J and
+    J^T J) that is not finite at the solution.
     """
     # Transposed copies: each of t and theta is one contiguous array.
     (tz, thz), (ty, thy) = (
@@ -285,6 +287,8 @@ def fit_fid(
     def jacobian(p):
         return np.concatenate([fid_jacobian(t, p, axis, g1, gamma) for t, _, axis in branches])
 
+    if not math.isfinite(np.linalg.norm(residuals(x0))):
+        raise FitError("FID fit: the residual norm is not finite at the initial guess")
     scale = np.array([1e-3, 1e-3, 1e-3, max(duration / 2, 1e-9), max(abs(x0[4]), 1.0)])
     result = levenberg_marquardt(
         residuals, jacobian, x0, x_scale=scale, xtol=1e-15, ftol=1e-15, max_nfev=20000
@@ -298,10 +302,16 @@ def fit_fid(
     params = result.x.copy()
     params[3] = abs(params[3])  # model depends on T2^2 only
 
+    # On non-finite input the SVD and pinv below may never return.
+    residual_norm = float(np.linalg.norm(result.fun))
+    jac_scaled = result.jac * scale[None, :]
+    jtj = result.jac.T @ result.jac
+    if not (math.isfinite(residual_norm) and all(np.isfinite(m).all() for m in (jac_scaled, jtj))):
+        raise FitError("FID fit: the residual norm or the Jacobian is not finite at the solution")
+
     flags = []
     # Identifiability checks use the Jacobian per natural parameter
     # scale, so mG-sized fields and spin-sized amplitudes compare fairly.
-    jac_scaled = result.jac * scale[None, :]
     col_norms = np.linalg.norm(jac_scaled, axis=0)
     ref = max(col_norms.max(), 1e-300)
     for name, cn in zip(PARAM_NAMES, col_norms):
@@ -313,7 +323,6 @@ def fit_fid(
 
     dof = n_total - len(params)
     sigma2 = float(result.fun @ result.fun) / dof if dof > 0 else 0.0
-    jtj = result.jac.T @ result.jac
     cov = sigma2 * np.linalg.pinv(jtj, rcond=1e-12)
 
     # Canonical sign representative: Bz >= 0 (the model is invariant
@@ -328,7 +337,7 @@ def fit_fid(
         b=b,
         t2=float(params[3]),
         f0=float(params[4]),
-        residual_norm=float(np.linalg.norm(result.fun)),
+        residual_norm=residual_norm,
         covariance=cov,
         flags=tuple(flags),
         equivalent_solutions=(tuple(float(v) for v in mirror),),

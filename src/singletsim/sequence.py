@@ -8,7 +8,7 @@ two three-component measurements f1 and f2 of the same sample.  A
 atom loss and appends no-atom reference shots at the end of each cycle.
 
 All shots go through one vectorized engine, ``_propagate``: a campaign
-is a single call over every shot, as is a ``simulate_shots`` batch.
+is a single call over every shot.
 Each shot's true spin vector is drawn at preparation from the prepared
 Gaussian and propagated deterministically through the rotations as a
 row of an (n, 3) array; pulse outcomes are that vector's lab-z
@@ -389,24 +389,6 @@ def engine_covariance(cfg: SequenceConfig, n_atoms: float) -> np.ndarray:
     f = _propagate(cfg, np.full(k + 1, float(n_atoms)), np.vstack([np.zeros(k), np.eye(k)]))
     jac = f[1:] - f[0]
     return jac.T @ jac
-
-
-def simulate_shots(
-    cfg: SequenceConfig,
-    n_atoms,
-    n_shots: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch of independent sequences.
-
-    ``n_atoms`` is a scalar shared by all shots or one atom number per
-    shot.  Draws one ``(n_shots, draw_columns(cfg))`` block of standard
-    normals from ``rng`` and returns (f1, f2) arrays of shape
-    (n_shots, 3) with components in the usual (z, y, x) order.
-    """
-    n_atoms = np.broadcast_to(np.asarray(n_atoms, dtype=float), (n_shots,))
-    f = _propagate(cfg, n_atoms, rng.standard_normal((n_shots, draw_columns(cfg))))
-    return f[:, :3], f[:, 3:]
 
 
 # numpy's SeedSequence: its pool size and hash constants (uint32 words).

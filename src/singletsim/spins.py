@@ -4,7 +4,8 @@ The ensemble is modelled as a Gaussian over the collective spin vector:
 a 3-component mean (units of spins, hbar = 1) and a 3x3 covariance
 (spins^2), and nothing else.  An unpolarized thermal ensemble of N
 atoms with single-atom spin f has zero mean and per-component variance
-f(f+1)/3 * N (``make_tss``); for f = 1 this is the familiar (2/3) N.
+f(f+1)/3 * N; for f = 1 this is the familiar (2/3) N, the state the
+simulation engine prepares (``sequence._prepared_axes``).
 
 Rotation convention
 -------------------
@@ -30,6 +31,7 @@ GYROMAGNETIC_RATIO = 4.374e6
 # Default applied field: 16.9 mG along [1, 1, 1], gauss.
 DEFAULT_FIELD_G = 16.9e-3
 
+# The single-atom spins the analysis accepts (``AnalysisOptions.f``).
 ALLOWED_F = (0.5, 1.0, 1.5, 2.0)
 
 # Relative tolerances for covariance validation.
@@ -104,20 +106,6 @@ class MagneticField:
     @property
     def magnitude(self) -> float:
         return float(np.linalg.norm(self.b))
-
-
-def make_tss(n_atoms: float, f: float = 1.0) -> CollectiveSpinState:
-    """Thermal (fully mixed) spin state of ``n_atoms`` spin-f atoms.
-
-    Zero mean, isotropic covariance with per-component variance
-    f(f+1)/3 * n_atoms spins^2; ``f`` must be one of ``ALLOWED_F``.
-    """
-    if n_atoms < 0:
-        raise ValueError("n_atoms must be non-negative")
-    if f not in ALLOWED_F:
-        raise ValueError(f"f must be one of {ALLOWED_F}, got {f}")
-    var = f * (f + 1.0) / 3.0 * n_atoms
-    return CollectiveSpinState(np.zeros(3), np.eye(3) * var)
 
 
 def larmor_rotation_matrix(field: MagneticField, t: float) -> np.ndarray:

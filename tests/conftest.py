@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from singletsim import (
+    CampaignConfig,
     MagneticField,
     ProbeConfig,
     SequenceConfig,
@@ -80,4 +81,22 @@ def shot_table(f1, f2, n_atoms, is_reference=False):
         is_reference=np.array(np.broadcast_to(is_reference, (n,)), dtype=bool),
         n_atoms=np.array(np.broadcast_to(n_atoms, (n,)), dtype=float),
         f=np.hstack([f1, f2]).reshape(n, 6),
+    )
+
+
+def fixed_n_campaign(n_atoms, n_shots, seed, references=0):
+    """One loading cycle of ``n_shots`` atom shots at exactly ``n_atoms``.
+
+    No loss and no jitter, so every atom shot of ``run_campaign`` holds
+    ``initial_atoms``; ``references`` reference shots follow them (take
+    ``.references`` for a reference-only table).
+    """
+    return CampaignConfig(
+        n_cycles=1,
+        sequences_per_cycle=n_shots,
+        loss_fraction=0.0,
+        initial_atoms=n_atoms,
+        reference_shots_per_cycle=references,
+        master_seed=seed,
+        atom_jitter=0.0,
     )

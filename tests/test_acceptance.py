@@ -25,17 +25,15 @@ from singletsim import (
     fit_snr_model,
     larmor_period,
     larmor_rotation_matrix,
-    make_tss,
     readout_noise_sigma,
     run_campaign,
     sample_covariance,
-    simulate_shots,
     snr,
     squeezing_parameter,
 )
 from singletsim.cli import main
 from singletsim.sequence import CampaignConfig
-from tests.conftest import FIELD_111, GAMMA1_PAPER, engine_schur, schur_trace, shot_table
+from tests.conftest import FIELD_111, GAMMA1_PAPER, engine_schur, fixed_n_campaign, schur_trace
 from tests.test_magnetometry import ode_oracle
 
 MEASURED_SENSITIVITY = 515.0  # spins, the apparatus-level readout noise
@@ -56,7 +54,7 @@ def test_criterion_1_witness_calibration():
     cfg = ideal_sequence()
     n_atoms = 1.0e6
     m = 100_000
-    f1, _ = simulate_shots(cfg, n_atoms, m, np.random.default_rng(2024))
+    f1 = run_campaign(fixed_n_campaign(n_atoms, m, seed=2024), cfg).f1
     v0 = 3.0 * readout_noise_sigma(cfg.probe) ** 2
     v1 = float(np.trace(sample_covariance(f1)))
     witness = squeezing_parameter(v1 - v0, n_atoms, vectors=f1)
@@ -76,11 +74,10 @@ def test_criterion_2_squeezing_law():
     """Conditional noise reduction follows 1/(1+zeta) across atom numbers."""
     cfg = ideal_sequence(efficiency=1.0)
     s2 = readout_noise_sigma(cfg.probe) ** 2
-    rng = np.random.default_rng(1102)
     worst = 0.0
     for n_atoms in (2e5, 5e5, 1.1e6, 1.5e6):
-        f1, f2 = simulate_shots(cfg, n_atoms, 100_000, rng)
-        v_cond_tilde = schur_trace(f1, f2) - 3.0 * s2
+        table = run_campaign(fixed_n_campaign(n_atoms, 100_000, seed=1102), cfg)
+        v_cond_tilde = schur_trace(table.f1, table.f2) - 3.0 * s2
         ratio = v_cond_tilde / (2.0 * n_atoms)
         predicted = 1.0 / (1.0 + snr(cfg.probe, n_atoms))
         deviation = abs(ratio / predicted - 1.0)
@@ -99,9 +96,9 @@ def test_criterion_3_paper_operating_point():
     """
     cfg = ideal_sequence(efficiency=0.75, override=MEASURED_SENSITIVITY)
     n_atoms = 1.1e6
-    f1, f2 = simulate_shots(cfg, n_atoms, 100_000, np.random.default_rng(311))
+    table = run_campaign(fixed_n_campaign(n_atoms, 100_000, seed=311), cfg)
     v0 = 3.0 * MEASURED_SENSITIVITY**2
-    xi2 = (schur_trace(f1, f2) - v0) / n_atoms
+    xi2 = (schur_trace(table.f1, table.f2) - v0) / n_atoms
     bound = (1.0 - xi2) * n_atoms
     assert 0.40 <= xi2 <= 0.55
     assert bound >= 4.5e5
@@ -125,12 +122,12 @@ def test_criterion_4_schur_kalman_equivalence():
         cfg = SequenceConfig(
             field=MagneticField(FIELD_111), probe=probe, prep_noise_cov=tech
         )
-        f1, f2 = simulate_shots(cfg, n_atoms, m, rng)
+        table = run_campaign(fixed_n_campaign(n_atoms, m, seed=44), cfg)
         predicted = engine_schur(cfg, n_atoms).matrix
         # Wishart theory: the Schur complement of a sample covariance is
         # itself Wishart, so var(trace) = 2 tr(Gamma^2) / m.
         se = math.sqrt(2.0 * np.trace(predicted @ predicted) / m)
-        observed = schur_trace(f1, f2)
+        observed = schur_trace(table.f1, table.f2)
         assert abs(observed - np.trace(predicted)) < 3.0 * se, f"trial {trial}"
     print("\nACCEPTANCE 4 Schur-Kalman equivalence: PASS (20 parameter sets, 3 se)")
 
@@ -139,11 +136,12 @@ def test_criterion_5_selection_path():
     """Selecting low-dispersion first measurements squeezes the second:
     xi2 falls as the cutoff tightens and drops >= 20% at C = 0.75."""
     n_atoms = 1.4e6
-    prep_noise = GAMMA1_PAPER - make_tss(n_atoms).cov
+    prep_noise = GAMMA1_PAPER - 2.0 / 3.0 * n_atoms * np.eye(3)
     cfg = ideal_sequence(
         efficiency=0.75, override=MEASURED_SENSITIVITY, prep_noise=prep_noise
     )
-    f1, f2 = simulate_shots(cfg, n_atoms, 60_000, np.random.default_rng(505))
+    table = run_campaign(fixed_n_campaign(n_atoms, 60_000, seed=505), cfg)
+    f1, f2 = table.f1, table.f2
     # Simulated first-round covariance reproduces the published matrix.
     # Readouts are recorded in pulse order (z, y, x); reversing the
     # indices brings them back to the (x, y, z) frame of the matrix.
@@ -152,7 +150,6 @@ def test_criterion_5_selection_path():
     scale = np.max(np.abs(GAMMA1_PAPER))
     assert np.max(np.abs(gamma1_sim - GAMMA1_PAPER)) < 0.05 * scale
 
-    table = shot_table(f1, f2, n_atoms)
     v0 = 3.0 * MEASURED_SENSITIVITY**2
     options = AnalysisOptions(use_analytic_v0=True, n_bins=1)
     cutoffs = [0.25 * k for k in range(1, 13)]

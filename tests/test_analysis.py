@@ -24,7 +24,6 @@ from singletsim import (
     run_campaign,
     sample_covariance,
     select_shots,
-    simulate_shots,
     snr,
     squeezing_parameter,
 )
@@ -37,7 +36,7 @@ from singletsim.analysis import (
 from singletsim.config import config_from_dict
 from singletsim.sequence import CampaignConfig
 from singletsim.spins import PSD_RTOL
-from tests.conftest import engine_schur, schur_trace, shot_table
+from tests.conftest import engine_schur, fixed_n_campaign, schur_trace, shot_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -384,7 +383,7 @@ class TestResolveV0:
     def test_converges_to_readout_noise(self, field):
         probe = ProbeConfig(readout_noise_override=500.0, efficiency=1.0)
         cfg = SequenceConfig(field=field, probe=probe)
-        table = shot_table(*simulate_shots(cfg, 0.0, 3000, np.random.default_rng(8)), 0.0, True)
+        table = run_campaign(fixed_n_campaign(0.0, 1, seed=8, references=3000), cfg).references
         v0, n_reference = resolve_v0(table, None, AnalysisOptions())
         expected = 3 * 500.0**2
         se = expected * math.sqrt(2.0 / (3 * 3000))
@@ -398,12 +397,13 @@ class TestResolveV0:
     def test_zero_noise(self, field):
         probe = ProbeConfig(readout_noise_override=0.0)
         cfg = SequenceConfig(field=field, probe=probe)
-        table = shot_table(*simulate_shots(cfg, 0.0, 10, np.random.default_rng(9)), 0.0, True)
+        table = run_campaign(fixed_n_campaign(0.0, 1, seed=9, references=10), cfg).references
         result = analyze_dataset(table, options=AnalysisOptions())
         assert result.v0 == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_references(self, seq_ideal):
-        table = shot_table(*simulate_shots(seq_ideal, 0.0, 1, np.random.default_rng(10)), 0.0, True)
+        campaign = fixed_n_campaign(0.0, 1, seed=10, references=1)
+        table = run_campaign(campaign, seq_ideal).references
         with pytest.raises(EstimationError, match="need at least 2 reference shots"):
             resolve_v0(table, None, AnalysisOptions())
 
@@ -423,8 +423,8 @@ class TestAnalyzeDataset:
             assert b.report.v_cond_tilde <= b.report.v2_tilde
 
     def test_reference_only_dataset(self, seq_ideal):
-        f1, f2 = simulate_shots(seq_ideal, 0.0, 400, np.random.default_rng(22))
-        table = shot_table(f1, f2, 0.0, is_reference=True)
+        campaign = fixed_n_campaign(0.0, 1, seed=22, references=400)
+        table = run_campaign(campaign, seq_ideal).references
         result = analyze_dataset(table, options=AnalysisOptions())
         assert result.bins == []
         assert abs(result.reference_v1_tilde) < 0.2 * result.v0
@@ -646,6 +646,6 @@ def test_schur_kalman_consistency_on_batch(seq_ideal):
     # The empirical conditional trace matches the engine's exact one
     # on a fresh batch.
     n = 6e5
-    f1, f2 = simulate_shots(seq_ideal, n, 50_000, np.random.default_rng(34))
+    table = run_campaign(fixed_n_campaign(n, 50_000, seed=34), seq_ideal)
     predicted = engine_schur(seq_ideal, n).trace
-    assert schur_trace(f1, f2) == pytest.approx(predicted, rel=0.03)
+    assert schur_trace(table.f1, table.f2) == pytest.approx(predicted, rel=0.03)

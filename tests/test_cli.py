@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from singletsim import fid_signal, load_config
-from singletsim.cli import CALIBRATION_COLUMNS, main
+from singletsim.cli import CALIBRATION_COLUMNS, _parse_scan, main
 from singletsim.config import config_from_dict, config_to_dict
 from singletsim.magnetometry import FID_CSV_COLUMNS
 from singletsim.sequence import DATASET_COLUMNS, read_dataset
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_CAMPAIGN = {
     "seed": 11,
@@ -422,6 +428,9 @@ class TestAnalyze:
             (["--cutoff-scan", "0:1:0.5"], {}, "--cutoff-scan requires"),
             (["--cutoff-scan", "nan:1:0.5"], {}, "--cutoff-scan requires"),
             (["--cutoff-scan", "0.25:inf:0.25"], {}, "--cutoff-scan requires"),
+            (["--cutoff-scan", "1:100001:1"], {}, "has more than 100000 points"),
+            (["--cutoff-scan", "1e-6:1e6:1e-6"], {}, "has more than 100000 points"),
+            (["--cutoff-scan", "1e-300:1e300:1e-300"], {}, "has more than 100000 points"),
             ([], {"cutoff": math.nan}, "analysis.cutoff must be a finite number"),
             ([], {"cutoff": math.inf}, "analysis.cutoff must be a finite number"),
             ([], {"f": math.nan}, "analysis.f must be a finite number"),
@@ -433,6 +442,9 @@ class TestAnalyze:
             "scan-start",
             "scan-nan",
             "scan-inf",
+            "scan-over-cap",
+            "scan-small-step-over-cap",
+            "scan-overflowing-count",
             "cutoff-nan",
             "cutoff-inf",
             "config-f-nan",
@@ -518,6 +530,24 @@ class TestAnalyze:
         )
         assert rc == 2
 
+    def test_scan_points(self):
+        # The point count comes from (stop - start) / step, relative to the
+        # step, and each point is rounded to 12 significant digits.
+        assert _parse_scan("0.25:3.0:0.25") == [0.25 * k for k in range(1, 13)]
+        assert _parse_scan("1e-13:2e-13:1e-14") == [k * 1e-14 for k in range(10, 21)]
+        assert _parse_scan("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
+        assert len(_parse_scan("1:100000:1")) == 100_000
+
+    def test_small_step_scan(self, dataset, tmp_path):
+        shots, cfg_path = dataset
+        out = tmp_path / "small_step"
+        argv = ["analyze", str(shots), "--out", str(out), "--config", str(cfg_path)]
+        assert main([*argv, "--cutoff-scan", "1e-13:2e-13:1e-14"]) == 0
+        lines = (out / "cutoff_scan.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [
+            k * 1e-14 for k in range(10, 21)
+        ]
+
 
 class TestFidfit:
     def test_synthetic_trace_recovery(self, tmp_path):
@@ -586,6 +616,52 @@ class TestFidfit:
         assert main(["fidfit", str(samples), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["flags"]
+
+    @pytest.mark.parametrize("theta", ["1e308", "1e300"])
+    def test_overflowing_trace_exit_code(self, tmp_path, theta):
+        # 40 rows of +/-theta: at 1e308 the initial guess overflows, at
+        # 1e300 its residual norm does.  The fit runs in a child process
+        # with a timeout, so a fit that never returns fails the test;
+        # in-process, the overflow warnings would be errors.
+        rows = ["t_us,theta_rad,branch"]
+        rows += [f"{10.0 * i},{'-' if i % 2 else ''}{theta},{'zy'[i % 2]}" for i in range(40)]
+        samples = tmp_path / "overflow.csv"
+        samples.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "estimate.json"
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "singletsim.cli", "fidfit", str(samples), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "numerical failure: FID fit: the residual norm" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jac_value", [np.inf, 1e200], ids=["inf", "overflowing-jtj"])
+    def test_non_finite_solution_exit_code(self, tmp_path, monkeypatch, capsys, jac_value):
+        # A solver result whose Jacobian, or J^T J, is not finite stops
+        # before the SVD and the pinv.
+        import singletsim.magnetometry as magnetometry_mod
+        from singletsim.lsq import LsqResult
+
+        solve = magnetometry_mod.levenberg_marquardt
+
+        def overflowing(fun, jac, x0, **kwargs):
+            result = solve(fun, jac, x0, **kwargs)
+            jac_out = np.full_like(result.jac, jac_value)
+            return LsqResult(result.x, result.fun, jac_out, result.nfev, result.status)
+
+        monkeypatch.setattr(magnetometry_mod, "levenberg_marquardt", overflowing)
+        samples = tmp_path / "fid.csv"
+        samples.write_text("\n".join(fid_trace_lines()) + "\n")
+        out = tmp_path / "estimate.json"
+        with np.errstate(over="ignore"):
+            assert main(["fidfit", str(samples), "--out", str(out)]) == 4
+        assert "the residual norm or the Jacobian is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCalibrate:

@@ -28,11 +28,11 @@ from singletsim import (
     larmor_period,
     larmor_rotation_matrix,
     readout_noise_sigma,
+    run_campaign,
     sample_covariance,
-    simulate_shots,
     snr,
 )
-from tests.conftest import FIELD_111, engine_schur
+from tests.conftest import FIELD_111, engine_schur, fixed_n_campaign
 
 IDENTITY_RTOL = 1e-12
 
@@ -175,8 +175,7 @@ class TestEngineConditionalCovariance:
         tech = np.array([[3.0e6, 0.6e6, 0.2e6], [0.6e6, 0.8e6, 0.1e6], [0.2e6, 0.1e6, 0.0]])
         probe = ProbeConfig(readout_noise_override=1000.0)
         cfg = SequenceConfig(field=field, probe=probe, prep_noise_cov=tech)
-        f1, f2 = simulate_shots(cfg, n_atoms, m, np.random.default_rng(0))
-        c6 = sample_covariance(np.hstack([f1, f2]))
+        c6 = sample_covariance(run_campaign(fixed_n_campaign(n_atoms, m, seed=0), cfg).f)
         observed = conditional_covariance(c6[:3, :3], c6[3:, 3:], c6[:3, 3:]).matrix
         pred = engine_schur(cfg, n_atoms).matrix
         # Wishart element stderrs, sqrt((S_ij^2 + S_ii S_jj) / m).
@@ -207,8 +206,7 @@ def test_simulation_agrees_within_wishart_stderrs(field, branches):
     plain = SequenceConfig(field=field, probe=probe, prep_noise_cov=kwargs["prep_noise_cov"])
     n_atoms = 9e5
 
-    f1, f2 = simulate_shots(cfg, n_atoms, m, np.random.default_rng(17))
-    observed = sample_covariance(np.hstack([f1, f2]))
+    observed = sample_covariance(run_campaign(fixed_n_campaign(n_atoms, m, seed=17), cfg).f)
     exact = engine_covariance(cfg, n_atoms)
     se = np.sqrt((exact**2 + np.outer(np.diag(exact), np.diag(exact))) / (m - 1))
     assert np.max(np.abs(observed - exact) / se) < 4.5

@@ -5,9 +5,9 @@ import pytest
 
 from singletsim import (
     CalibrationError,
+    CollectiveSpinState,
     ProbeConfig,
     calibrate_g1,
-    make_tss,
     readout_noise_sigma,
     simulate_pulse,
     snr,
@@ -59,7 +59,7 @@ class TestSnr:
 
 class TestSimulatePulse:
     def test_posterior_variance_algebra(self, probe_ideal):
-        state = make_tss(1e6)
+        state = CollectiveSpinState(np.zeros(3), 2.0 / 3.0 * 1e6 * np.eye(3))
         s2 = readout_noise_sigma(probe_ideal) ** 2
         prior = state.cov[2, 2]
         _, post = simulate_pulse(state, probe_ideal, np.random.default_rng(0))
@@ -70,7 +70,7 @@ class TestSimulatePulse:
     def test_squeezing_law(self, efficiency):
         probe = ProbeConfig(efficiency=efficiency)
         n = 1.1e6
-        state = make_tss(n)
+        state = CollectiveSpinState(np.zeros(3), 2.0 / 3.0 * n * np.eye(3))
         _, post = simulate_pulse(state, probe, np.random.default_rng(1))
         zeta_eff = efficiency * snr(probe, n)
         assert post.cov[2, 2] / state.cov[2, 2] == pytest.approx(
@@ -79,7 +79,7 @@ class TestSimulatePulse:
 
     def test_zero_atom_outcome_distribution(self, probe_ideal):
         rng = np.random.default_rng(2)
-        state = make_tss(0.0)
+        state = CollectiveSpinState(np.zeros(3), np.zeros((3, 3)))
         sigma = readout_noise_sigma(probe_ideal)
         values = []
         for _ in range(4000):
@@ -92,13 +92,13 @@ class TestSimulatePulse:
 
     def test_huge_noise_keeps_prior(self):
         probe = ProbeConfig(readout_noise_override=1e12)
-        state = make_tss(1e6)
+        state = CollectiveSpinState(np.zeros(3), 2.0 / 3.0 * 1e6 * np.eye(3))
         _, post = simulate_pulse(state, probe, np.random.default_rng(3))
         assert np.allclose(post.cov, state.cov, rtol=1e-6)
 
     def test_degenerate_state(self):
         probe = ProbeConfig(readout_noise_override=0.0)
-        state = make_tss(0.0)
+        state = CollectiveSpinState(np.zeros(3), np.zeros((3, 3)))
         outcome, post = simulate_pulse(state, probe, np.random.default_rng(4))
         assert outcome.measured_value == 0.0
         assert np.array_equal(post.cov, state.cov)
@@ -123,7 +123,7 @@ class TestSimulatePulse:
     def test_information_additivity(self, probe_ideal):
         # k pulses shrink the z variance to (2/3)N/(1 + k zeta_eff).
         n = 5e5
-        state = make_tss(n)
+        state = CollectiveSpinState(np.zeros(3), 2.0 / 3.0 * n * np.eye(3))
         rng = np.random.default_rng(7)
         zeta = snr(probe_ideal, n)
         for k in range(1, 6):
@@ -182,7 +182,7 @@ class TestCalibrateG1:
 
 def test_backaction_flag_perturbs_transverse():
     probe = ProbeConfig(efficiency=1.0, light_backaction=True)
-    state = make_tss(1e6)
+    state = CollectiveSpinState(np.zeros(3), 2.0 / 3.0 * 1e6 * np.eye(3))
     rng = np.random.default_rng(10)
     outcome, post = simulate_pulse(state, probe, rng)
     # The rotation about z is tiny (angle std g1 sqrt(N_L)/2 ~ 1e-3 rad)

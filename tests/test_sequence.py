@@ -13,11 +13,10 @@ from singletsim import (
     SchemaError,
     SequenceConfig,
     ShotTable,
+    engine_covariance,
     read_dataset,
     readout_noise_sigma,
     run_campaign,
-    sample_covariance,
-    simulate_shots,
     snr,
     write_dataset,
 )
@@ -28,7 +27,7 @@ from singletsim.sequence import (
     _simulate_cycles,
     _substream_states,
 )
-from tests.conftest import schur_trace, shot_table
+from tests.conftest import engine_schur, fixed_n_campaign
 
 
 def small_campaign(seed=0, **kwargs):
@@ -51,16 +50,14 @@ class TestRunSequence:
         # the first, component by component.
         probe = ProbeConfig(readout_noise_override=1e-9)
         cfg = SequenceConfig(field=field, probe=probe)
-        f1, f2 = simulate_shots(cfg, 1e6, 1, np.random.default_rng(0))
-        assert np.allclose(f1[0], f2[0], atol=1e-6)
+        table = run_campaign(fixed_n_campaign(1e6, 1, seed=0), cfg)
+        assert np.allclose(table.f1[0], table.f2[0], atol=1e-6)
 
     def test_first_round_variance(self, seq_ideal):
         n = 1e6
-        f1, _ = simulate_shots(seq_ideal, n, 100_000, np.random.default_rng(1))
+        v1 = np.diag(engine_covariance(seq_ideal, n))[:3]
         expected = 2.0 / 3.0 * n + readout_noise_sigma(seq_ideal.probe) ** 2
-        se = expected * math.sqrt(2.0 / 100_000)
-        for k in range(3):
-            assert abs(np.var(f1[:, k], ddof=1) - expected) < 3 * se
+        assert np.allclose(v1, expected, rtol=1e-12)
 
     def test_rotation_bookkeeping_with_polarized_sample(self, field, probe_ideal):
         # A mean along initial y shows up on pulse 2 (the first lab-z
@@ -69,68 +66,50 @@ class TestRunSequence:
         cfg = SequenceConfig(
             field=field, probe=probe_ideal, prep_mean_offset=np.array([0.0, m, 0.0])
         )
-        f1, _ = simulate_shots(cfg, 1e6, 1, np.random.default_rng(2))
+        f1 = run_campaign(fixed_n_campaign(1e6, 1, seed=2), cfg).f1
         assert f1[0, 1] == pytest.approx(m, rel=1e-4)
         assert abs(f1[0, 0]) < 1e-4 * m
         assert abs(f1[0, 2]) < 1e-4 * m
         assert DATASET_COLUMNS[4:7] == ("f1_z", "f1_y", "f1_x")
 
-    def test_batch_matches_sequence_path(self, field, probe_paper):
-        cfg = SequenceConfig(
-            field=field,
-            probe=probe_paper,
-            prep_noise_cov=np.eye(3) * 1e5,
-            detector_noise_cov=np.eye(3) * 4e4,
-            period_diffusion=1e4,
-        )
-        f1, f2 = simulate_shots(cfg, 5e5, 10, np.random.default_rng(42))
-        rng = np.random.default_rng(42)
-        for i in range(10):
-            a, b = simulate_shots(cfg, 5e5, 1, rng)
-            assert np.allclose(a[0], f1[i], rtol=1e-9)
-            assert np.allclose(b[0], f2[i], rtol=1e-9)
-
     def test_reference_shot_is_pure_readout(self, seq_ideal):
-        f1, f2 = simulate_shots(seq_ideal, 0.0, 30_000, np.random.default_rng(3))
+        # Every readout of a no-atom shot is independent readout noise.
         sigma = readout_noise_sigma(seq_ideal.probe)
-        data = np.vstack([f1, f2])
+        assert np.allclose(engine_covariance(seq_ideal, 0.0), sigma**2 * np.eye(6), rtol=1e-12)
+        campaign = fixed_n_campaign(0.0, 1, seed=3, references=30_000)
+        data = run_campaign(campaign, seq_ideal).references.f
         assert abs(data.mean()) < 4 * sigma / math.sqrt(data.size)
-        assert data.std(ddof=1) == pytest.approx(sigma, rel=0.02)
 
     def test_conditional_variance_matches_snr_law(self, seq_ideal):
         # Kalman prediction: v_cond_tilde = 2N/(1+zeta) at b = 1.
         n = 8e5
-        f1, f2 = simulate_shots(seq_ideal, n, 100_000, np.random.default_rng(4))
-        v_cond = schur_trace(f1, f2) - 3 * readout_noise_sigma(seq_ideal.probe) ** 2
+        v_cond = engine_schur(seq_ideal, n).trace - 3 * readout_noise_sigma(seq_ideal.probe) ** 2
         predicted = 2 * n / (1 + snr(seq_ideal.probe, n))
-        assert v_cond == pytest.approx(predicted, rel=0.05)
+        assert v_cond == pytest.approx(predicted, rel=1e-10)
 
     def test_detector_noise_correlates_rounds(self, field, probe_ideal):
         d_var = 3e5
         cfg = SequenceConfig(
             field=field, probe=probe_ideal, detector_noise_cov=np.eye(3) * d_var
         )
-        f1, f2 = simulate_shots(cfg, 0.0, 60_000, np.random.default_rng(5))
-        cross = sample_covariance(np.hstack([f1, f2]))[:3, 3:]
+        cross = engine_covariance(cfg, 0.0)[:3, 3:]
         # Shared detector noise appears in the cross covariance even with
-        # no atoms; same-component correlation ~ d_var.
-        for k in range(3):
-            assert cross[k, k] == pytest.approx(d_var, rel=0.1)
+        # no atoms: d_var on each component, nothing across components.
+        assert np.allclose(cross, d_var * np.eye(3), rtol=1e-12, atol=1e-9 * d_var)
 
     def test_noise_matrix_axis_orders(self, field):
         # The same diag(9e6, 0, 0) lands on different columns (z, y, x):
         # detector noise is in readout order (z, y, x), so on f*_z; prep
-        # noise is in the prep frame (x, y, z), so on f*_x.  The other two
-        # columns keep the thermal (2/3) N plus a readout variance of 1.
+        # noise is in the prep frame (x, y, z), so on f*_x.  Every column
+        # keeps the thermal (2/3) N plus a readout variance of 1.
         probe = ProbeConfig(readout_noise_override=1.0)
         loud = np.diag([9e6, 0.0, 0.0])
         for key, n_atoms, column in (("detector_noise_cov", 0.0, 0), ("prep_noise_cov", 1e3, 2)):
             cfg = SequenceConfig(field=field, probe=probe, **{key: loud})
-            for f in simulate_shots(cfg, n_atoms, 20_000, np.random.default_rng(15)):
-                var = f.var(axis=0, ddof=1)
-                assert var[column] == pytest.approx(9e6, rel=0.05), key
-                quiet = np.delete(var, column)
-                assert np.all(quiet < 2.0 * (2.0 / 3.0 * n_atoms + 1.0)), key
+            expected = np.full(3, 2.0 / 3.0 * n_atoms + 1.0)
+            expected[column] += 9e6
+            var = np.diag(engine_covariance(cfg, n_atoms))
+            assert np.allclose(var, np.tile(expected, 2), rtol=1e-9), key
 
     def test_intra_pulse_rotation_flag_shifts_component(self, field, probe_ideal):
         m = 1e9
@@ -140,7 +119,7 @@ class TestRunSequence:
             prep_mean_offset=np.array([0.0, 0.0, m]),
             intra_pulse_rotation=True,
         )
-        f1, _ = simulate_shots(cfg, 1e6, 1, np.random.default_rng(6))
+        f1 = run_campaign(fixed_n_campaign(1e6, 1, seed=6), cfg).f1
         # Mid-pulse rotation by ~0.037 rad leaks a bit of z into the
         # other components: reading is cos-reduced, not exact m.
         assert f1[0, 0] < m
@@ -155,18 +134,10 @@ class TestRunSequence:
         for flag in (False, True):
             probe = ProbeConfig(efficiency=1.0, n_photons=n_photons, light_backaction=flag)
             cfg = SequenceConfig(field=field, probe=probe)
-            f1, f2 = simulate_shots(cfg, 1e6, 20_000, np.random.default_rng(12))
-            corr[flag] = [np.corrcoef(f1[:, k], f2[:, k])[0, 1] for k in (1, 2)]
+            table = run_campaign(fixed_n_campaign(1e6, 20_000, seed=12), cfg)
+            corr[flag] = [np.corrcoef(table.f1[:, k], table.f2[:, k])[0, 1] for k in (1, 2)]
         assert min(corr[False]) > 0.99
         assert max(abs(c) for c in corr[True]) < 0.05
-
-    def test_per_shot_atom_numbers(self, seq_ideal):
-        n_atoms = np.array([0.0, 1e6, 4e5])
-        f1, f2 = simulate_shots(seq_ideal, n_atoms, 3, np.random.default_rng(13))
-        rng = np.random.default_rng(13)
-        for i, n in enumerate(n_atoms):
-            a, b = simulate_shots(seq_ideal, n, 1, rng)
-            assert np.array_equal(a[0], f1[i]) and np.array_equal(b[0], f2[i])
 
     def test_field_must_lie_on_the_diagonal(self, probe_ideal):
         # Any magnitude along [1, 1, 1] is accepted, and a unit vector off
@@ -178,12 +149,16 @@ class TestRunSequence:
                 SequenceConfig(field=MagneticField(b), probe=probe_ideal)
 
     def test_indefinite_preparation_names_smallest_atom_number(self, field, probe_ideal):
+        # (2/3) N - 2e5 < 0 below N = 3e5: the decay 8e5, 4e5, 2e5, 1e5
+        # crosses it at 2e5, and the error names the smallest, 1e5.
         cfg = SequenceConfig(
             field=field, probe=probe_ideal, prep_noise_cov=np.diag([-2e5, 0.0, 0.0])
         )
-        n_atoms = np.array([9e5, 2e5, 2.5e5, 1e5, 0.0])
+        campaign = small_campaign(
+            seed=14, n_cycles=2, sequences_per_cycle=4, loss_fraction=0.5, atom_jitter=0.0
+        )
         with pytest.raises(ConfigError, match=r"n_atoms = 100000 "):
-            simulate_shots(cfg, n_atoms, 5, np.random.default_rng(14))
+            run_campaign(campaign, cfg)
 
 
 class TestCampaign:

@@ -9,10 +9,12 @@ from singletsim import (
     GYROMAGNETIC_RATIO,
     CollectiveSpinState,
     MagneticField,
+    ProbeConfig,
+    SequenceConfig,
     apply_rotation,
+    engine_covariance,
     larmor_period,
     larmor_rotation_matrix,
-    make_tss,
 )
 from tests.conftest import FIELD_111
 
@@ -34,34 +36,34 @@ def random_rotation(rng):
     return q * np.sign(np.diag(r))
 
 
+def thermal_cov(field, n_atoms):
+    """The engine's prepared covariance: its first-round block with no readout noise."""
+    cfg = SequenceConfig(field=field, probe=ProbeConfig(readout_noise_override=0.0))
+    return engine_covariance(cfg, n_atoms)[:3, :3]
+
+
 class TestThermalState:
-    def test_paper_variance(self):
-        state = make_tss(1.5e6, 1.0)
-        assert np.allclose(state.cov, np.eye(3) * 1.0e6)
-        assert np.all(state.mean == 0.0)
+    """The spin-1 thermal state, (2/3) N per axis, as the engine prepares it."""
 
-    def test_empty_ensemble(self):
-        state = make_tss(0.0)
-        assert np.all(state.cov == 0.0)
-        assert np.all(state.mean == 0.0)
+    def test_paper_variance(self, field):
+        assert np.allclose(thermal_cov(field, 1.5e6), np.eye(3) * 1.0e6, rtol=1e-12, atol=1e-6)
 
-    def test_supplementary_ideal_covariance(self):
+    def test_empty_ensemble(self, field):
+        assert np.all(thermal_cov(field, 0.0) == 0.0)
+
+    def test_supplementary_ideal_covariance(self, field):
         # Quoted as diag(0.93, 0.93, 0.93)e6 at N_A = 1.4e6.
-        state = make_tss(1.4e6)
-        assert state.cov[0, 0] == pytest.approx(2.0 / 3.0 * 1.4e6)
-        assert state.cov[0, 0] == pytest.approx(0.933e6, rel=5e-3)
+        var = np.diag(thermal_cov(field, 1.4e6))
+        assert var == pytest.approx(np.full(3, 2.0 / 3.0 * 1.4e6))
+        assert var == pytest.approx(np.full(3, 0.933e6), rel=5e-3)
 
-    def test_trace_identity(self):
+    def test_trace_identity(self, field):
         for n in (1.0, 1e3, 2.7e6):
-            assert np.trace(make_tss(n).cov) == pytest.approx(2.0 * n)
+            assert np.trace(thermal_cov(field, n)) == pytest.approx(2.0 * n)
 
-    def test_general_f(self):
-        state = make_tss(1e4, 0.5)
-        assert state.cov[1, 1] == pytest.approx(0.5 * 1.5 / 3.0 * 1e4)
-
-    def test_negative_atoms_rejected(self):
-        with pytest.raises(ValueError):
-            make_tss(-1.0)
+    def test_negative_atoms_rejected(self, field):
+        with pytest.raises(ValueError, match="n_atoms must be non-negative"):
+            thermal_cov(field, -1.0)
 
 
 class TestStateValidation:
@@ -75,10 +77,6 @@ class TestStateValidation:
         cov = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="semidefinite"):
             CollectiveSpinState(np.zeros(3), cov)
-
-    def test_bad_f_rejected(self):
-        with pytest.raises(ValueError, match="f must"):
-            make_tss(10.0, 0.7)
 
 
 class TestLarmorRotation:
@@ -123,7 +121,7 @@ class TestLarmorRotation:
 
 class TestApplyRotation:
     def test_isotropic_invariance(self):
-        state = make_tss(1e6)
+        state = CollectiveSpinState(np.zeros(3), 2.0 / 3.0 * 1e6 * np.eye(3))
         r = random_rotation(np.random.default_rng(3))
         out = apply_rotation(state, r)
         assert np.allclose(out.cov, state.cov, atol=1e-9 * state.cov[0, 0])
@@ -154,7 +152,7 @@ class TestApplyRotation:
             assert np.linalg.eigvalsh(out.cov).min() >= -1e-9 * np.trace(out.cov)
 
     def test_non_orthogonal_rejected(self):
-        state = make_tss(10.0)
+        state = CollectiveSpinState(np.zeros(3), 2.0 / 3.0 * 10.0 * np.eye(3))
         with pytest.raises(ValueError, match="orthogonal"):
             apply_rotation(state, np.eye(3) * 1.1)
 
@@ -184,7 +182,7 @@ class TestLarmorPeriod:
 def test_rotated_tss_covariances_stay_psd(seed):
     rng = np.random.default_rng(seed)
     n = float(rng.uniform(0, 2e6))
-    state = CollectiveSpinState(np.zeros(3), make_tss(n).cov + random_psd(rng, 1e4))
+    state = CollectiveSpinState(np.zeros(3), 2.0 / 3.0 * n * np.eye(3) + random_psd(rng, 1e4))
     out = apply_rotation(state, random_rotation(rng))
     assert np.max(np.abs(out.cov - out.cov.T)) <= 1e-9 * max(np.trace(out.cov), 1.0)
     assert np.linalg.eigvalsh(out.cov).min() >= -1e-9 * max(np.trace(out.cov), 1.0)
