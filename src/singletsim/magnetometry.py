@@ -272,7 +272,6 @@ def fit_fid(
     if duration <= 0:
         raise EstimationError("FID samples must span a positive time range")
 
-    x0 = _initial_guess(tz, thz, ty, thy, g1, gamma, duration)
     branches = [(t, th, axis) for t, th, axis in ((tz, thz, "z"), (ty, thy, "y")) if len(t)]
 
     def residuals(p):
@@ -287,7 +286,12 @@ def fit_fid(
     def jacobian(p):
         return np.concatenate([fid_jacobian(t, p, axis, g1, gamma) for t, _, axis in branches])
 
-    if not math.isfinite(np.linalg.norm(residuals(x0))):
+    # Huge angles overflow the initial guess and its residuals; the check
+    # below reports that, so numpy's overflow warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = _initial_guess(tz, thz, ty, thy, g1, gamma, duration)
+        start_norm = np.linalg.norm(residuals(x0))
+    if not math.isfinite(start_norm):
         raise FitError("FID fit: the residual norm is not finite at the initial guess")
     scale = np.array([1e-3, 1e-3, 1e-3, max(duration / 2, 1e-9), max(abs(x0[4]), 1.0)])
     result = levenberg_marquardt(

@@ -10,11 +10,18 @@ atom loss and appends no-atom reference shots at the end of each cycle.
 All shots go through one vectorized engine, ``_propagate``: a campaign
 is a single call over every shot.
 Each shot's true spin vector is drawn at preparation from the prepared
-Gaussian and propagated deterministically through the rotations as a
-row of an (n, 3) array; pulse outcomes are that vector's lab-z
-component plus readout noise.  No Kalman estimator state is
-propagated: the posterior never reaches a readout.  ``probe.simulate_pulse`` remains the analytic
-single-pulse reference for the estimator.
+Gaussian and propagated deterministically through the rotations as
+its three coordinate columns, one array per component over all shots;
+pulse outcomes are that vector's lab-z component plus readout noise.
+Every 3x3 map is plain numpy products and sums in a fixed order
+(``_lincomb``), never a BLAS call, so a shot's bits depend neither on the
+batch it runs in nor on the BLAS kernel.  Last bits can still move
+between machines through LAPACK's ``eigh`` of a non-zero
+``prep_noise_cov`` or ``detector_noise_cov`` and through numpy's
+``cos``/``sin`` of the back-action angles.  No Kalman estimator state is
+propagated: the posterior never reaches a readout.
+``probe.simulate_pulse`` remains the analytic single-pulse reference
+for the estimator.
 
 Exact moments come from the same engine, not from a separate closed
 form.  Without back-action a shot's readouts are affine in its row of
@@ -283,7 +290,7 @@ def draw_columns(cfg: SequenceConfig) -> int:
 
 
 def _prepared_axes(cfg: SequenceConfig, n_atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Axes V (3, 3) and per-shot widths (n, 3) of the prepared spin.
+    """Axes V (3, 3) and per-shot widths (3, n) of the prepared spin.
 
     The prepared covariance is the thermal (2/3) N I plus
     ``prep_noise_cov`` (atoms only).  With (lam, V) = eigh(P), every atom
@@ -293,35 +300,32 @@ def _prepared_axes(cfg: SequenceConfig, n_atoms: np.ndarray) -> tuple[np.ndarray
     smallest atom number whose prepared covariance is not PSD.
     """
     lam, axes = np.linalg.eigh(cfg.prep_noise_cov)
-    atoms = n_atoms > 0
-    w = np.zeros((len(n_atoms), 3))
-    w[atoms] = (2.0 / 3.0 * n_atoms[atoms])[:, None] + lam
-    floor = -PSD_RTOL * np.maximum(w.sum(axis=1), 1.0)
-    bad = np.flatnonzero(w[:, 0] < floor)
+    w = np.where(n_atoms > 0, 2.0 / 3.0 * n_atoms + lam[:, None], 0.0)
+    floor = -PSD_RTOL * np.maximum(w.sum(axis=0), 1.0)
+    bad = np.flatnonzero(w[0] < floor)
     if bad.size:
         worst = bad[np.argmin(n_atoms[bad])]
         raise ConfigError(
             "sequence.prep_noise_cov: prepared covariance is not positive "
             f"semidefinite at n_atoms = {n_atoms[worst]:.6g} "
-            f"(min eig {w[worst, 0]:.3g})"
+            f"(min eig {w[0, worst]:.3g})"
         )
     return axes, np.sqrt(np.clip(w, 0.0, None))
 
 
-def _row_products(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``m @ row`` for every row of ``rows``, ``m`` (3, 3).
+def _lincomb(row, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``row[0]*x + row[1]*y + row[2]*z`` for the columns (x, y, z), in that order.
 
-    A stacked matmul multiplies row by row, so each shot's arithmetic is
-    that of a single 3x3 product whatever the batch size: a one-cycle
-    rerun reproduces its shots bit for bit.
+    Separate numpy products and sums, so no fused multiply-add enters and
+    every shot's arithmetic is the same whatever the batch size or the
+    BLAS kernel: a one-cycle rerun reproduces its shots bit for bit.
     """
-    return (m @ rows[:, :, None])[:, :, 0]
+    return row[0] * x + row[1] * y + row[2] * z
 
 
-def _rotate_about_z(spin: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    x, y = spin[:, 0], spin[:, 1]
-    return np.column_stack([c * x - s * y, s * x + c * y, spin[:, 2]])
+def _map(m: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
+    """``m @ v`` for every shot's column vector v = (x, y, z), ``m`` (3, 3)."""
+    return tuple(_lincomb(row, x, y, z) for row in m.tolist())
 
 
 def _propagate(cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -329,43 +333,49 @@ def _propagate(cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray) ->
 
     ``normals`` holds one row of ``draw_columns(cfg)`` standard normals
     per shot in the documented layout.  Returns the (n, 6) readouts,
-    first round then second, each in (z, y, x) order.
+    first round then second, each in (z, y, x) order.  The spin is kept
+    as its three coordinate columns (``_map``).
     """
     if np.any(n_atoms < 0):
         raise ValueError("n_atoms must be non-negative")
     sigma = readout_noise_sigma(cfg.probe)
-    z = iter(np.hsplit(normals, range(3, normals.shape[1], 3)))
+    # Each block is a (3, n) row view of normals.T: three draw columns.
+    z = iter(np.split(normals.T, range(3, normals.shape[1], 3)))
 
     axes, width = _prepared_axes(cfg, n_atoms)
-    spin = _row_products(axes, width * next(z))
-    spin[n_atoms > 0] += cfg.prep_mean_offset
-    detector = np.zeros((len(n_atoms), 3))
+    spin = _map(axes, *(width * next(z)))
+    atoms = n_atoms > 0
+    for column, offset in zip(spin, cfg.prep_mean_offset.tolist()):
+        column[atoms] += offset
+    detector = (0.0, 0.0, 0.0)
     if cfg.has_detector_noise:
-        detector = _row_products(covariance_factor(cfg.detector_noise_cov), next(z))
+        detector = _map(covariance_factor(cfg.detector_noise_cov), *next(z))
     eps1 = sigma * next(z)
     walk = np.sqrt(cfg.period_diffusion) * next(z) if cfg.period_diffusion > 0.0 else None
-    eps = np.hstack([eps1, sigma * next(z)])
+    eps = (*eps1, *(sigma * next(z)))
     kicks = None
     if cfg.probe.light_backaction:
-        kicks = backaction_sigma(cfg.probe) * np.hstack([next(z), next(z)])
+        kicks = backaction_sigma(cfg.probe) * np.vstack([next(z), next(z)])
 
     t_step = larmor_period(cfg.field) / PULSES_PER_PERIOD
     r_step = larmor_rotation_matrix(cfg.field, t_step)
-    r_mid = None
+    mid_z = None
     if cfg.intra_pulse_rotation:
         # The pulse reads lab z of the spin rotated on to mid-pulse.
-        r_mid = larmor_rotation_matrix(cfg.field, cfg.probe.pulse_duration / 2.0)
+        mid_z = larmor_rotation_matrix(cfg.field, cfg.probe.pulse_duration / 2.0)[2].tolist()
 
     f = np.empty((len(n_atoms), N_PULSES))
     for k in range(N_PULSES):
         if k > 0:
-            spin = _row_products(r_step, spin)
+            spin = _map(r_step, *spin)
         if k == PULSES_PER_PERIOD and walk is not None:
-            spin = spin + walk
-        value = spin[:, 2] if r_mid is None else _row_products(r_mid, spin)[:, 2]
-        f[:, k] = value + detector[:, k % PULSES_PER_PERIOD] + eps[:, k]
+            spin = tuple(column + step for column, step in zip(spin, walk))
+        value = spin[2] if mid_z is None else _lincomb(mid_z, *spin)
+        f[:, k] = value + detector[k % PULSES_PER_PERIOD] + eps[k]
         if kicks is not None:
-            spin = _rotate_about_z(spin, kicks[:, k])
+            c, s = np.cos(kicks[k]), np.sin(kicks[k])
+            x, y, spin_z = spin
+            spin = (c * x - s * y, s * x + c * y, spin_z)
     return f
 
 

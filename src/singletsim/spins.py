@@ -123,7 +123,10 @@ def larmor_rotation_matrix(field: MagneticField, t: float) -> np.ndarray:
     n = field.b / b_mag
     theta = field.gyromagnetic_ratio * b_mag * t
     k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+    # k @ k as plain products and sums in a fixed order: no BLAS call, so
+    # the matrix does not depend on the BLAS kernel.
+    k2 = k[:, :1] * k[0] + k[:, 1:2] * k[1] + k[:, 2:] * k[2]
+    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * k2
 
 
 def apply_rotation(state: CollectiveSpinState, rotation) -> CollectiveSpinState:

@@ -5,6 +5,12 @@ in the ``singletsim.sequence`` module docstring, one shot and one pulse
 at a time with 3-vectors and 3x3 matrices: each atom shot's prepared
 spin comes from its own ``eigh`` of ``prep_noise_cov``.  It shares no
 code with the engine beyond the probe/field constants.
+
+Every 3x3 product is taken in Python ``float`` arithmetic (``matvec``),
+row i as m[i][0]*v[0] + m[i][1]*v[1] + m[i][2]*v[2], the order the
+engine states.  So without back-action the engine must match the loop
+bit for bit; with it, numpy's ``cos``/``sin`` may differ from ``math``'s
+by an ulp, and the comparison keeps a tolerance.
 """
 
 import math
@@ -24,6 +30,12 @@ from singletsim import (
     run_campaign,
 )
 from tests.conftest import FIELD_111
+
+
+def matvec(m, v):
+    """``m @ v`` in Python floats, each row summed left to right."""
+    x, y, z = (float(c) for c in v)
+    return np.array([row[0] * x + row[1] * y + row[2] * z for row in np.asarray(m).tolist()])
 
 
 def factor(cov):
@@ -55,10 +67,10 @@ def reference_campaign(campaign, cfg):
             if n > 0:
                 lam, axes = np.linalg.eigh(cfg.prep_noise_cov)
                 width = np.sqrt(np.clip(2.0 / 3.0 * n + lam, 0.0, None))
-                spin = cfg.prep_mean_offset + axes @ (width * z)
+                spin = cfg.prep_mean_offset + matvec(axes, width * z)
             detector = np.zeros(3)
             if has_detector:
-                detector = factor(cfg.detector_noise_cov) @ rng.standard_normal(3)
+                detector = matvec(factor(cfg.detector_noise_cov), rng.standard_normal(3))
             noise = list(sigma * rng.standard_normal(3))
             walk = np.zeros(3)
             if cfg.period_diffusion > 0.0:
@@ -70,12 +82,12 @@ def reference_campaign(campaign, cfg):
             readouts = []
             for k in range(6):
                 if k > 0:
-                    spin = r_step @ spin
+                    spin = matvec(r_step, spin)
                 if k == 3:
                     spin = spin + walk
-                readouts.append((r_mid @ spin)[2] + detector[k % 3] + noise[k])
+                readouts.append(matvec(r_mid, spin)[2] + detector[k % 3] + noise[k])
                 c, sn = math.cos(kicks[k]), math.sin(kicks[k])
-                spin = np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]]) @ spin
+                spin = matvec([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]], spin)
             shots.append((cycle, s, n, readouts))
     return shots
 
@@ -103,8 +115,9 @@ ALL_BRANCHES = dict(
         (ProbeConfig(), {}),
         (ProbeConfig(light_backaction=True, n_photons=4e13), ALL_BRANCHES),
         (ProbeConfig(light_backaction=True, readout_noise_override=0.0), ALL_BRANCHES),
+        (ProbeConfig(), ALL_BRANCHES),
     ],
-    ids=["published", "all-branches", "zero-readout-noise"],
+    ids=["published", "all-branches", "zero-readout-noise", "all-linear-branches"],
 )
 def test_engine_matches_per_shot_loop(probe, branches):
     cfg = SequenceConfig(field=MagneticField(FIELD_111), probe=probe, **branches)
@@ -116,7 +129,10 @@ def test_engine_matches_per_shot_loop(probe, branches):
         assert (table.cycle_id[i], table.seq_index[i]) == (cycle, s)
         assert table.is_reference[i] == (s >= CAMPAIGN.sequences_per_cycle)
         assert table.n_atoms[i] == n  # bit-identical
-        np.testing.assert_allclose(table.f[i], readouts, rtol=1e-12, atol=atol)
+        if probe.light_backaction:
+            np.testing.assert_allclose(table.f[i], readouts, rtol=1e-12, atol=atol)
+        else:
+            assert np.array_equal(table.f[i], readouts), (i, table.f[i] - readouts)
 
 
 @pytest.mark.parametrize("seed", [2**96, 2**128 + 1], ids=["4-word-seed", "5-word-seed"])
