@@ -5,9 +5,10 @@ Works on one ``ShotTable`` (``sequence.py``): the atom rows' ``f1``,
 taken from it as arrays.  Total variances are traces of 3x3
 sample covariances; the read-out contribution ``v0`` measured on
 no-atom reference shots is subtracted before witness evaluation.  The
-squeezing witness is
+witness is the spin-1 squeezing inequality (Toth and Mitchell, New J.
+Phys. 12, 053007 (2010)):
 
-    xi2 = v_tilde / (f * n_atoms)
+    xi2 = v_tilde / n_atoms
 
 with xi2 < 1 detecting entanglement and (1 - xi2) * n_atoms lower-
 bounding the number of entangled atoms.
@@ -15,7 +16,7 @@ bounding the number of entangled atoms.
 Standard errors are delta-method (influence-function) estimates and
 use no random draws.  A total variance is the mean of |x - x_bar|^2
 over the m shots behind it, so its stderr is std(|x - x_bar|^2,
-ddof=1) / sqrt(m), and the witness stderr is that over f * n_atoms
+ddof=1) / sqrt(m), and the witness stderr is that over n_atoms
 (Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993).  The
 selection path takes x = f2 of the selected shots.  The conditional
 path takes the regression residuals r = f2c - f1c @ K, with
@@ -37,7 +38,6 @@ from .fileio import write_csv, write_json
 from .lsq import levenberg_marquardt
 from .probe import ProbeConfig, readout_noise_sigma, snr
 from .sequence import ShotTable
-from .spins import ALLOWED_F
 
 PINV_RCOND = 1e-10
 
@@ -154,19 +154,17 @@ class WitnessResult:
     negative_variance: bool = False
 
 
-def squeezing_parameter(
-    v_tilde: float, n_atoms: float, f: float = 1.0, *, vectors=None
-) -> WitnessResult:
-    """Witness xi2 = v_tilde / (f * n_atoms) from a total variance.
+def squeezing_parameter(v_tilde: float, n_atoms: float, *, vectors=None) -> WitnessResult:
+    """Spin-1 witness xi2 = v_tilde / n_atoms from a total variance.
 
     When the m measurement ``vectors`` behind v_tilde are supplied, the
     standard error is the delta-method std(|x - x_bar|^2, ddof=1) /
-    sqrt(m) / (f * n_atoms).  For m = 2 both |x - x_bar|^2 are equal,
+    sqrt(m) / n_atoms.  For m = 2 both |x - x_bar|^2 are equal,
     so it is 0, as it is without vectors.
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
-    xi2 = v_tilde / (f * n_atoms)
+    xi2 = v_tilde / n_atoms
     stderr = 0.0
     if vectors is not None:
         x = np.asarray(vectors, dtype=float)
@@ -174,7 +172,7 @@ def squeezing_parameter(
             raise EstimationError("need at least 2 vectors for a standard error")
         sq = np.sum((x - x.mean(axis=0)) ** 2, axis=1)
         if len(sq) > 2:
-            stderr = float(np.std(sq, ddof=1)) / math.sqrt(len(sq)) / (f * n_atoms)
+            stderr = float(np.std(sq, ddof=1)) / math.sqrt(len(sq)) / n_atoms
     bound = max(0.0, (1.0 - xi2) * n_atoms)
     sig = (1.0 - xi2) / stderr if (xi2 < 1.0 and stderr > 0.0) else 0.0
     return WitnessResult(xi2, stderr, bound, sig, v_tilde < 0.0)
@@ -328,15 +326,12 @@ class AnalysisOptions:
     cutoff: float = 0.75
     n_resamples: int = 1000  # ignored (stderrs are delta-method); configs that set it still load
     use_analytic_v0: bool = False
-    f: float = 1.0
 
     def __post_init__(self):
         for name, low in (("n_bins", 1), ("min_bin_shots", 2), ("n_resamples", 2)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         _check_cutoffs([self.cutoff])
-        if self.f not in ALLOWED_F:
-            raise ValueError(f"f must be one of {ALLOWED_F}, got {self.f!r}")
 
 
 @dataclass(frozen=True)
@@ -367,10 +362,10 @@ def resolve_v0(
     return float(np.trace(sample_covariance(refs.f2))), len(refs)
 
 
-def _selection_witness(f2, n_atoms, v0: float, f: float) -> WitnessResult:
+def _selection_witness(f2, n_atoms, v0: float) -> WitnessResult:
     """Witness on the second measurement of selected shots."""
     v2 = float(np.trace(sample_covariance(f2)))
-    return squeezing_parameter(v2 - v0, float(np.mean(n_atoms)), f, vectors=f2)
+    return squeezing_parameter(v2 - v0, float(np.mean(n_atoms)), vectors=f2)
 
 
 def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mask):
@@ -406,12 +401,12 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mas
 
     xc = x - x.mean(axis=0)
     residuals = xc[:, 3:] - xc[:, :3] @ cond.gain
-    witness = squeezing_parameter(report.v_cond_tilde, n_mean, options.f, vectors=residuals)
+    witness = squeezing_parameter(report.v_cond_tilde, n_mean, vectors=residuals)
 
     n_selected = int(sel_mask.sum())
     selection = None
     if n_selected >= options.min_bin_shots:
-        selection = _selection_witness(x[sel_mask, 3:], bn[sel_mask], v0, options.f)
+        selection = _selection_witness(x[sel_mask, 3:], bn[sel_mask], v0)
     return BinAnalysis(report, witness, selection, n_selected)
 
 
@@ -482,9 +477,7 @@ def analyze_dataset(
             v = [getattr(b.report, attr) for b in bins]
             fits[key] = _try_fit(fit_noise_scaling, zip(pts_n, v), fix_linear=fix_linear)
         if probe is not None:
-            sig = [
-                b.witness.xi2_stderr * options.f * b.report.n_atoms_mean for b in bins
-            ]
+            sig = [b.witness.xi2_stderr * b.report.n_atoms_mean for b in bins]
             if all(s > 0 for s in sig):
                 v = [b.report.v_cond_tilde for b in bins]
                 fits["snr_model"] = _try_fit(fit_snr_model, zip(pts_n, v), probe, sigma=sig)
@@ -521,7 +514,7 @@ def cutoff_scan(
         if n_selected < 2:
             rows.append({"C": c, "xi2": math.nan, "xi2_stderr": math.nan, "n_selected": n_selected})
             continue
-        w = _selection_witness(f2[mask], n[mask], v0, options.f)
+        w = _selection_witness(f2[mask], n[mask], v0)
         rows.append({"C": c, "xi2": w.xi2, "xi2_stderr": w.xi2_stderr, "n_selected": n_selected})
     return rows
 

@@ -158,11 +158,14 @@ def _calibration_pair(row, line) -> tuple[float, float]:
     pair = (float(row[0]), float(row[1]))
     if not all(map(math.isfinite, pair)):
         raise ValueError("non-finite phi_rad or n_atoms")
+    if pair[1] < 0:
+        raise ValueError("negative n_atoms")
     return pair
 
 
 def _calibration_pairs_valid(rows) -> bool:
-    return bool(all(np.all(np.isfinite(rows[name])) for name in CALIBRATION_COLUMNS))
+    finite = all(np.all(np.isfinite(rows[name])) for name in CALIBRATION_COLUMNS)
+    return bool(finite and not np.any(rows["n_atoms"] < 0))
 
 
 def _read_pairs(path) -> np.ndarray:
@@ -174,7 +177,7 @@ def _read_pairs(path) -> np.ndarray:
 def cmd_calibrate(args) -> int:
     cfg = _config(args)
     pairs = _read_pairs(args.pairs)
-    slope, stderr = calibrate_g1(pairs, f=cfg.analysis.f)
+    slope, stderr = calibrate_g1(pairs)
     payload = {"g1": slope, "g1_stderr": stderr, "n_pairs": len(pairs)}
     write_json(args.out, payload)
     print(f"wrote {args.out}")

@@ -24,8 +24,8 @@ Unknown keys and badly typed values raise ``ConfigError`` naming
 ``section.key``; range checks are the dataclasses' own.  A provenance
 file that still holds a key since removed from the schema
 (``constants``, ``probe.g2``, ``sequence.n_pulses``,
-``sequence.pulses_per_period``, ``analysis.seed``, ``analysis.mean_mode``)
-is rejected with ``unknown key`` like any other.
+``sequence.pulses_per_period``, ``analysis.seed``, ``analysis.mean_mode``,
+``analysis.f``) is rejected with ``unknown key`` like any other.
 """
 
 from __future__ import annotations

@@ -156,24 +156,27 @@ def simulate_pulse(
     return PulseOutcome(measured, backaction), posterior
 
 
-def calibrate_g1(pairs, f: float = 1.0) -> tuple[float, float]:
+def calibrate_g1(pairs) -> tuple[float, float]:
     """Least-squares calibration of g1 from (phi, n_atoms) pairs.
 
-    Fits the through-origin slope of phi against f * n_atoms.  Returns
-    (slope, standard error of the slope).
+    Fits the through-origin slope of phi = g1 * n_atoms (spin-1 atoms).
+    Returns (slope, standard error of the slope).  A sum of squared atom
+    numbers that overflows or underflows to 0, or a slope or stderr that
+    is not finite, raises ``CalibrationError``.
     """
     data = np.asarray(list(pairs), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise CalibrationError("need at least 2 (phi, n_atoms) pairs")
-    phi = data[:, 0]
-    x = f * data[:, 1]
+    phi, x = data[:, 0], np.ascontiguousarray(data[:, 1])  # a strided x @ x sums in another order
     if np.all(x == x[0]):
         raise CalibrationError("all n_atoms identical: slope is unconstrained")
-    sxx = float(x @ x)
-    if sxx == 0.0:
-        raise CalibrationError("rank-deficient input: all n_atoms are zero")
-    slope = float(x @ phi) / sxx
-    resid = phi - slope * x
-    dof = len(phi) - 1
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0
+    # Huge or tiny values overflow or underflow the sums; the check below
+    # reports that, so numpy's warnings would only be noise.
+    with np.errstate(all="ignore"):
+        sxx = x @ x
+        slope = float((x @ phi) / sxx)
+        resid = phi - slope * x
+        stderr = float(np.sqrt(resid @ resid / (len(phi) - 1) / sxx))
+    if not (0.0 < sxx < math.inf and math.isfinite(slope) and math.isfinite(stderr)):
+        raise CalibrationError("calibration: the sums left the float range")
     return slope, stderr

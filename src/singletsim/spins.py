@@ -2,10 +2,10 @@
 
 The ensemble is modelled as a Gaussian over the collective spin vector:
 a 3-component mean (units of spins, hbar = 1) and a 3x3 covariance
-(spins^2), and nothing else.  An unpolarized thermal ensemble of N
-atoms with single-atom spin f has zero mean and per-component variance
-f(f+1)/3 * N; for f = 1 this is the familiar (2/3) N, the state the
-simulation engine prepares (``sequence._prepared_axes``).
+(spins^2), and nothing else.  The atoms are spin-1: an unpolarized
+thermal ensemble of N of them has zero mean and per-component variance
+(2/3) N, the state the simulation engine prepares
+(``sequence._prepared_axes``).
 
 Rotation convention
 -------------------
@@ -30,9 +30,6 @@ GYROMAGNETIC_RATIO = 4.374e6
 
 # Default applied field: 16.9 mG along [1, 1, 1], gauss.
 DEFAULT_FIELD_G = 16.9e-3
-
-# The single-atom spins the analysis accepts (``AnalysisOptions.f``).
-ALLOWED_F = (0.5, 1.0, 1.5, 2.0)
 
 # Relative tolerances for covariance validation.
 SYM_RTOL = 1e-9

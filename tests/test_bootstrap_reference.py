@@ -150,7 +150,7 @@ def test_squeezing_parameter_matches_loop():
     rng = np.random.default_rng(41)
     vectors = rng.standard_normal((333, 3)) * 900.0 + 50.0
     v_tilde = float(np.trace(ref_covariance(vectors))) - 1e4
-    w = squeezing_parameter(v_tilde, 8e5, 1.0, vectors=vectors)
+    w = squeezing_parameter(v_tilde, 8e5, vectors=vectors)
     assert w.xi2 == v_tilde / 8e5
     assert_agrees(w.xi2_stderr, bootstrap_stderr(vectors, trace_statistic, 8e5, seed=7))
 

@@ -295,7 +295,7 @@ def tiny_dataset(tmp_path_factory):
         ("analysis", "n_resamples", 2.5),
         ("analysis", "min_bin_shots", 2.5),
         ("analysis", "use_analytic_v0", 1),
-        ("analysis", "f", 0.7),
+        ("analysis", "cutoff", -0.5),
         ("probe", "light_backaction", "no"),
         ("sequence", "intra_pulse_rotation", "false"),
         ("probe", "readout_noise_override", True),
@@ -467,7 +467,6 @@ class TestAnalyze:
             (["--cutoff-scan", "1e-300:1e300:1e-300"], {}, "has more than 100000 points"),
             ([], {"cutoff": math.nan}, "analysis.cutoff must be a finite number"),
             ([], {"cutoff": math.inf}, "analysis.cutoff must be a finite number"),
-            ([], {"f": math.nan}, "analysis.f must be a finite number"),
         ],
         ids=[
             "cutoff",
@@ -481,7 +480,6 @@ class TestAnalyze:
             "scan-overflowing-count",
             "cutoff-nan",
             "cutoff-inf",
-            "config-f-nan",
         ],
     )
     def test_bad_option_value_exit_code(
@@ -711,19 +709,31 @@ class TestCalibrate:
         assert payload["g1"] == pytest.approx(9.0e-8, rel=1e-12)
         assert payload["g1_stderr"] == pytest.approx(0.0, abs=1e-18)
 
-    def test_config_f_scales_slope(self, tmp_path):
-        # phi = g1 f N: at f = 2 the same pairs give half the coupling.
-        pairs = tmp_path / "pairs.csv"
-        pairs.write_text("\n".join(calibration_lines()) + "\n")
-        cfg_path = write_config(tmp_path, {"analysis": {"f": 2}})
-        out = tmp_path / "g1.json"
-        assert main(["calibrate", str(pairs), "--out", str(out), "--config", str(cfg_path)]) == 0
-        assert json.loads(out.read_text())["g1"] == pytest.approx(4.5e-8, rel=1e-12)
-
     def test_constant_column_fails(self, tmp_path):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("phi_rad,n_atoms\n0.01,1e5\n0.02,1e5\n")
         assert main(["calibrate", str(pairs), "--out", str(tmp_path / "g.json")]) == 4
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["9e-3,1e200", "4.5e-2,5e200"],
+            ["1e300,1e5", "-1e300,5e5", "1e300,1e6"],
+            ["9e-3,1e-200", "4.5e-2,5e-200"],
+        ],
+        ids=["n-overflow", "phi-overflow", "n-underflow"],
+    )
+    def test_out_of_range_sums_exit_code(self, tmp_path, capsys, rows):
+        # Not g1 = 0, an Infinity stderr or a false "all n_atoms are zero":
+        # one message, no file.
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("\n".join(["phi_rad,n_atoms", *rows]) + "\n")
+        out = tmp_path / "g.json"
+        assert main(["calibrate", str(pairs), "--out", str(out)]) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: calibration: the sums left the float range")
+        assert err.count("\n") == 1
 
     def test_bad_header(self, tmp_path):
         pairs = tmp_path / "pairs.csv"
@@ -738,8 +748,9 @@ class TestCalibrate:
             ("-inf,2e5", "non-finite phi_rad or n_atoms"),
             ("0.1,1e6,999", "expected 2 fields"),
             ("0.1", "expected 2 fields"),
+            ("0.1,-1e5", "negative n_atoms"),
         ],
-        ids=["nan,1e5", "0.01,inf", "-inf,2e5", "0.1,1e6,999", "0.1"],
+        ids=["nan,1e5", "0.01,inf", "-inf,2e5", "0.1,1e6,999", "0.1", "0.1,-1e5"],
     )
     def test_non_finite_row_exit_code(self, tmp_path, capsys, bad_row, reason):
         lines = calibration_lines()
@@ -769,9 +780,6 @@ INPUT_FILES = {
         ("fidfit", "probe", "g1", -9e-8),
         ("fidfit", "field", "gyromagnetic_ratio", 0),
         ("fidfit", "field", "gyromagnetic_ratio", math.inf),
-        ("calibrate", "analysis", "f", math.nan),
-        ("calibrate", "analysis", "f", 0),
-        ("calibrate", "analysis", "f", 0.7),
     ],
     ids=[
         "fidfit---g1-0",
@@ -779,14 +787,11 @@ INPUT_FILES = {
         "fidfit---g1--9e-8",
         "fidfit---gamma-0",
         "fidfit---gamma-inf",
-        "calibrate---f-nan",
-        "calibrate---f-0",
-        "calibrate---f-0.7",
     ],
 )
 def test_bad_option_value_exit_code(tmp_path, capsys, command, section, key, value):
     # The input file is valid: only the config value is wrong.
-    lines = fid_trace_lines() if command == "fidfit" else calibration_lines()
+    lines = fid_trace_lines()
     data = tmp_path / "input.csv"
     data.write_text("\n".join(lines) + "\n")
     cfg_path = write_config(tmp_path, {section: {key: value}})

@@ -58,7 +58,6 @@ NON_DEFAULT = {
         "cutoff": 1.5,
         "n_resamples": 50,
         "use_analytic_v0": True,
-        "f": 1.5,
     },
 }
 
@@ -87,7 +86,7 @@ class TestRoundTrip:
         assert json.loads(json.dumps(resolved)) == resolved
 
     def test_settable_value_count(self):
-        assert 1 + sum(len(keys) for keys in SCHEMA.values()) == 26
+        assert 1 + sum(len(keys) for keys in SCHEMA.values()) == 25
 
     def test_every_type_rule_is_used(self):
         # A rule no annotation asks for is dead code.
@@ -103,6 +102,7 @@ class TestRoundTrip:
             ({"sequence": {"pulses_per_period": 3}}, "pulses_per_period: unknown key"),
             ({"analysis": {"seed": 0}}, "analysis.seed: unknown key"),
             ({"analysis": {"mean_mode": "per_bin"}}, "analysis.mean_mode: unknown key"),
+            ({"analysis": {"f": 1.0}}, "analysis.f: unknown key"),
         ]:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 config_from_dict({"kind": "provenance", "config": payload})

@@ -121,7 +121,7 @@ def published_snr_points():
     result = analyze_dataset(run_campaign(cfg.campaign, cfg.sequence), cfg.probe, cfg.analysis)
     n = np.array([b.report.n_atoms_mean for b in result.bins])
     v = np.array([b.report.v_cond_tilde for b in result.bins])
-    sigma = np.array([b.witness.xi2_stderr * cfg.analysis.f for b in result.bins]) * n
+    sigma = np.array([b.witness.xi2_stderr for b in result.bins]) * n
     return n, v, sigma, cfg.probe, result.fits["snr_model"]
 
 

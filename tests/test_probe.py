@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,30 @@ class TestCalibrateG1:
     def test_too_few_pairs_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_g1([(1.0, 1e5)])
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(9e-3, 1e200), (4.5e-2, 5e200)],
+            [(1e300, 1e5), (-1e300, 5e5), (1e300, 1e6)],
+            [(9e-3, 1e-200), (4.5e-2, 5e-200)],
+            [(1e300, 1e10), (1e300, 2e10)],
+        ],
+        ids=["sxx-overflow", "stderr-overflow", "sxx-underflow", "slope-overflow"],
+    )
+    def test_out_of_range_sums_rejected(self, pairs):
+        # Not g1 = 0, an infinite g1 or stderr, or a false "all n_atoms are
+        # zero"; any numpy warning on the way fails the test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match="the sums left the float range"):
+                calibrate_g1(pairs)
+
+    def test_in_range_extremes_kept(self):
+        # Wide but representable sums still give a fit.
+        slope, stderr = calibrate_g1([(9e-3 * 1e-150, 1e150), (9e-3 * 2e-150, 2e150)])
+        assert slope == pytest.approx(9e-3 * 1e-300, rel=1e-12)
+        assert math.isfinite(stderr)
 
 
 def test_backaction_flag_perturbs_transverse():

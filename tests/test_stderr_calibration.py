@@ -60,10 +60,10 @@ def ensemble():
 def test_conditional_stderr_matches_seed_spread(ensemble):
     cfg, n, v_cond, stderr, m = ensemble
     assert n.shape == (S, N_BINS)
-    probe, f = cfg.probe, cfg.analysis.f
+    probe = cfg.probe
     zeta = np.vectorize(lambda x: snr(probe, x))(n)
     expected = 2.0 * n / (1.0 + probe.efficiency * zeta) + 3.0 * readout_noise_sigma(probe) ** 2
-    d = (v_cond - expected * (m - 4) / (m - 1)) / (f * n)
+    d = (v_cond - expected * (m - 4) / (m - 1)) / n
 
     spread = d.std(axis=0, ddof=1)
     ratio = spread / np.median(stderr, axis=0)
