@@ -24,6 +24,9 @@ K = g1^{-1} g12 the gain ``conditional_covariance`` returns: the Schur
 trace is their total variance, and K's own estimation error drops out
 to first order because K minimizes it.  ``v0`` is a constant here, so
 its own error is not included.
+
+Every fit's parameter stderrs come from ``lsq.parameter_covariance``,
+the one place fit uncertainties are formed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import EstimationError, FitError, InvariantError
 from .fileio import write_csv, write_json
-from .lsq import levenberg_marquardt
+from .lsq import levenberg_marquardt, parameter_covariance
 from .probe import ProbeConfig, readout_noise_sigma, snr
 from .sequence import ShotTable
 
@@ -170,9 +173,12 @@ def squeezing_parameter(v_tilde: float, n_atoms: float, *, vectors=None) -> Witn
         x = np.asarray(vectors, dtype=float)
         if x.ndim != 2 or x.shape[0] < 2:
             raise EstimationError("need at least 2 vectors for a standard error")
-        sq = np.sum((x - x.mean(axis=0)) ** 2, axis=1)
-        if len(sq) > 2:
-            stderr = float(np.std(sq, ddof=1)) / math.sqrt(len(sq)) / n_atoms
+        # Readouts of ~1e100 overflow the squares: the stderr is then
+        # inf, which ``analyze`` reports as a numerical failure.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.sum((x - x.mean(axis=0)) ** 2, axis=1)
+            if len(sq) > 2:
+                stderr = float(np.std(sq, ddof=1)) / math.sqrt(len(sq)) / n_atoms
     bound = max(0.0, (1.0 - xi2) * n_atoms)
     sig = (1.0 - xi2) / stderr if (xi2 < 1.0 and stderr > 0.0) else 0.0
     return WitnessResult(xi2, stderr, bound, sig, v_tilde < 0.0)
@@ -203,7 +209,8 @@ def fit_noise_scaling(points, fix_linear: bool) -> FitResult:
 
     With ``fix_linear`` the linear coefficient is pinned to the thermal-
     state value a = 2 and only (v0, c) are estimated.  Parameter standard
-    errors come from the residual covariance.
+    errors come from ``lsq.parameter_covariance`` on the column-scaled
+    design; a design or data that are not finite raise ``FitError``.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -216,29 +223,31 @@ def fit_noise_scaling(points, fix_linear: bool) -> FitResult:
             f"need >= {needed} distinct n_atoms values for the "
             f"{{1, N, N^2}} basis, got {n_distinct}"
         )
-    if fix_linear:
-        names = ["v0", "c"]
-        design = np.column_stack([np.ones_like(n), n**2])
-        y = v - 2.0 * n
-        tag = "noise_scaling_fixed_linear"
-    else:
-        names = ["v0", "a", "c"]
-        design = np.column_stack([np.ones_like(n), n, n**2])
-        y = v
-        tag = "noise_scaling_free_linear"
-    # Column scaling keeps the normal equations conditioned at N ~ 1e6.
-    scale = np.linalg.norm(design, axis=0)
+    # Huge atom numbers overflow the design; the check below reports that.
+    with np.errstate(all="ignore"):
+        if fix_linear:
+            names = ["v0", "c"]
+            design = np.column_stack([np.ones_like(n), n**2])
+            y = v - 2.0 * n
+            tag = "noise_scaling_fixed_linear"
+        else:
+            names = ["v0", "a", "c"]
+            design = np.column_stack([np.ones_like(n), n, n**2])
+            y = v
+            tag = "noise_scaling_free_linear"
+        # Column scaling keeps the normal equations conditioned at N ~ 1e6.
+        scale = np.linalg.norm(design, axis=0)
+        ds = design / scale
     if np.any(scale == 0.0):
         raise FitError(f"degenerate column in basis {names}")
-    ds = design / scale
+    if not (np.isfinite(ds).all() and np.isfinite(y).all()):
+        raise FitError(f"the scaled basis {names} or the variances are not finite")
     beta_s, _, rank, _ = np.linalg.lstsq(ds, y, rcond=None)
     if rank < ds.shape[1]:
         raise FitError(f"rank-deficient basis {names} (rank {rank})")
     beta = beta_s / scale
     resid = y - ds @ beta_s
-    dof = len(y) - len(beta)
-    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    cov_s = sigma2 * np.linalg.inv(ds.T @ ds)
+    cov_s = parameter_covariance(ds, resid)
     stderr = np.sqrt(np.diag(cov_s)) / scale
     params = dict(zip(names, (float(b) for b in beta)))
     errs = dict(zip(names, (float(s) for s in stderr)))
@@ -252,18 +261,23 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     """Fit the efficiency b in v_cond_tilde(N) = 2N / (1 + b * zeta(N)).
 
     One-parameter ``lsq.levenberg_marquardt`` fit from b = 1 with the
-    analytic Jacobian -2 N zeta w / (1 + b zeta)^2, which also gives the
-    stderr; zeta is the ideal SNR computed from the probe constants at
-    each point.  ``ftol=1e-15`` lets the fit run on to the stationary
+    analytic Jacobian -2 N zeta / sigma / (1 + b zeta)^2, which also gives
+    the stderr; zeta is the ideal SNR computed from the probe constants
+    at each point.  ``ftol=1e-15`` lets the fit run on to the stationary
     point of the weighted cost instead of stopping at a 1e-8 relative
-    cost reduction.
+    cost reduction.  Non-finite input and a zero J^T J (b unconstrained,
+    as at zeta ~ 0) raise ``FitError``.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise FitError("need at least 2 (n_atoms, v_cond_tilde) points")
     n, v = pts[:, 0], pts[:, 1]
     zeta = np.array([snr(probe, x) for x in n])
-    weights = np.ones_like(v) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    sigma = np.ones_like(v) if sigma is None else np.asarray(sigma, dtype=float)
+    with np.errstate(all="ignore"):
+        weights = 1.0 / sigma
+    if not all(np.isfinite(a).all() for a in (pts, zeta, sigma, weights)):
+        raise FitError("SNR-model fit: the points, zeta, sigma or 1 / sigma are not finite")
 
     def residuals(theta):
         return (2.0 * n / (1.0 + theta[0] * zeta) - v) * weights
@@ -274,13 +288,12 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     result = levenberg_marquardt(residuals, jacobian, [1.0], xtol=1e-14, ftol=1e-15)
     if not result.success:
         raise FitError(f"SNR-model fit did not converge in {result.nfev} residual evaluations")
-    jtj = result.jac.T @ result.jac
-    dof = len(v) - 1
-    sigma2 = float(result.fun @ result.fun) / dof if dof > 0 else 0.0
-    stderr = math.sqrt(sigma2 * np.linalg.inv(jtj)[0, 0]) if jtj[0, 0] > 0 else math.inf
+    if not np.any(result.jac.T @ result.jac):
+        raise FitError("SNR-model fit: b is unconstrained (the Jacobian is zero)")
+    cov = parameter_covariance(result.jac, result.fun)
     return FitResult(
         {"b": float(result.x[0])},
-        {"b": float(stderr)},
+        {"b": math.sqrt(cov[0, 0])},
         float(np.linalg.norm(result.fun)),
         "snr_damping",
         result.nfev,

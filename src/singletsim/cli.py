@@ -28,6 +28,7 @@ from . import __version__
 from .analysis import (
     analyze_dataset,
     cutoff_scan,
+    report_dict,
     write_cutoff_scan_csv,
     write_noise_scaling_csv,
     write_report,
@@ -40,7 +41,7 @@ from .errors import (
     InvariantError,
     SchemaError,
 )
-from .fileio import read_table, write_json
+from .fileio import first_non_finite, read_table, write_json
 from .magnetometry import fit_fid, read_fid_csv, write_estimate_json
 from .probe import calibrate_g1
 from .sequence import read_dataset, run_campaign, write_dataset
@@ -129,6 +130,9 @@ def cmd_analyze(args) -> int:
     cutoffs = _parse_scan(args.cutoff_scan) if args.cutoff_scan else None
     table = read_dataset(args.dataset)
     result = analyze_dataset(table, probe=cfg.probe, options=cfg.analysis)
+    field = first_non_finite(report_dict(result))
+    if field is not None:
+        raise InvariantError(f"report.json field {field} is not finite")
     out_dir = Path(args.out)
     report_path = out_dir / "report.json"
     writes = [

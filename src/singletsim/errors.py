@@ -23,7 +23,8 @@ class FitError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """A computed quantity violates a physics identity (e.g. Schur trace bound)."""
+    """A computed quantity violates a physics identity (e.g. Schur trace bound)
+    or is not finite."""
 
 
 class CalibrationError(FitError):

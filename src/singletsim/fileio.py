@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from functools import partial
 from itertools import chain, islice
@@ -152,6 +153,31 @@ def write_csv(path, columns, rows) -> None:
         raise
 
 
+def first_non_finite(payload) -> str | None:
+    """Where the first NaN or infinity in ``payload`` sits, or None.
+
+    Dict keys are visited in sorted order, as ``write_json`` writes them,
+    and a place is named like ``bins[3].xi2``.
+    """
+
+    def places(value, name):
+        if isinstance(value, float) and not math.isfinite(value):
+            yield name
+        elif isinstance(value, dict):
+            for key, item in sorted(value.items()):
+                yield from places(item, f"{name}.{key}" if name else str(key))
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                yield from places(item, f"{name}[{i}]")
+
+    return next(places(payload, ""), None)
+
+
 def write_json(path, payload) -> None:
-    """Write ``payload`` as JSON: indent 2, sorted keys, trailing newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON: indent 2, sorted keys, trailing newline.
+
+    A NaN or infinity raises ``ValueError`` (strict JSON has neither)
+    before the file is opened.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")

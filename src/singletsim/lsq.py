@@ -1,14 +1,20 @@
-"""Levenberg-Marquardt nonlinear least squares in numpy.
+"""Least-squares solver and the one parameter-covariance rule of every fit.
 
-A port of MINPACK's ``lmder`` (J. J. More, "The Levenberg-Marquardt
-algorithm: implementation and theory", Lecture Notes in Mathematics 630,
-1978), used by the package's two nonlinear fits.  Each iteration takes
+``levenberg_marquardt`` is a port of MINPACK's ``lmder`` (J. J. More,
+"The Levenberg-Marquardt algorithm: implementation and theory", Lecture
+Notes in Mathematics 630, 1978), used by the package's two nonlinear
+fits.  Each iteration takes
 the Householder QR factorization of the Jacobian with column pivoting,
 so a parameter the data do not constrain (a zero column) is pivoted last
 and left alone, and finds the damping parameter by More's safeguarded
 Newton iteration so that the step fills a trust region in the variables
 scaled by ``1 / x_scale``.  The radius grows or shrinks with the ratio
 of actual to predicted cost reduction.
+
+``parameter_covariance`` is the only place a fit's uncertainty is
+formed: the linear noise-scaling fits and the g1 calibration call it on
+their design matrix, the SNR-model and FID fits on the Jacobian at the
+solution.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import FitError
 
 # MINPACK's cosine test: stop when the residual vector is orthogonal to
 # every Jacobian column to this tolerance.
@@ -221,3 +229,30 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
                 break
     # x has not moved since the last QR unless the final step was accepted.
     return LsqResult(x, f, j if x is j_at else jac(x), nfev, status)
+
+
+def parameter_covariance(jac, residuals) -> np.ndarray:
+    """The (n, n) parameter covariance sigma^2 pinv(J^T J) of a least-squares fit.
+
+    ``jac`` is the (m, n) Jacobian (for a linear fit, the design matrix)
+    and ``residuals`` the m residuals at the solution; sigma^2 =
+    |r|^2 / (m - n), or 0 when m = n.  Singular values of J^T J below
+    1e-12 of the largest are dropped, so a direction the data do not
+    constrain gets variance 0.  Raises ``FitError`` when |r|^2, J or
+    J^T J is not finite, before LAPACK sees them, or when the covariance
+    itself is not.
+    """
+    jac = np.asarray(jac, dtype=float)
+    r = np.asarray(residuals, dtype=float)
+    m, n = jac.shape
+    with np.errstate(all="ignore"):
+        jtj = jac.T @ jac
+        rss = float(r @ r)
+    if not (math.isfinite(rss) and np.isfinite(jac).all() and np.isfinite(jtj).all()):
+        raise FitError("the residual norm or the Jacobian is not finite")
+    sigma2 = rss / (m - n) if m > n else 0.0
+    with np.errstate(all="ignore"):
+        cov = sigma2 * np.linalg.pinv(jtj, rcond=1e-12)
+    if not np.isfinite(cov).all():
+        raise FitError("the parameter covariance is not finite")
+    return cov

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EstimationError, FitError
 from .fileio import read_table, write_json
-from .lsq import levenberg_marquardt
+from .lsq import levenberg_marquardt, parameter_covariance
 from .spins import GYROMAGNETIC_RATIO
 
 PARAM_NAMES = ("bx", "by", "bz", "t2", "f0")
@@ -253,13 +253,13 @@ def fit_fid(
     the FFT line position, the non-decaying signal levels, and an
     envelope log-fit.  The fit is ``lsq.levenberg_marquardt`` with the
     analytic Jacobian ``fid_jacobian``, which also gives, at the
-    solution, the covariance sigma^2 pinv(J^T J) and the identifiability
-    checks.  Parameters the data leave unconstrained (zero Jacobian
-    column, e.g. the transverse split for a z-branch-only data set) are
-    reported in ``flags``; a fit that runs out of its 20000 residual
-    evaluations raises ``FitError``, as does a residual norm that is not
-    finite at the initial guess, or a residual norm or Jacobian (J and
-    J^T J) that is not finite at the solution.
+    solution, the covariance (``lsq.parameter_covariance``) and the
+    identifiability checks.  Parameters the data leave unconstrained
+    (zero Jacobian column, e.g. the transverse split for a z-branch-only
+    data set) are reported in ``flags``; a fit that runs out of its 20000
+    residual evaluations raises ``FitError``, as does a residual norm
+    that is not finite at the initial guess, or a residual norm or
+    Jacobian (J and J^T J) that is not finite at the solution.
     """
     # Transposed copies: each of t and theta is one contiguous array.
     (tz, thz), (ty, thy) = (
@@ -306,12 +306,13 @@ def fit_fid(
     params = result.x.copy()
     params[3] = abs(params[3])  # model depends on T2^2 only
 
-    # On non-finite input the SVD and pinv below may never return.
+    # Checked before the SVD below, which may never return on non-finite input.
+    try:
+        cov = parameter_covariance(result.jac, result.fun)
+    except FitError as exc:
+        raise FitError(f"FID fit: {exc} at the solution") from None
     residual_norm = float(np.linalg.norm(result.fun))
     jac_scaled = result.jac * scale[None, :]
-    jtj = result.jac.T @ result.jac
-    if not (math.isfinite(residual_norm) and all(np.isfinite(m).all() for m in (jac_scaled, jtj))):
-        raise FitError("FID fit: the residual norm or the Jacobian is not finite at the solution")
 
     flags = []
     # Identifiability checks use the Jacobian per natural parameter
@@ -324,10 +325,6 @@ def fit_fid(
     sv = np.linalg.svd(jac_scaled, compute_uv=False)
     if sv[-1] < 1e-9 * sv[0]:
         flags.append("degenerate_geometry")
-
-    dof = n_total - len(params)
-    sigma2 = float(result.fun @ result.fun) / dof if dof > 0 else 0.0
-    cov = sigma2 * np.linalg.pinv(jtj, rcond=1e-12)
 
     # Canonical sign representative: Bz >= 0 (the model is invariant
     # under flipping both By and Bz).

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, FitError
+from .lsq import parameter_covariance
 from .spins import CollectiveSpinState, apply_rotation
 
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -160,9 +161,10 @@ def calibrate_g1(pairs) -> tuple[float, float]:
     """Least-squares calibration of g1 from (phi, n_atoms) pairs.
 
     Fits the through-origin slope of phi = g1 * n_atoms (spin-1 atoms).
-    Returns (slope, standard error of the slope).  A sum of squared atom
-    numbers that overflows or underflows to 0, or a slope or stderr that
-    is not finite, raises ``CalibrationError``.
+    Returns (slope, standard error of the slope), the stderr from
+    ``lsq.parameter_covariance`` with n_atoms as the one-column design.
+    A sum of squared atom numbers that overflows or underflows to 0, or
+    a slope or stderr that is not finite, raises ``CalibrationError``.
     """
     data = np.asarray(list(pairs), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
@@ -176,7 +178,9 @@ def calibrate_g1(pairs) -> tuple[float, float]:
         sxx = x @ x
         slope = float((x @ phi) / sxx)
         resid = phi - slope * x
-        stderr = float(np.sqrt(resid @ resid / (len(phi) - 1) / sxx))
-    if not (0.0 < sxx < math.inf and math.isfinite(slope) and math.isfinite(stderr)):
-        raise CalibrationError("calibration: the sums left the float range")
-    return slope, stderr
+    try:
+        if 0.0 < sxx < math.inf and math.isfinite(slope):
+            return slope, math.sqrt(parameter_covariance(x[:, None], resid)[0, 0])
+    except FitError:
+        pass
+    raise CalibrationError("calibration: the sums left the float range")

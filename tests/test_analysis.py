@@ -277,6 +277,17 @@ class TestNoiseScalingFit:
         assert fit.stderrs["v0"] > 0
         assert fit.params["v0"] == pytest.approx(1.0e6, abs=5 * fit.stderrs["v0"])
 
+    @pytest.mark.parametrize("case", ["huge-n", "inf-v"])
+    def test_non_finite_basis_or_data_refused(self, case):
+        # 1e200 atoms overflow the N^2 column: refused before LAPACK sees it.
+        n = np.linspace(2e5, 1e200 if case == "huge-n" else 1.5e6, 6)
+        v = 2.0 * n
+        if case == "inf-v":
+            v[-1] = math.inf
+        for fix_linear in (True, False):
+            with pytest.raises(FitError, match="not finite"):
+                fit_noise_scaling(np.column_stack([n, v]), fix_linear=fix_linear)
+
     def test_too_few_distinct_points(self):
         with pytest.raises(FitError, match="distinct"):
             fit_noise_scaling([(1e5, 1.0), (1e5, 2.0), (2e5, 3.0)], fix_linear=True)
@@ -366,6 +377,31 @@ class TestSnrModelFit:
     def test_bad_input(self, probe_ideal):
         with pytest.raises(FitError):
             fit_snr_model([(1e5, 1.0)], probe_ideal)
+
+    def test_unconstrained_b_at_zero_zeta(self, probe_ideal):
+        # At N ~ 1e-300, zeta ~ 1e-306 and the Jacobian underflows to 0:
+        # the data say nothing about b, so the fit fails rather than
+        # report its start value with an infinite stderr.
+        pts = self._points(probe_ideal, 0.75, np.linspace(1e-300, 8e-300, 8))
+        with pytest.raises(FitError, match="b is unconstrained"):
+            fit_snr_model(pts, probe_ideal)
+
+    @pytest.mark.parametrize("bad", ["point", "sigma", "zero-sigma", "zeta"])
+    def test_non_finite_input_refused(self, probe_ideal, bad):
+        n_values = np.linspace(2e5, 1.5e6, 8)
+        pts = self._points(probe_ideal, 0.75, n_values)
+        sigma = 0.05 * 2.0 * n_values
+        probe = probe_ideal
+        if bad == "point":
+            pts[3] = (pts[3][0], math.inf)
+        elif bad == "sigma":
+            sigma[2] = math.inf
+        elif bad == "zero-sigma":
+            sigma[2] = 0.0
+        else:
+            probe = ProbeConfig(g1=1e150, efficiency=1.0)
+        with pytest.raises(FitError, match="not finite"):
+            fit_snr_model(pts, probe, sigma=sigma)
 
 
 def synthetic_campaign(probe, seed=0, n_cycles=60, initial_atoms=1.5e6):

@@ -581,6 +581,52 @@ class TestAnalyze:
         ]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+# Valid configs whose atom numbers, efficiency or coupling push the
+# analysis out of the float range, with analyze's exit code.
+EXTREME_CONFIGS = [
+    pytest.param({"campaign": {"initial_atoms": 1e200}}, 4, id="atoms-1e200"),
+    pytest.param({"campaign": {"initial_atoms": 1e-300}}, 0, id="atoms-1e-300"),
+    pytest.param({"campaign": {"initial_atoms": 1e-320}}, 4, id="atoms-1e-320"),
+    pytest.param({"probe": {"efficiency": 1e-300}}, 4, id="efficiency-1e-300"),
+    pytest.param({"probe": {"g1": 1e150}}, 0, id="g1-1e150"),
+]
+
+
+@pytest.mark.parametrize("extreme, exit_code", EXTREME_CONFIGS)
+def test_extreme_config_report_is_strict_json(tmp_path, extreme, exit_code):
+    # analyze runs in a child process, so LAPACK's own messages (written
+    # straight to file descriptor 1) and numpy's warnings are both seen.
+    # report.json holds no NaN or Infinity: a non-finite value exits 4
+    # with one line and no file, and a fit that cannot run is an error
+    # entry in a report that exits 0.
+    payload = {"seed": 1, **extreme, "campaign": {"n_cycles": 30, **extreme.get("campaign", {})}}
+    cfg_path = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    out = tmp_path / "analysis"
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    argv = ["analyze", str(tmp_path / "run" / "shots.csv"), "--config", str(cfg_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "singletsim.cli", *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    assert "DLASCL" not in proc.stdout
+    lines = proc.stderr.splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("numerical failure:")), lines
+    if exit_code:
+        assert not out.exists()
+    else:
+        report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+        assert "error" in report["fits"]["snr_model"]
+
+
 class TestFidfit:
     def test_synthetic_trace_recovery(self, tmp_path):
         samples = tmp_path / "fid.csv"

@@ -9,6 +9,7 @@ byte for byte on every kind of int and float value, Python or numpy.
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -182,3 +183,21 @@ def test_write_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     fileio.write_csv(path, ("a", "b"), [])
     assert path.read_bytes() == b"a,b\r\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    # A backstop: analyze checks its report first, so no command reaches it.
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        fileio.write_json(path, {"fits": {"b": [1.0, value]}})
+    assert not path.exists()
+
+
+def test_first_non_finite_names_the_first_place_in_written_order():
+    payload = {
+        "z": math.nan,
+        "bins": [{"xi2": 1.0}, {"xi2_stderr": math.inf, "a": np.float64(-math.inf)}],
+    }
+    assert fileio.first_non_finite(payload) == "bins[1].a"
+    assert fileio.first_non_finite({"n": 3, "ok": True, "s": "nan", "x": None, "v": [0.5]}) is None

@@ -24,7 +24,7 @@ from singletsim import (
     run_campaign,
     snr,
 )
-from singletsim.lsq import levenberg_marquardt
+from singletsim.lsq import levenberg_marquardt, parameter_covariance
 from singletsim.magnetometry import _initial_guess, fid_jacobian
 
 # Traces shaped like the benchmark's published FID input: 2 x 3000
@@ -223,3 +223,32 @@ def test_fits_raise_fit_error_on_exhausted_budget(monkeypatch, published_snr_poi
 def test_solver_rejects_tolerances_below_machine_epsilon():
     with pytest.raises(ValueError, match="machine epsilon"):
         levenberg_marquardt(lambda x: x, lambda x: np.eye(1), [1.0], xtol=1e-17, ftol=1e-15)
+
+
+def test_parameter_covariance_is_sigma2_pinv_jtj():
+    rng = np.random.default_rng(23)
+    for m, n in ((12, 3), (40, 5), (4, 4)):
+        jac = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, n)
+        r = rng.standard_normal(m)
+        sigma2 = float(r @ r) / (m - n) if m > n else 0.0
+        expected = sigma2 * np.linalg.pinv(jac.T @ jac, rcond=1e-12)
+        assert np.array_equal(parameter_covariance(jac, r), expected)
+
+
+@pytest.mark.parametrize("where", ["jac", "residuals", "jtj"])
+def test_parameter_covariance_refuses_non_finite_input(where):
+    jac, r = np.eye(4, 2), np.ones(4)
+    if where == "jac":
+        jac[1, 1] = np.inf
+    elif where == "residuals":
+        r[2] = np.inf
+    else:
+        jac[0, 0] = 1e200  # finite, but J^T J overflows
+    with pytest.raises(FitError, match="the residual norm or the Jacobian is not finite"):
+        parameter_covariance(jac, r)
+
+
+def test_parameter_covariance_refuses_a_covariance_that_overflows():
+    # J^T J = 2e-320 is finite and non-zero, but its inverse overflows.
+    with pytest.raises(FitError, match="the parameter covariance is not finite"):
+        parameter_covariance(np.full((2, 1), 1e-160), [1.0, -1.0])
