@@ -50,12 +50,19 @@ PINV_RCOND = 1e-10
 
 
 def sample_covariance(vectors) -> np.ndarray:
-    """Unbiased sample covariance of row vectors, explicitly symmetrized."""
+    """Unbiased sample covariance of row vectors, explicitly symmetrized.
+
+    A covariance that overflows raises ``InvariantError`` before any
+    SVD or solve sees it.
+    """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise EstimationError("need at least 2 vectors for a sample covariance")
-    xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / (x.shape[0] - 1)
+    with np.errstate(all="ignore"):
+        xc = x - x.mean(axis=0)
+        cov = xc.T @ xc / (x.shape[0] - 1)
+    if not np.isfinite(cov).all():
+        raise InvariantError("sample covariance is not finite")
     return 0.5 * (cov + cov.T)
 
 
@@ -122,9 +129,10 @@ def _centred_dist2(f1, bins) -> np.ndarray:
     The selection at cutoff C keeps the shots with dist2 < C * n_atoms.
     """
     dist2 = np.empty(len(f1))
-    for idx in bins:
-        if len(idx):
-            dist2[idx] = np.sum((f1[idx] - f1[idx].mean(axis=0)) ** 2, axis=1)
+    with np.errstate(all="ignore"):
+        for idx in bins:
+            if len(idx):
+                dist2[idx] = np.sum((f1[idx] - f1[idx].mean(axis=0)) ** 2, axis=1)
     return dist2
 
 
@@ -285,7 +293,10 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     def jacobian(theta):
         return (-2.0 * n * zeta * weights / (1.0 + theta[0] * zeta) ** 2)[:, None]
 
-    result = levenberg_marquardt(residuals, jacobian, [1.0], xtol=1e-14, ftol=1e-15)
+    # Extreme but finite inputs overflow inside the fit; its checks below
+    # and ``parameter_covariance`` judge the result, not the warnings.
+    with np.errstate(all="ignore"):
+        result = levenberg_marquardt(residuals, jacobian, [1.0], xtol=1e-14, ftol=1e-15)
     if not result.success:
         raise FitError(f"SNR-model fit did not converge in {result.nfev} residual evaluations")
     if not np.any(result.jac.T @ result.jac):
@@ -381,13 +392,13 @@ def _selection_witness(f2, n_atoms, v0: float) -> WitnessResult:
     return squeezing_parameter(v2 - v0, float(np.mean(n_atoms)), vectors=f2)
 
 
-def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, sel_mask):
+def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, n_mean, sel_mask):
     """One bin of the pipeline: covariance blocks and both witnesses.
 
-    ``x`` holds the bin's (f1, f2) rows, shape (m, 6); ``sel_mask``
-    marks its shots inside the selection cutoff.
+    ``x`` holds the bin's (f1, f2) rows, shape (m, 6), ``n_mean`` its
+    mean atom number; ``sel_mask`` marks its shots inside the selection
+    cutoff.
     """
-    n_mean = float(bn.mean())
     c6 = sample_covariance(x)
     g1, g2, g12 = c6[:3, :3], c6[3:, 3:], c6[:3, 3:]
     cond = conditional_covariance(g1, g2, g12)
@@ -462,17 +473,19 @@ def analyze_dataset(
         bin_rows = _quantile_bins(n_at, options.n_bins)
         selected = _centred_dist2(atoms.f1, bin_rows) < options.cutoff * n_at
         for b_idx, idx in enumerate(bin_rows):
+            # A mean that overflows is inf, and the bin fails later with exit 4.
+            with np.errstate(all="ignore"):
+                n_mean = float(n_at[idx].mean()) if len(idx) else 0.0
             reason = None
             if len(idx) < options.min_bin_shots:
                 reason = "too few shots"
-            elif float(n_at[idx].mean()) <= 0.0:
+            elif n_mean <= 0.0:
                 reason = "zero atom number"
             if reason:
                 skipped.append({"bin": b_idx, "n_shots": int(len(idx)), "reason": reason})
             else:
-                bins.append(
-                    _analyze_bin(v0, options, b_idx, atoms.f[idx], n_at[idx], selected[idx])
-                )
+                x, bn = atoms.f[idx], n_at[idx]
+                bins.append(_analyze_bin(v0, options, b_idx, x, bn, n_mean, selected[idx]))
 
     fits: dict[str, FitResult | FitError | None] = {
         "unconditional_1": None,

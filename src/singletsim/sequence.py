@@ -46,14 +46,13 @@ rotation angle per pulse, applied to the true spin after that pulse's
 readout) when ``probe.light_backaction`` is set.  The full row is drawn
 even where a term vanishes (reference shots, zero readout noise).
 
-Campaigns are deterministic given the master seed.  Cycle c draws from
-``Generator(PCG64(SeedSequence(master_seed, spawn_key=(c,))))``: one
-``random()`` for its atom-number jitter, then one block of rows of
-normals for its shots in ``seq_index`` order (atom shots, then
-references).  The engine derives these generator states for all cycles
-in one array pass, without building the objects (``_substream_states``),
-so results do not depend on evaluation order and a one-cycle rerun
-reproduces its shots.
+Campaigns are deterministic given the master seed.  One generator,
+``np.random.default_rng(master_seed)``, serves the whole campaign: it
+draws every cycle's atom-number jitter first (one ``uniform(-1, 1)``
+per cycle, in cycle order), then one row of normals per shot in row
+order (cycle, then ``seq_index``: atom shots, then references).  Every
+shot then goes through the engine at once, whose arithmetic does not
+depend on the batch.
 
 A campaign is returned as one ``ShotTable``, the columnar dataset every
 later stage (CSV output and input, analysis) works on.
@@ -62,7 +61,6 @@ later stage (CSV output and input, analysis) works on.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +87,9 @@ N_PULSES = 2 * PULSES_PER_PERIOD
 # 1/sqrt(3); ``SequenceConfig`` says why the field must be on that axis.
 FIELD_AXIS_ATOL = 1e-6
 
-# A cycle's id is its substream's spawn key, which must be one uint32 word.
+# The most loading cycles a config may ask for: far above any campaign
+# that fits in memory, so an absurd count is refused before anything
+# is allocated.
 MAX_CYCLES = 2**32
 
 DATASET_COLUMNS = (
@@ -318,7 +318,7 @@ def _lincomb(row, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Separate numpy products and sums, so no fused multiply-add enters and
     every shot's arithmetic is the same whatever the batch size or the
-    BLAS kernel: a one-cycle rerun reproduces its shots bit for bit.
+    BLAS kernel: a shot's readouts depend only on its own row of normals.
     """
     return row[0] * x + row[1] * y + row[2] * z
 
@@ -401,138 +401,31 @@ def engine_covariance(cfg: SequenceConfig, n_atoms: float) -> np.ndarray:
     return jac.T @ jac
 
 
-# numpy's SeedSequence: its pool size and hash constants (uint32 words).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_constants(init: int, mult: int):
-    """SeedSequence's running hash constant: (xor, multiplier) of each hash step."""
-    while True:
-        step = init * mult & _MASK32
-        yield np.uint32(init), np.uint32(step)
-        init = step
-
-
-def _hashmix(words: np.ndarray, constants) -> np.ndarray:
-    xor, mult = next(constants)
-    words = (words ^ xor) * mult
-    return words ^ (words >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    words = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return words ^ (words >> _XSHIFT)
-
-
-def _substream_states(master_seed: int, cycle_ids: np.ndarray) -> np.ndarray:
-    """Each cycle's ``SeedSequence(master_seed, spawn_key=(c,)).generate_state(4, uint64)``.
-
-    numpy's entropy hash, run for every cycle at once in uint32 array
-    arithmetic: the seed's little-endian 32-bit words zero-padded to the
-    pool size, then the cycle id as one spawn word (so ids must be below
-    2**32); the pool is hashed, mixed with itself and with every word
-    past it, and hashed out to 8 words.  Returns the (n, 4) uint64 words
-    PCG64 seeds from (``_pcg64_state``).
-    """
-    seed = operator.index(master_seed)
-    run = [seed & _MASK32]
-    while seed := seed >> 32:
-        run.append(seed & _MASK32)
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = np.empty((len(run) + 1, len(cycle_ids)), dtype=np.uint32)
-    entropy[:-1] = np.array(run, dtype=np.uint32)[:, None]
-    entropy[-1] = cycle_ids
-
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, constants) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
-
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    state = np.empty((len(cycle_ids), 2 * _POOL_SIZE), dtype=np.uint32)
-    for i in range(2 * _POOL_SIZE):
-        state[:, i] = _hashmix(pool[i % _POOL_SIZE], constants)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _pcg64_state(words) -> dict:
-    """The ``PCG64.state`` that seeding from ``words`` (4 ints) sets.
-
-    PCG64 reads (initstate, initseq) as two 128-bit ints, high word
-    first, and runs ``pcg_setseq_128_srandom_r``.
-    """
-    init_hi, init_lo, seq_hi, seq_lo = words
-    inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
-    state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _simulate_cycles(
-    campaign: CampaignConfig, seq_cfg: SequenceConfig, cycle_ids
-) -> ShotTable:
-    """Shots of the given loading cycles, each on its own random substream.
-
-    Each cycle draws its jitter and its block of normals from
-    (master_seed, cycle_id), as the module docstring states; all shots
-    then go through the engine at once.  Cycle ids must lie in
-    [0, ``MAX_CYCLES``).
-    """
-    ids = np.asarray(cycle_ids)
-    if ids.size and not (ids.min() >= 0 and ids.max() < MAX_CYCLES):
-        raise ValueError(f"cycle ids must lie in [0, 2**32), got {ids.min()}..{ids.max()}")
-    words = _substream_states(campaign.master_seed, ids)
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    n_seq = campaign.sequences_per_cycle
-    per_cycle = n_seq + campaign.reference_shots_per_cycle
-    decay = np.array([(1.0 - campaign.loss_fraction) ** s for s in range(n_seq)])
-    uniforms = np.empty(len(ids))
-    normals = np.empty((len(ids), per_cycle, draw_columns(seq_cfg)))
-    for i in range(len(ids)):
-        bits.state = _pcg64_state(words[i].tolist())
-        uniforms[i] = rng.random()
-        rng.standard_normal(out=normals[i])
-    # Generator.uniform(-1, 1) bit for bit, without its per-call overhead.
-    jitter = -1.0 + 2.0 * uniforms
-    n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * jitter)
-    n_atoms = np.zeros((len(ids), per_cycle))
-    n_atoms[:, :n_seq] = n0[:, None] * decay
-    n_atoms = n_atoms.reshape(-1)
-    seq_index = np.tile(np.arange(per_cycle), len(ids))
-    return ShotTable(
-        cycle_id=np.repeat(ids.astype(np.int64), per_cycle),
-        seq_index=seq_index,
-        is_reference=seq_index >= n_seq,
-        n_atoms=n_atoms,
-        f=_propagate(seq_cfg, n_atoms, normals.reshape(len(n_atoms), -1)),
-    )
-
-
 def run_campaign(campaign: CampaignConfig, seq_cfg: SequenceConfig) -> ShotTable:
     """Simulate a full campaign in one vectorized pass.
 
-    Output depends only on the configs: each cycle uses the substream
-    (master_seed, cycle_id) and rows come in cycle order.
+    Output depends only on the configs: one generator seeded with
+    ``master_seed`` draws every cycle's jitter, then one row of normals
+    per shot in row order, as the module docstring states.
     """
-    return _simulate_cycles(campaign, seq_cfg, range(campaign.n_cycles))
+    n_cycles, n_seq = campaign.n_cycles, campaign.sequences_per_cycle
+    per_cycle = n_seq + campaign.reference_shots_per_cycle
+    rng = np.random.default_rng(campaign.master_seed)
+    jitter = rng.uniform(-1.0, 1.0, n_cycles)
+    normals = rng.standard_normal((n_cycles * per_cycle, draw_columns(seq_cfg)))
+    decay = np.array([(1.0 - campaign.loss_fraction) ** s for s in range(n_seq)])
+    n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * jitter)
+    n_atoms = np.zeros((n_cycles, per_cycle))
+    n_atoms[:, :n_seq] = n0[:, None] * decay
+    n_atoms = n_atoms.reshape(-1)
+    seq_index = np.tile(np.arange(per_cycle), n_cycles)
+    return ShotTable(
+        cycle_id=np.repeat(np.arange(n_cycles, dtype=np.int64), per_cycle),
+        seq_index=seq_index,
+        is_reference=seq_index >= n_seq,
+        n_atoms=n_atoms,
+        f=_propagate(seq_cfg, n_atoms, normals),
+    )
 
 
 def write_dataset(path, table: ShotTable) -> None:

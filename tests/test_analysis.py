@@ -28,6 +28,8 @@ from singletsim import (
     squeezing_parameter,
 )
 from singletsim.analysis import (
+    _centred_dist2,
+    _quantile_bins,
     report_dict,
     resolve_v0,
     write_noise_scaling_csv,
@@ -666,10 +668,15 @@ class TestCutoffScan:
 
     def test_counts_match_selection(self, probe_paper):
         # The published config at 20 cycles: the smallest cutoffs select
-        # 0 or 1 shot, too few for a witness but still counted.
+        # 0 or 1 shot, too few for a witness but still counted.  The last
+        # cutoff lies between the two smallest dist2 / n_atoms, so it
+        # selects exactly one shot whatever the draw.
         table, _ = synthetic_campaign(probe_paper, n_cycles=20)
         options = AnalysisOptions()
-        cutoffs = [0.05, 0.1, 0.15, 0.2, 0.25]
+        atoms = table.atoms
+        bins = _quantile_bins(atoms.n_atoms, options.n_bins)
+        ratio = np.sort(_centred_dist2(atoms.f1, bins) / atoms.n_atoms)
+        cutoffs = [0.05, 0.1, 0.15, 0.2, 0.25, float(ratio[0] + ratio[1]) / 2.0]
         rows = cutoff_scan(table, cutoffs, probe_paper, options)
         counts = [len(select_shots(table, c, n_bins=options.n_bins)) for c in cutoffs]
         assert [r["n_selected"] for r in rows] == counts

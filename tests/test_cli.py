@@ -242,8 +242,8 @@ class TestSimulate:
         assert "--seed: master_seed must be non-negative" in capsys.readouterr().err
 
     def test_too_many_cycles_exit_code(self, tmp_path, capsys):
-        # A cycle's spawn key is one uint32 word; the config refuses more
-        # cycles before anything is allocated.
+        # 2**32 cycles is far more than any campaign that fits in memory;
+        # the config refuses more before anything is allocated.
         cfg_path = write_config(tmp_path, {"campaign": {"n_cycles": 2**32 + 1}})
         out = tmp_path / "too_many"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -593,6 +593,11 @@ EXTREME_CONFIGS = [
     pytest.param({"campaign": {"initial_atoms": 1e-320}}, 4, id="atoms-1e-320"),
     pytest.param({"probe": {"efficiency": 1e-300}}, 4, id="efficiency-1e-300"),
     pytest.param({"probe": {"g1": 1e150}}, 0, id="g1-1e150"),
+    pytest.param({"probe": {"g1": 1e-300}}, 4, id="g1-1e-300"),
+    pytest.param({"probe": {"n_photons": 1e-300}}, 4, id="n-photons-1e-300"),
+    pytest.param({"campaign": {"initial_atoms": 1e307}}, 4, id="atoms-1e307"),
+    pytest.param({"probe": {"g1": 1e100}}, 0, id="g1-1e100"),
+    pytest.param({"probe": {"n_photons": 1e300}}, 0, id="n-photons-1e300"),
 ]
 
 

@@ -54,11 +54,12 @@ def reference_campaign(campaign, cfg):
         r_mid = larmor_rotation_matrix(cfg.field, probe.pulse_duration / 2.0)
     has_detector = bool(np.any(cfg.detector_noise_cov != 0.0))
     n_seq = campaign.sequences_per_cycle
+    # One stream: every cycle's jitter first, then each shot's normals in row order.
+    rng = np.random.default_rng(campaign.master_seed)
+    jitter = [rng.uniform(-1.0, 1.0) for _ in range(campaign.n_cycles)]
     shots = []
     for cycle in range(campaign.n_cycles):
-        seed = np.random.SeedSequence(campaign.master_seed, spawn_key=(cycle,))
-        rng = np.random.default_rng(seed)
-        n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * rng.uniform(-1.0, 1.0))
+        n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * jitter[cycle])
         for s in range(n_seq + campaign.reference_shots_per_cycle):
             n = n0 * (1.0 - campaign.loss_fraction) ** s if s < n_seq else 0.0
             # Prepared spin: V diag(sqrt(2n/3 + lam)) z on P's axes (atoms only).
@@ -137,8 +138,7 @@ def test_engine_matches_per_shot_loop(probe, branches):
 
 @pytest.mark.parametrize("seed", [2**96, 2**128 + 1], ids=["4-word-seed", "5-word-seed"])
 def test_engine_matches_per_shot_loop_at_a_multi_word_seed(seed):
-    # A seed of four 32-bit words fills SeedSequence's pool with no zero
-    # padding; at five, a seed word joins the spawn word past the pool.
+    # Seeds of four and five 32-bit words, past the one-word seeds above.
     probe = ProbeConfig(light_backaction=True, n_photons=4e13)
     cfg = SequenceConfig(field=MagneticField(FIELD_111), probe=probe, **ALL_BRANCHES)
     campaign = replace(CAMPAIGN, master_seed=seed)
