@@ -273,8 +273,9 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     the stderr; zeta is the ideal SNR computed from the probe constants
     at each point.  ``ftol=1e-15`` lets the fit run on to the stationary
     point of the weighted cost instead of stopping at a 1e-8 relative
-    cost reduction.  Non-finite input and a zero J^T J (b unconstrained,
-    as at zeta ~ 0) raise ``FitError``.
+    cost reduction.  Non-finite input, a non-finite Jacobian, a zero
+    J^T J (b unconstrained, as at zeta ~ 0) and a stop on ftol or xtol
+    with b still at its start value raise ``FitError``.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -296,11 +297,17 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     # Extreme but finite inputs overflow inside the fit; its checks below
     # and ``parameter_covariance`` judge the result, not the warnings.
     with np.errstate(all="ignore"):
-        result = levenberg_marquardt(residuals, jacobian, [1.0], xtol=1e-14, ftol=1e-15)
+        try:
+            result = levenberg_marquardt(residuals, jacobian, [1.0], xtol=1e-14, ftol=1e-15)
+        except FitError as exc:
+            raise FitError(f"SNR-model fit: {exc}") from None
     if not result.success:
         raise FitError(f"SNR-model fit did not converge in {result.nfev} residual evaluations")
     if not np.any(result.jac.T @ result.jac):
         raise FitError("SNR-model fit: b is unconstrained (the Jacobian is zero)")
+    # A stop on ftol or xtol with no step accepted: the data do not move b.
+    if result.status != "gtol" and result.x[0] == 1.0:
+        raise FitError(f"SNR-model fit: b never left its start value 1 ({result.status})")
     cov = parameter_covariance(result.jac, result.fun)
     return FitResult(
         {"b": float(result.x[0])},

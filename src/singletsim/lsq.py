@@ -3,12 +3,13 @@
 ``levenberg_marquardt`` is a port of MINPACK's ``lmder`` (J. J. More,
 "The Levenberg-Marquardt algorithm: implementation and theory", Lecture
 Notes in Mathematics 630, 1978), used by the package's two nonlinear
-fits.  Each iteration takes
-the Householder QR factorization of the Jacobian with column pivoting,
-so a parameter the data do not constrain (a zero column) is pivoted last
-and left alone, and finds the damping parameter by More's safeguarded
-Newton iteration so that the step fills a trust region in the variables
-scaled by ``1 / x_scale``.  The radius grows or shrinks with the ratio
+fits, and keeps MINPACK's iterates to rounding.  Each Jacobian J is
+factored once, by one unpivoted QR of [J f] for the triangle R and
+Q^T f.  More's safeguarded Newton iteration picks the damping so that
+the step fills a trust region in x / x_scale, and one SVD of the n x n
+triangle R D^-1 gives that step for any damping in closed form; a
+direction with a zero singular value (a parameter the data do not
+constrain) gets no step.  The radius grows or shrinks with the ratio
 of actual to predicted cost reduction.
 
 ``parameter_covariance`` is the only place a fit's uncertainty is
@@ -58,88 +59,57 @@ class LsqResult:
         return self.status != "max_nfev"
 
 
-def _pivoted_qr(jac: np.ndarray, f: np.ndarray):
-    """MINPACK ``qrfac``: Householder QR of ``jac`` with column pivoting.
+def _lmpar(b, qtf, delta: float, par: float):
+    """MINPACK ``lmpar`` from one SVD: damping ``par`` and scaled step y.
 
-    Returns (R, perm, Q^T f, column norms of ``jac``) with
-    ``jac[:, perm] = Q R``: at step j the remaining column of largest
-    norm is moved to position j.  LAPACK's unpivoted QR first reduces
-    [jac, f] to a triangle with the same column norms, whose pivoted
-    factorization is then jac's; ``f`` rides along as the last column,
-    reflected but never pivoted.
+    y = D p minimizes ||B y - Q^T f||^2 + par ||y||^2 (B = R D^-1), and
+    either par = 0 with ||y|| <= 1.1 delta, or par > 0 with ||y|| within
+    10% of delta.  With B = U S V^T, V^T y = (S + par / S)^-1 U^T Q^T f for
+    any par; a singular value below rounding of the largest gets no step.
+    Returns (par, y); the caller steps by -y / D.
     """
-    n = jac.shape[1]
-    a = np.linalg.qr(np.column_stack((jac, f)), mode="r")
-    col_norms = np.linalg.norm(a[:, :n], axis=0)
-    perm = np.arange(n)
-    for j in range(n):
-        k = j + int(np.argmax(np.linalg.norm(a[j:, j:n], axis=0)))
-        a[:, [j, k]] = a[:, [k, j]]
-        perm[[j, k]] = perm[[k, j]]
-        alpha = float(np.linalg.norm(a[j:, j]))
-        if alpha == 0.0:
-            continue
-        if a[j, j] < 0:
-            alpha = -alpha
-        v = a[j:, j] / alpha
-        v[0] += 1.0
-        a[j:, j + 1 :] -= np.outer(v, (v @ a[j:, j + 1 :]) / v[0])
-        a[j:, j] = 0.0
-        a[j, j] = -alpha
-    return np.triu(a[:n, :n]), perm, a[:n, n].copy(), col_norms
+    u, s, vt = np.linalg.svd(b)
+    c = qtf @ u
+    dead = s <= len(s) * _EPS * s[0]
+    s[dead] = np.inf  # so that V^T y is 0 along a dead direction
 
+    def newton(fp, vty, dxnorm, par):
+        # More's correction fp / delta / (y^T (B^T B + par I)^-1 y / ||y||^2).
+        return fp / delta / float(np.sum((vty / dxnorm) ** 2 / s / (s + par / s)))
 
-def _lmpar(r, perm, diag, qtf, delta: float, par: float):
-    """MINPACK ``lmpar``: damping ``par`` and step p for radius ``delta``.
-
-    p minimizes ||J p - f||^2 + par ||D p||^2 (D = ``diag``, J = Q R P^T)
-    and either par = 0 with ||D p|| <= 1.1 delta, or par > 0 with
-    ||D p|| within 10% of delta.  Returns (par, p); the caller steps by -p.
-    """
-    n = len(qtf)
-    d = diag[perm]
-    zero_pivots = np.flatnonzero(np.diag(r) == 0.0)
-    nsing = int(zero_pivots[0]) if len(zero_pivots) else n
-
-    # Gauss-Newton step, with the components past a zero pivot set to 0.
-    z = np.zeros(n)
-    z[:nsing] = np.linalg.solve(r[:nsing, :nsing], qtf[:nsing])
-    dxnorm = float(np.linalg.norm(d * z))
+    vty = c / s
+    dxnorm = float(np.linalg.norm(vty))
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
-        return 0.0, z[np.argsort(perm)]
-
-    # Bounds parl <= par <= paru from the Newton step on phi(par) = ||D p|| - delta.
-    parl = 0.0
-    if nsing == n:
-        y = np.linalg.solve(r.T, d * (d * z) / dxnorm)
-        parl = fp / delta / float(y @ y)
-    gnorm = float(np.linalg.norm((r.T @ qtf) / d))
-    paru = gnorm / delta
-    if paru == 0.0:
-        paru = _TINY / min(delta, 0.1)
-    par = min(max(par, parl), paru)
-    if par == 0.0:
-        par = gnorm / dxnorm
-
-    rhs = np.concatenate((qtf, np.zeros(n)))
-    for iteration in range(1, 11):
+        par = 0.0
+    else:
+        # Bounds parl <= par <= paru from the Newton step on phi(par) = ||y|| - delta.
+        parl = 0.0 if dead.any() else newton(fp, vty, dxnorm, 0.0)
+        gnorm = float(np.linalg.norm(b.T @ qtf))
+        paru = gnorm / delta
+        if paru == 0.0:
+            paru = _TINY / min(delta, 0.1)
+        par = min(max(par, parl), paru)
         if par == 0.0:
-            par = max(_TINY, 0.001 * paru)
-        q, s = np.linalg.qr(np.vstack((r, np.diag(math.sqrt(par) * d))))
-        z = np.linalg.solve(s, q.T @ rhs)
-        dxnorm = float(np.linalg.norm(d * z))
-        fp_old, fp = fp, dxnorm - delta
-        if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= fp_old < 0) or iteration == 10:
-            break
-        y = np.linalg.solve(s.T, d * (d * z) / dxnorm)
-        parc = fp / delta / float(y @ y)
-        if fp > 0:
-            parl = max(parl, par)
-        elif fp < 0:
-            paru = min(paru, par)
-        par = max(parl, par + parc)
-    return par, z[np.argsort(perm)]
+            par = gnorm / dxnorm
+        for iteration in range(1, 11):
+            if par == 0.0:
+                par = max(_TINY, 0.001 * paru)
+            vty = c / (s + par / s)
+            dxnorm = float(np.linalg.norm(vty))
+            fp_old, fp = fp, dxnorm - delta
+            if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= fp_old < 0) or iteration == 10:
+                break
+            parc = newton(fp, vty, dxnorm, par)
+            if fp > 0:
+                parl = max(parl, par)
+            elif fp < 0:
+                paru = min(paru, par)
+            par = max(parl, par + parc)
+    y = vt.T @ vty
+    # A zero column of B gets exactly no step: the SVD leaves rounding there.
+    y[~b.any(axis=0)] = 0.0
+    return par, y
 
 
 def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, max_nfev=None):
@@ -154,7 +124,8 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
     ||x / x_scale|| (``"xtol"``); when every Jacobian column is
     orthogonal to the residuals to within ``GTOL`` in cosine
     (``"gtol"``); or after ``max_nfev`` residual evaluations (default
-    100 n) with ``"max_nfev"``.
+    100 n) with ``"max_nfev"``.  Residuals at ``x0`` or a Jacobian that
+    are not finite raise ``FitError``.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -168,7 +139,7 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
     if f.size < n:
         raise ValueError(f"{f.size} residuals cannot determine {n} parameters")
     if not np.all(np.isfinite(f)):
-        raise ValueError("residuals are not finite at the initial point")
+        raise FitError("residuals are not finite at the initial point")
     fnorm = float(np.linalg.norm(f))
     xnorm = float(np.linalg.norm(diag * x))
     delta = _FACTOR * xnorm or _FACTOR
@@ -177,20 +148,20 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
     status = None
     while status is None:
         j, j_at = jac(x), x
-        r, perm, qtf, col_norms = _pivoted_qr(j, f)
-        gnorm = 0.0
-        if fnorm != 0.0:
-            norms = col_norms[perm]
-            live = norms != 0.0
-            cosines = (r.T @ qtf)[live] / fnorm / norms[live]
-            gnorm = float(np.max(np.abs(cosines), initial=0.0))
+        if not np.isfinite(j).all():
+            raise FitError(f"the Jacobian is not finite at x = {x}")
+        a = np.linalg.qr(np.column_stack((j, f)), mode="r")
+        r, qtf = a[:n, :n], a[:n, n]
+        norms = np.linalg.norm(j, axis=0)
+        live = (norms != 0.0) & (fnorm != 0.0)
+        gnorm = float(np.max(np.abs(r.T @ qtf)[live] / fnorm / norms[live], initial=0.0))
         if gnorm <= GTOL:
             status = "gtol"
             break
         while True:
-            par, p = _lmpar(r, perm, diag, qtf, delta, par)
-            step = -p
-            pnorm = float(np.linalg.norm(diag * step))
+            par, y = _lmpar(r / diag, qtf, delta, par)
+            step = -y / diag
+            pnorm = float(np.linalg.norm(y))
             if first_step:
                 delta = min(delta, pnorm)
             x_new = x + step
@@ -200,7 +171,7 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
             # A residual norm that grew tenfold or more (or is not finite)
             # counts as a failed step.
             actred = 1.0 - (fnorm_new / fnorm) ** 2 if 0.1 * fnorm_new < fnorm else -1.0
-            temp1 = float(np.linalg.norm(r @ step[perm])) / fnorm
+            temp1 = float(np.linalg.norm(r @ step)) / fnorm
             temp2 = math.sqrt(par) * pnorm / fnorm
             prered = temp1**2 + temp2**2 / 0.5
             dirder = -(temp1**2 + temp2**2)

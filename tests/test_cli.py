@@ -598,6 +598,9 @@ EXTREME_CONFIGS = [
     pytest.param({"campaign": {"initial_atoms": 1e307}}, 4, id="atoms-1e307"),
     pytest.param({"probe": {"g1": 1e100}}, 0, id="g1-1e100"),
     pytest.param({"probe": {"n_photons": 1e300}}, 0, id="n-photons-1e300"),
+    pytest.param({"campaign": {"initial_atoms": 1e100}}, 0, id="atoms-1e100"),
+    pytest.param({"campaign": {"initial_atoms": 1e150}}, 0, id="atoms-1e150"),
+    pytest.param({"probe": {"efficiency": 1e-100}}, 0, id="efficiency-1e-100"),
 ]
 
 

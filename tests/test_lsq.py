@@ -87,31 +87,136 @@ def test_fid_fit_matches_minpack(seed):
 
 
 def test_fid_fit_evaluates_one_jacobian_per_factorization(monkeypatch):
-    # The solver stops on gtol, where x has not moved since the last QR,
-    # so the returned Jacobian is that QR's: no extra evaluation.
+    # The solver factors each Jacobian once, by one QR of [J f].  It stops
+    # on gtol, where x has not moved since the last QR, so the returned
+    # Jacobian is that QR's: no extra evaluation.
     calls = {"jac": 0, "qr": 0}
     results = []
-    pivoted_qr = lsq_mod._pivoted_qr
+    qr = np.linalg.qr
 
-    def counting_qr(*args):
+    def counting_qr(*args, **kwargs):
         calls["qr"] += 1
-        return pivoted_qr(*args)
+        return qr(*args, **kwargs)
 
     def solver(fun, jac, x0, **kwargs):
         def counting_jac(x):
             calls["jac"] += 1
             return jac(x)
 
-        results.append((levenberg_marquardt(fun, counting_jac, x0, **kwargs), jac))
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "qr", counting_qr)
+            results.append((levenberg_marquardt(fun, counting_jac, x0, **kwargs), jac))
         return results[-1][0]
 
-    monkeypatch.setattr(lsq_mod, "_pivoted_qr", counting_qr)
     monkeypatch.setattr(magnetometry_mod, "levenberg_marquardt", solver)
     fit_fid(*published_fid_trace(1), G1, GAMMA)
     (result, jac), = results
     assert result.status == "gtol"
     assert calls["jac"] == calls["qr"] > 0
     assert np.array_equal(result.jac, jac(result.x))
+
+
+def reference_lmpar(b, qtf, delta, par):
+    """More's recurrence for ``lsq._lmpar`` on dense normal equations.
+
+    y(par) solves (B^T B + par I) y = B^T Q^T f over the non-zero columns
+    of B (a zero column gets y = 0), and phi(par) = ||y|| - delta has
+    phi' = -y^T (B^T B + par I)^-1 y / ||y||.  Returns (par, y, the
+    number of Newton corrections taken).
+    """
+    keep = b.any(axis=0)
+    bk = b[:, keep]
+
+    def phi(par):
+        m = bk.T @ bk + par * np.eye(bk.shape[1])
+        y = np.zeros(len(qtf))
+        y[keep] = np.linalg.solve(m, bk.T @ qtf)
+        norm = float(np.linalg.norm(y))
+        return y, norm, norm - delta, -float(y[keep] @ np.linalg.solve(m, y[keep])) / norm
+
+    y, norm, fp, dphi = phi(0.0)
+    if fp <= 0.1 * delta:
+        return 0.0, y, 0
+    # More's Newton correction on phi, sized for ||y|| = delta: -(phi / phi') ||y|| / delta.
+    parl = -fp / dphi * norm / delta if keep.all() else 0.0
+    gnorm = float(np.linalg.norm(b.T @ qtf))
+    paru = gnorm / delta
+    if paru == 0.0:
+        paru = np.finfo(float).tiny / min(delta, 0.1)
+    par = min(max(par, parl), paru) or gnorm / norm
+    for iteration in range(1, 11):
+        if par == 0.0:
+            par = max(np.finfo(float).tiny, 0.001 * paru)
+        y, norm, fp_new, dphi = phi(par)
+        if abs(fp_new) <= 0.1 * delta or (parl == 0.0 and fp_new <= fp < 0) or iteration == 10:
+            return par, y, iteration - 1
+        fp = fp_new
+        parc = -fp / dphi * norm / delta
+        if fp > 0:
+            parl = max(parl, par)
+        elif fp < 0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+
+
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_lmpar_matches_dense_more_recurrence(zero_column):
+    # Trust radii far inside the Gauss-Newton step, so the Newton loop
+    # runs, on triangles whose columns span 10^-3 to 10^3.
+    rng = np.random.default_rng(25)
+    corrections = []
+    for case in range(200):
+        n = int(rng.integers(2, 6))
+        a = np.linalg.qr(rng.standard_normal((n + 3, n + 1)), mode="r")
+        b, qtf = a[:n, :n] * 10.0 ** rng.uniform(-3, 3, n), a[:n, n]
+        k = int(rng.integers(n))
+        if zero_column:
+            b[:, k] = 0.0
+        gauss_newton = np.linalg.norm(reference_lmpar(b, qtf, np.inf, 0.0)[1])
+        delta = gauss_newton * 10.0 ** rng.uniform(-4, -0.5)
+        start = (0.0, 1e-3, 1e3)[case % 3]
+        par, y = lsq_mod._lmpar(b, qtf, delta, start)
+        ref_par, ref_y, steps = reference_lmpar(b, qtf, delta, start)
+        corrections.append(steps)
+        assert par == pytest.approx(ref_par, rel=1e-9, abs=0)
+        assert np.allclose(y, ref_y, rtol=1e-9, atol=0)
+        if zero_column:
+            assert y[k] == 0.0
+    # Most cases take two or more Newton corrections.
+    assert np.sum(np.array(corrections) >= 2) >= 80
+
+
+def test_solver_leaves_a_parameter_with_a_zero_jacobian_column_at_its_start():
+    # The residuals do not depend on x[1]: its step is exactly zero, where
+    # the SVD alone would leave rounding.
+    t = np.linspace(0.0, 1.0, 20)
+    data = 3.0 * np.exp(-0.7 * t) + 0.5 * t
+
+    def fun(x):
+        return x[0] * np.exp(-x[2] * t) + x[3] * t - data
+
+    def jac(x):
+        e = np.exp(-x[2] * t)
+        return np.column_stack((e, np.zeros_like(t), -x[0] * t * e, t))
+
+    x0 = [1.0, 0.123456789, 0.1, 0.0]
+    result = levenberg_marquardt(fun, jac, x0, xtol=1e-12, ftol=1e-12)
+    assert result.success
+    assert result.x[1] == x0[1]
+    assert np.allclose(result.x[[0, 2, 3]], [3.0, 0.7, 0.5], rtol=1e-8)
+
+
+def test_solver_stops_on_a_non_finite_jacobian():
+    with pytest.raises(FitError, match="the Jacobian is not finite"):
+        levenberg_marquardt(
+            lambda x: x - 1.0, lambda x: np.full((1, 1), np.nan), [0.0], xtol=1e-12, ftol=1e-12
+        )
+
+
+def test_snr_fit_refuses_residuals_that_overflow_at_the_start():
+    # Finite points and zeta, but 2N overflows: a FitError, not a ValueError.
+    with pytest.raises(FitError, match="SNR-model fit: residuals are not finite at the initial"):
+        fit_snr_model([(1.7e308, 1.0), (1.7e308, 2.0)], config_from_dict({}).probe)
 
 
 @pytest.fixture(scope="module")
