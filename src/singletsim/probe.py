@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CalibrationError, FitError
 from .lsq import parameter_covariance
-from .spins import CollectiveSpinState, apply_rotation
+from .spins import CollectiveSpinState, apply_rotation, check_finite
 
 E_Z = np.array([0.0, 0.0, 1.0])
 
@@ -67,6 +67,8 @@ class ProbeConfig:
     light_backaction: bool = False
 
     def __post_init__(self):
+        check_finite(g1=self.g1, n_photons=self.n_photons, pulse_duration=self.pulse_duration)
+        check_finite(readout_noise_override=self.readout_noise_override)
         if self.g1 <= 0:
             raise ValueError("g1 must be positive")
         if self.n_photons <= 0:

@@ -14,12 +14,11 @@ Gaussian and propagated deterministically through the rotations as
 its three coordinate columns, one array per component over all shots;
 pulse outcomes are that vector's lab-z component plus readout noise.
 Every 3x3 map is plain numpy products and sums in a fixed order
-(``_lincomb``), never a BLAS call, so a shot's bits depend neither on the
-batch it runs in nor on the BLAS kernel.  Last bits can still move
-between machines through LAPACK's ``eigh`` of a non-zero
-``prep_noise_cov`` or ``detector_noise_cov`` and through numpy's
-``cos``/``sin`` of the back-action angles.  No Kalman estimator state is
-propagated: the posterior never reaches a readout.
+(``_lincomb``) and every covariance factor elementwise (``_cholesky3``),
+never a BLAS or LAPACK call, so a shot's bits depend neither on the batch
+it runs in nor on the BLAS kernel.  Only numpy's ``cos``/``sin`` of the
+back-action angles can still move last bits between machines.  No Kalman
+estimator state is propagated: the posterior never reaches a readout.
 ``probe.simulate_pulse`` remains the analytic single-pulse reference
 for the estimator.
 
@@ -35,16 +34,16 @@ in this column order (bracketed blocks only when the branch is on):
     spin 3 | [detector 3] | round-1 readout noise 3 | [diffusion 3]
     | round-2 readout noise 3 | [back-action 6]
 
-An atom shot's spin is V diag(sqrt(2N/3 + lambda)) z plus
-``prep_mean_offset``, with z its spin block and (lambda, V) =
-eigh(``prep_noise_cov``): the prepared covariance (2/3) N I + P has P's
-eigenvectors.  A reference shot's spin is 0.
+An atom shot's spin is L z plus ``prep_mean_offset``, with z its spin
+block and L the Cholesky factor of its own prepared covariance
+(2/3) N I + ``prep_noise_cov``.  A reference shot's spin is 0.
 
-The detector block is drawn when ``detector_noise_cov`` is non-zero,
-diffusion when ``period_diffusion`` > 0, and back-action (one lab-z
-rotation angle per pulse, applied to the true spin after that pulse's
-readout) when ``probe.light_backaction`` is set.  The full row is drawn
-even where a term vanishes (reference shots, zero readout noise).
+The detector block, L z with L the factor of ``detector_noise_cov``, is
+drawn when that matrix is non-zero, diffusion when ``period_diffusion``
+> 0, and back-action (one lab-z rotation angle per pulse, applied to the
+true spin after that pulse's readout) when ``probe.light_backaction`` is
+set.  The full row is drawn even where a term vanishes (reference shots,
+zero readout noise).
 
 Campaigns are deterministic given the master seed.  One generator,
 ``np.random.default_rng(master_seed)``, serves the whole campaign: it
@@ -71,9 +70,9 @@ from .probe import ProbeConfig, backaction_sigma, readout_noise_sigma
 from .spins import (
     PSD_RTOL,
     MagneticField,
+    check_finite,
     check_psd,
     check_symmetric,
-    covariance_factor,
     larmor_period,
     larmor_rotation_matrix,
 )
@@ -106,14 +105,6 @@ DATASET_COLUMNS = (
 )
 
 
-def _zeros33() -> np.ndarray:
-    return np.zeros((3, 3))
-
-
-def _zeros3() -> np.ndarray:
-    return np.zeros(3)
-
-
 @dataclass(frozen=True)
 class SequenceConfig:
     """Configuration of one six-pulse stroboscopic sequence.
@@ -142,9 +133,9 @@ class SequenceConfig:
 
     field: MagneticField
     probe: ProbeConfig
-    prep_noise_cov: np.ndarray = field(default_factory=_zeros33)
-    prep_mean_offset: np.ndarray = field(default_factory=_zeros3)
-    detector_noise_cov: np.ndarray = field(default_factory=_zeros33)
+    prep_noise_cov: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
+    prep_mean_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    detector_noise_cov: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
     period_diffusion: float = 0.0
     intra_pulse_rotation: bool = False
 
@@ -162,6 +153,8 @@ class SequenceConfig:
         offset = np.asarray(self.prep_mean_offset, dtype=float)
         if prep.shape != (3, 3) or det.shape != (3, 3) or offset.shape != (3,):
             raise ValueError("noise covariances must be 3x3 and the offset a 3-vector")
+        check_finite(prep_noise_cov=prep, prep_mean_offset=offset, detector_noise_cov=det)
+        check_finite(period_diffusion=self.period_diffusion)
         check_symmetric(prep, "prep_noise_cov")
         check_symmetric(det, "detector_noise_cov")
         check_psd(det, "detector_noise_cov")
@@ -263,6 +256,7 @@ class CampaignConfig:
     atom_jitter: float = 0.05
 
     def __post_init__(self):
+        check_finite(initial_atoms=self.initial_atoms)
         if not 0.0 <= self.loss_fraction < 1.0:
             raise ValueError("loss_fraction must be in [0, 1)")
         if self.n_cycles < 1 or self.sequences_per_cycle < 1:
@@ -289,18 +283,32 @@ def draw_columns(cfg: SequenceConfig) -> int:
     )
 
 
-def _prepared_axes(cfg: SequenceConfig, n_atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Axes V (3, 3) and per-shot widths (3, n) of the prepared spin.
+def _cholesky3(a) -> list:
+    """Lower Cholesky factor L (L L^T = a) of a symmetric PSD 3x3 matrix, as rows.
 
-    The prepared covariance is the thermal (2/3) N I plus
-    ``prep_noise_cov`` (atoms only).  With (lam, V) = eigh(P), every atom
-    shot's covariance has eigenvalues 2N/3 + lam on V's columns, so one
-    3x3 ``eigh`` serves the whole batch; a shot's spin is V (width * z)
-    and reference shots have width 0.  Raises ``ConfigError`` at the
-    smallest atom number whose prepared covariance is not PSD.
+    Entries are floats or (n,) columns.  Elementwise ``sqrt``, ``*``, ``/``
+    and ``-`` only, which IEEE rounds alike on every CPU and in any batch;
+    a pivot at or below zero gives a zero column, as a singular PSD matrix needs.
     """
-    lam, axes = np.linalg.eigh(cfg.prep_noise_cov)
-    w = np.where(n_atoms > 0, 2.0 / 3.0 * n_atoms + lam[:, None], 0.0)
+    (a00, _, _), (a10, a11, _), (a20, a21, a22) = a
+    l00 = np.sqrt(np.maximum(a00, 0.0))
+    d0 = np.where(l00 > 0.0, l00, np.inf)
+    l10, l20 = a10 / d0, a20 / d0
+    l11 = np.sqrt(np.maximum(a11 - l10 * l10, 0.0))
+    l21 = (a21 - l20 * l10) / np.where(l11 > 0.0, l11, np.inf)
+    l22 = np.sqrt(np.maximum(a22 - l20 * l20 - l21 * l21, 0.0))
+    return [[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]]
+
+
+def _prepared_factor(cfg: SequenceConfig, n_atoms: np.ndarray) -> list:
+    """Per-shot factor of the prepared covariance (2/3) N I + P, zero for references.
+
+    Raises ``ConfigError`` at the smallest atom number where that is not
+    PSD, by its eigenvalues 2N/3 + eigvalsh(P): LAPACK only checks the config.
+    """
+    atoms = n_atoms > 0
+    thermal = 2.0 / 3.0 * n_atoms
+    w = np.where(atoms, thermal + np.linalg.eigvalsh(cfg.prep_noise_cov)[:, None], 0.0)
     floor = -PSD_RTOL * np.maximum(w.sum(axis=0), 1.0)
     bad = np.flatnonzero(w[0] < floor)
     if bad.size:
@@ -310,7 +318,10 @@ def _prepared_axes(cfg: SequenceConfig, n_atoms: np.ndarray) -> tuple[np.ndarray
             f"semidefinite at n_atoms = {n_atoms[worst]:.6g} "
             f"(min eig {w[0, worst]:.3g})"
         )
-    return axes, np.sqrt(np.clip(w, 0.0, None))
+    cov = cfg.prep_noise_cov.tolist()
+    for i in range(3):
+        cov[i][i] = thermal + cov[i][i]
+    return _cholesky3([[np.where(atoms, entry, 0.0) for entry in row] for row in cov])
 
 
 def _lincomb(row, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -323,9 +334,9 @@ def _lincomb(row, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return row[0] * x + row[1] * y + row[2] * z
 
 
-def _map(m: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
-    """``m @ v`` for every shot's column vector v = (x, y, z), ``m`` (3, 3)."""
-    return tuple(_lincomb(row, x, y, z) for row in m.tolist())
+def _map(m, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
+    """``m @ v`` for every shot's v = (x, y, z); ``m``'s rows hold floats or (n,) columns."""
+    return tuple(_lincomb(row, x, y, z) for row in m)
 
 
 def _propagate(cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -342,14 +353,13 @@ def _propagate(cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray) ->
     # Each block is a (3, n) row view of normals.T: three draw columns.
     z = iter(np.split(normals.T, range(3, normals.shape[1], 3)))
 
-    axes, width = _prepared_axes(cfg, n_atoms)
-    spin = _map(axes, *(width * next(z)))
+    spin = _map(_prepared_factor(cfg, n_atoms), *next(z))
     atoms = n_atoms > 0
     for column, offset in zip(spin, cfg.prep_mean_offset.tolist()):
         column[atoms] += offset
     detector = (0.0, 0.0, 0.0)
     if cfg.has_detector_noise:
-        detector = _map(covariance_factor(cfg.detector_noise_cov), *next(z))
+        detector = _map(_cholesky3(cfg.detector_noise_cov.tolist()), *next(z))
     eps1 = sigma * next(z)
     walk = np.sqrt(cfg.period_diffusion) * next(z) if cfg.period_diffusion > 0.0 else None
     eps = (*eps1, *(sigma * next(z)))
@@ -358,7 +368,7 @@ def _propagate(cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray) ->
         kicks = backaction_sigma(cfg.probe) * np.vstack([next(z), next(z)])
 
     t_step = larmor_period(cfg.field) / PULSES_PER_PERIOD
-    r_step = larmor_rotation_matrix(cfg.field, t_step)
+    r_step = larmor_rotation_matrix(cfg.field, t_step).tolist()
     mid_z = None
     if cfg.intra_pulse_rotation:
         # The pulse reads lab z of the spin rotated on to mid-pulse.

@@ -5,7 +5,7 @@ a 3-component mean (units of spins, hbar = 1) and a 3x3 covariance
 (spins^2), and nothing else.  The atoms are spin-1: an unpolarized
 thermal ensemble of N of them has zero mean and per-component variance
 (2/3) N, the state the simulation engine prepares
-(``sequence._prepared_axes``).
+(``sequence._prepared_factor``).
 
 Rotation convention
 -------------------
@@ -48,6 +48,13 @@ def _as_matrix(x, name: str) -> np.ndarray:
     if m.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
     return m
+
+
+def check_finite(**values) -> None:
+    """Raise ``ValueError`` naming the first value that holds NaN or inf; None passes."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
 
 
 def check_symmetric(cov: np.ndarray, name: str = "cov") -> None:
@@ -94,6 +101,7 @@ class MagneticField:
 
     def __post_init__(self):
         b = _as_vector(self.b, "b")
+        check_finite(b=b, gyromagnetic_ratio=self.gyromagnetic_ratio)
         if self.gyromagnetic_ratio <= 0:
             raise ValueError("gyromagnetic_ratio must be positive")
         b.setflags(write=False)
@@ -142,13 +150,3 @@ def larmor_period(field: MagneticField) -> float:
     if b_mag == 0.0:
         raise ValueError("zero field has an infinite Larmor period")
     return 2.0 * math.pi / (field.gyromagnetic_ratio * b_mag)
-
-
-def covariance_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix L with L L^T = cov, valid for any PSD matrix.
-
-    Eigendecomposition-based so that a singular covariance (e.g. a
-    ``detector_noise_cov`` that is zero on some axis) factors cleanly.
-    """
-    w, v = np.linalg.eigh(cov)
-    return v * np.sqrt(np.clip(w, 0.0, None))

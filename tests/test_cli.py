@@ -129,38 +129,43 @@ class TestSimulate:
         ).read_bytes()
 
     def test_shots_do_not_depend_on_the_blas_kernel(self, tmp_path):
-        # The engine's arithmetic is plain products and sums, so with zero
-        # prep_noise_cov (no LAPACK eigh of it) and no back-action the
-        # shots are the same under OpenBLAS's default kernel and under
-        # Prescott, a kernel without fused multiply-add.  Each run is a
+        # The engine's arithmetic is plain products and sums and its
+        # covariance factors are elementwise Cholesky, so without
+        # back-action the shots are the same under OpenBLAS's default
+        # kernel and under Prescott, a kernel without fused multiply-add.
+        # The second config has campaign-noisy's prep_noise_cov, whose
+        # eigenvalue 5e4 is doubly degenerate (its eigenvectors are not
+        # unique), and a singular detector_noise_cov.  Each run is a
         # fresh interpreter: OpenBLAS reads the variable when it loads.
         # Under another BLAS the variable does nothing and the runs agree.
-        payload = {
-            "seed": 3,
-            "campaign": {"n_cycles": 20},
-            "sequence": {
-                "prep_mean_offset": [400.0, -250.0, 120.0],
-                "period_diffusion": 1e4,
-                "intra_pulse_rotation": True,
+        common = {"period_diffusion": 1e4, "intra_pulse_rotation": True}
+        sequences = {
+            "offset": {**common, "prep_mean_offset": [400.0, -250.0, 120.0]},
+            "noisy": {
+                **common,
+                "prep_noise_cov": (1e5 * (0.5 * np.eye(3) + 0.5 * np.ones((3, 3)))).tolist(),
+                "detector_noise_cov": np.diag([1e5, 0.0, 1e5]).tolist(),
             },
         }
-        cfg_path = write_config(tmp_path, payload)
         path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        shots = []
-        for name, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
-            out = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "singletsim.cli", "simulate"]
-                + ["--config", str(cfg_path), "--out", str(out)],
-                env={**env, **extra, "PYTHONPATH": path},
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            shots.append((out / "shots.csv").read_bytes())
-        assert shots[0] == shots[1]
+        for config, sequence in sequences.items():
+            payload = {"seed": 3, "campaign": {"n_cycles": 20}, "sequence": sequence}
+            cfg_path = write_config(tmp_path, payload, f"{config}.json")
+            shots = []
+            for kernel, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+                out = tmp_path / f"{config}-{kernel}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "singletsim.cli", "simulate"]
+                    + ["--config", str(cfg_path), "--out", str(out)],
+                    env={**env, **extra, "PYTHONPATH": path},
+                    capture_output=True,
+                    text=True,
+                    timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                shots.append((out / "shots.csv").read_bytes())
+            assert shots[0] == shots[1], config
 
     def test_seed_override_changes_data(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_CAMPAIGN)

@@ -3,14 +3,16 @@
 ``reference_campaign`` rebuilds every shot from the draw layout stated
 in the ``singletsim.sequence`` module docstring, one shot and one pulse
 at a time with 3-vectors and 3x3 matrices: each atom shot's prepared
-spin comes from its own ``eigh`` of ``prep_noise_cov``.  It shares no
-code with the engine beyond the probe/field constants.
+spin comes from the Cholesky factor of its own prepared covariance.  It
+shares no code with the engine beyond the probe/field constants.
 
-Every 3x3 product is taken in Python ``float`` arithmetic (``matvec``),
-row i as m[i][0]*v[0] + m[i][1]*v[1] + m[i][2]*v[2], the order the
-engine states.  So without back-action the engine must match the loop
-bit for bit; with it, numpy's ``cos``/``sin`` may differ from ``math``'s
-by an ulp, and the comparison keeps a tolerance.
+Every 3x3 product and every Cholesky factor is taken in Python ``float``
+arithmetic (``matvec``, ``cholesky``): row i of a product as
+m[i][0]*v[0] + m[i][1]*v[1] + m[i][2]*v[2], the order the engine states,
+and a factor by the textbook recurrence with a zero column for a zero
+pivot.  So without back-action the engine must match the loop bit for
+bit; with it, numpy's ``cos``/``sin`` may differ from ``math``'s by an
+ulp, and the comparison keeps a tolerance.
 """
 
 import math
@@ -38,9 +40,21 @@ def matvec(m, v):
     return np.array([row[0] * x + row[1] * y + row[2] * z for row in np.asarray(m).tolist()])
 
 
-def factor(cov):
-    w, v = np.linalg.eigh(cov)
-    return v * np.sqrt(np.clip(w, 0.0, None))
+def cholesky(cov):
+    """Lower factor L, L L^T = cov, in Python floats; a pivot <= 0 gives a zero column."""
+    a = np.asarray(cov, dtype=float).tolist()
+    low = [[0.0] * 3 for _ in range(3)]
+    for j in range(3):
+        pivot = a[j][j]
+        for k in range(j):
+            pivot = pivot - low[j][k] * low[j][k]
+        low[j][j] = math.sqrt(max(pivot, 0.0))
+        for i in range(j + 1, 3):
+            entry = a[i][j]
+            for k in range(j):
+                entry = entry - low[i][k] * low[j][k]
+            low[i][j] = entry / low[j][j] if low[j][j] > 0.0 else 0.0
+    return low
 
 
 def reference_campaign(campaign, cfg):
@@ -62,16 +76,17 @@ def reference_campaign(campaign, cfg):
         n0 = campaign.initial_atoms * (1.0 + campaign.atom_jitter * jitter[cycle])
         for s in range(n_seq + campaign.reference_shots_per_cycle):
             n = n0 * (1.0 - campaign.loss_fraction) ** s if s < n_seq else 0.0
-            # Prepared spin: V diag(sqrt(2n/3 + lam)) z on P's axes (atoms only).
+            # Prepared spin: L z, L the factor of (2/3) n I + P (atoms only).
             z = rng.standard_normal(3)
             spin = np.zeros(3)
             if n > 0:
-                lam, axes = np.linalg.eigh(cfg.prep_noise_cov)
-                width = np.sqrt(np.clip(2.0 / 3.0 * n + lam, 0.0, None))
-                spin = cfg.prep_mean_offset + matvec(axes, width * z)
+                prepared = cfg.prep_noise_cov.tolist()
+                for i in range(3):
+                    prepared[i][i] = 2.0 / 3.0 * n + prepared[i][i]
+                spin = cfg.prep_mean_offset + matvec(cholesky(prepared), z)
             detector = np.zeros(3)
             if has_detector:
-                detector = matvec(factor(cfg.detector_noise_cov), rng.standard_normal(3))
+                detector = matvec(cholesky(cfg.detector_noise_cov), rng.standard_normal(3))
             noise = list(sigma * rng.standard_normal(3))
             walk = np.zeros(3)
             if cfg.period_diffusion > 0.0:

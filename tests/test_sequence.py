@@ -18,8 +18,8 @@ from singletsim import (
     snr,
     write_dataset,
 )
-from singletsim.sequence import DATASET_COLUMNS, MAX_CYCLES
-from tests.conftest import engine_schur, fixed_n_campaign
+from singletsim.sequence import DATASET_COLUMNS, MAX_CYCLES, _cholesky3
+from tests.conftest import FIELD_111, engine_schur, fixed_n_campaign
 
 
 def small_campaign(seed=0, **kwargs):
@@ -283,3 +283,93 @@ class TestDatasetIo:
         path.write_text(header + "\n0,0,0,abc,0,0,0,0,0,0\n")
         with pytest.raises(SchemaError, match=":2"):
             read_dataset(path)
+
+
+def _build(section, **kwargs):
+    """The named config dataclass at its defaults, with ``kwargs`` set."""
+    if section == "field":
+        return MagneticField(**{"b": FIELD_111, **kwargs})
+    if section == "probe":
+        return ProbeConfig(**kwargs)
+    if section == "sequence":
+        return SequenceConfig(field=MagneticField(FIELD_111), probe=ProbeConfig(), **kwargs)
+    return CampaignConfig(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, key, default",
+    [
+        ("field", "b", FIELD_111.tolist()),
+        ("field", "gyromagnetic_ratio", 4.374e6),
+        ("probe", "g1", 9e-8),
+        ("probe", "n_photons", 2.8e8),
+        ("probe", "pulse_duration", 1e-6),
+        ("probe", "readout_noise_override", 1e3),
+        ("sequence", "prep_mean_offset", [0.0, 0.0, 0.0]),
+        ("sequence", "period_diffusion", 1e4),
+        ("sequence", "prep_noise_cov", np.zeros((3, 3)).tolist()),
+        ("sequence", "detector_noise_cov", np.zeros((3, 3)).tolist()),
+        ("campaign", "initial_atoms", 1.5e6),
+    ],
+)
+def test_non_finite_config_value_is_refused(section, key, default, bad):
+    # The JSON loader refuses these too; this is the Python API.  A vector
+    # gets the bad value in its middle entry, a matrix on its diagonal.
+    _build(section, **{key: default})
+    value = np.array(default, dtype=float)
+    value[(1,) * value.ndim] = bad
+    with pytest.raises(ValueError, match=rf"^{key} must be finite"):
+        _build(section, **{key: value.tolist() if value.ndim else float(value)})
+
+
+def _random_psd(rng, rank):
+    g = 1e5 * rng.standard_normal((3, rank))
+    return g @ g.T
+
+
+class TestCholesky3:
+    """``_cholesky3``, the one factor rule for every covariance the engine draws from."""
+
+    MATRICES = {
+        "rank-0": np.zeros((3, 3)),
+        "zero-first-diagonal": np.array([[0.0, 0.0, 0.0], [0.0, 4e5, 2e5], [0.0, 2e5, 5e5]]),
+        "zero-middle-diagonal": np.array([[4e5, 0.0, 2e5], [0.0, 0.0, 0.0], [2e5, 0.0, 5e5]]),
+        "campaign-noisy-prep": 1e5 * (0.5 * np.eye(3) + 0.5 * np.ones((3, 3))),
+        "singular-detector": np.diag([1e5, 0.0, 1e5]),
+    }
+
+    @staticmethod
+    def factor(a):
+        return np.array(_cholesky3(a.tolist()), dtype=float)
+
+    @pytest.mark.parametrize("rank", [3, 2, 1, 0])
+    def test_factors_random_psd_matrices(self, rank):
+        # Fixed draws; an unpivoted factor of a singular matrix loses
+        # accuracy when its leading 2x2 block is itself near-singular.
+        rng = np.random.default_rng(rank)
+        for _ in range(5):
+            a = _random_psd(rng, rank)
+            low = self.factor(a)
+            assert np.array_equal(low, np.tril(low))
+            np.testing.assert_allclose(low @ low.T, a, rtol=0, atol=1e-12 * np.abs(a).max())
+
+    @pytest.mark.parametrize("name", list(MATRICES))
+    def test_factors_singular_and_structured_matrices(self, name):
+        a = self.MATRICES[name]
+        low = self.factor(a)
+        assert np.array_equal(low, np.tril(low))
+        np.testing.assert_allclose(low @ low.T, a, rtol=0, atol=1e-12 * max(np.abs(a).max(), 1.0))
+        # A zero diagonal entry gives a zero column.
+        for j in np.flatnonzero(np.diag(a) == 0.0):
+            assert not np.any(low[:, j])
+
+    def test_batch_matches_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        mats = [_random_psd(rng, rank) for rank in (3, 2, 1, 0)] + list(self.MATRICES.values())
+        mats = [m + 2e5 * k * np.eye(3) for k in (0, 1) for m in mats]
+        columns = [[np.array([m[i, j] for m in mats]) for j in range(3)] for i in range(3)]
+        batch = np.reshape(np.broadcast_arrays(*sum(_cholesky3(columns), [])), (3, 3, -1))
+        for k, m in enumerate(mats):
+            one = np.array(_cholesky3(m.tolist()), dtype=float)
+            assert batch[:, :, k].tobytes() == one.tobytes(), k
