@@ -158,23 +158,16 @@ def cmd_fidfit(args) -> int:
     return 0
 
 
-def _calibration_pair(row, line) -> tuple[float, float]:
-    pair = (float(row[0]), float(row[1]))
-    if not all(map(math.isfinite, pair)):
-        raise ValueError("non-finite phi_rad or n_atoms")
-    if pair[1] < 0:
-        raise ValueError("negative n_atoms")
-    return pair
-
-
-def _calibration_pairs_valid(rows) -> bool:
-    finite = all(np.all(np.isfinite(rows[name])) for name in CALIBRATION_COLUMNS)
-    return bool(finite and not np.any(rows["n_atoms"] < 0))
+def _calibration_rules(rows):
+    """The calibration CSV's row rules, in the order each row is checked."""
+    finite = np.isfinite(rows["phi_rad"]) & np.isfinite(rows["n_atoms"])
+    yield ~finite, "non-finite phi_rad or n_atoms"
+    yield rows["n_atoms"] < 0, "negative n_atoms"
 
 
 def _read_pairs(path) -> np.ndarray:
     """The (phi_rad, n_atoms) rows of a calibration CSV as an (n, 2) array."""
-    rows = read_table(path, _CALIBRATION_DTYPE, _calibration_pair, _calibration_pairs_valid)
+    rows = read_table(path, _CALIBRATION_DTYPE, _calibration_rules)
     return np.column_stack([rows[name] for name in CALIBRATION_COLUMNS])
 
 

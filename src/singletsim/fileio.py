@@ -2,14 +2,14 @@
 
 Each input file (shot records, FID trace, calibration pairs) is read by
 ``read_table`` into one structured array.  The data lines stream from
-the open file into a single ``np.loadtxt`` call, and the caller checks
-whole columns with numpy.  Whatever that pass does not take as it is
-(a parse failure, a warning, a failed column check, or text the csv
-module reads differently) is read again by the per-line ``read_csv``
-loop, which names the bad line or, for a valid but unusual file, gives
-the reference reading.  Each CSV output (shot records, noise scaling,
-cutoff scan) is written by ``write_csv`` and each JSON output
-(provenance, report, field estimate, calibration) by ``write_json``.
+the open file into a single ``np.loadtxt`` call.  Each input's row rules
+are written once, as column checks, and run on whichever pass read the
+file: a file the numpy pass does not take as it is (a parse failure, a
+warning, or a row that breaks a rule) is read again by the csv module,
+and the error names the first line that it cannot read or that breaks
+a rule.  Each CSV output (shot records, noise scaling, cutoff scan) is
+written by ``write_csv`` and each JSON output (provenance, report,
+field estimate, calibration) by ``write_json``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import SchemaError
 
-# Characters the numpy pass and the csv loop read differently: NUL (kept
-# by csv, dropped from the end of a numpy string field) and the
+# Characters the numpy pass and the csv pass read differently: NUL (a
+# line holding one is a csv error before Python 3.11) and the
 # separators \x1c-\x1f (whitespace to numpy's number parsers, not to
 # Python's ``int`` and ``float``).
 _UNSAFE_CHARS = "\x00\x1c\x1d\x1e\x1f"
@@ -38,61 +38,80 @@ _BATCH_CHARS = 1 << 16
 _WRITE_ROWS = 128
 
 
-def read_csv(path, columns, parse) -> list:
-    """Parsed rows of a UTF-8 CSV file whose header is ``columns``.
+def read_table(path, dtype, rules) -> np.ndarray:
+    """The data rows of a CSV input as a structured array of ``dtype``.
 
-    Blank lines are skipped; every other row must have exactly
-    ``len(columns)`` fields and is passed as ``parse(row, line)``, with
-    ``line`` its 1-based line number.  Returns the list of what ``parse``
-    returns.  A ``ValueError`` from ``parse`` becomes a ``SchemaError``
-    naming ``path:line``; a file that is empty, has other columns or
-    cannot be opened, decoded or split into fields raises ``SchemaError``
-    naming the path.
+    ``dtype`` has one field per column, named as in the header: int64,
+    float, or object for a text column, which holds each field as
+    written.  ``rules(rows)`` yields the input's row rules in order, each
+    a ``(mask, message)`` pair: ``mask`` marks the rows that break the
+    rule, and ``message`` is its text, or a function of a row's index and
+    the rows' line numbers that gives it.  The numpy pass's rows are
+    returned when no rule marks a row.  Otherwise the csv module reads the
+    file again (``_csv_rows``) and the same rules run on the rows it read:
+    the ``SchemaError`` names the first line that it could not read or
+    that breaks a rule, with the message of the first rule that row breaks.
     """
-    path = Path(path)
+    rows = _loadtxt(path, dtype)
+    if rows is not None and not any(mask.any() for mask, _ in rules(rows)):
+        return rows
+    rows, lines, fault = _csv_rows(path, dtype)
+    # (first marked row, rule order, message): the least is that row's first rule.
+    marked = [(np.argmax(m), k, message) for k, (m, message) in enumerate(rules(rows)) if m.any()]
+    if marked:
+        i, _, message = min(marked)
+        message = message if isinstance(message, str) else message(i, lines)
+        fault = SchemaError(f"{Path(path)}:{lines[i]}: {message}")
+    if fault is not None:
+        raise fault
+    return rows
+
+
+def _csv_rows(path, dtype) -> tuple:
+    """The csv module's reading of a CSV input: (rows, line numbers, fault).
+
+    Blank lines are skipped; every other line must have one field per
+    column of ``dtype``, each read by its column's kind: ``int`` within
+    64 bits, ``float``, or the text as written.  Reading stops at the
+    first line that cannot be read, and ``fault`` is the ``SchemaError``
+    for it, or None: it names ``path:line``, or the path alone for a
+    file that is empty, has other columns or cannot be opened or decoded.
+    ``rows`` is a structured array of the lines read before it and
+    ``lines`` their 1-based line numbers.
+    """
+    path, names = Path(path), dtype.names
+    kinds = [{"i": int, "f": float}.get(dtype[name].kind, str) for name in names]
+    ints = [k for k, name in enumerate(names) if dtype[name].kind == "i"]
+    rows, lines, fault = [], [], None
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
-            if tuple(header) != tuple(columns):
-                raise SchemaError(f"{path}: bad columns {header}, expected {list(columns)}")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) != len(columns):
-                    raise SchemaError(f"{path}:{line}: expected {len(columns)} fields")
+            if tuple(header) != names:
+                raise SchemaError(f"{path}: bad columns {header}, expected {list(names)}")
+            for row in filter(None, reader):
                 try:
-                    rows.append(parse(row, line))
+                    if len(row) != len(names):
+                        raise ValueError(f"expected {len(names)} fields")
+                    values = [read(field) for read, field in zip(kinds, row)]
+                    if not all(-(2**63) <= values[k] < 2**63 for k in ints):
+                        wide = " and ".join(names[k] for k in ints)
+                        raise ValueError(f"{wide} must fit in 64 bits")
                 except ValueError as exc:
-                    raise SchemaError(f"{path}:{line}: {exc}") from None
+                    raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+                rows.append(tuple(values))
+                lines.append(reader.line_num)
+    except SchemaError as exc:
+        fault = exc
     except OSError as exc:
-        raise SchemaError(f"{path}: {exc.strerror}") from None
+        fault = SchemaError(f"{path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        fault = SchemaError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
     except csv.Error as exc:
-        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-    return rows
-
-
-def read_table(path, dtype, parse, check) -> np.ndarray:
-    """The data rows of a CSV input as a structured array of ``dtype``.
-
-    ``dtype`` has one field per column, named as in the header.  The
-    numpy pass's rows are returned when ``check(rows)`` is true, so
-    ``check`` must be false wherever ``parse`` would reject a row.
-    Otherwise the file is read by ``read_csv(path, dtype.names, parse)``,
-    which raises ``SchemaError`` for a bad file; ``parse`` returns each
-    good row as a tuple in ``dtype``'s form, a token field as the token
-    the numpy pass accepts for it.
-    """
-    rows = _loadtxt(path, dtype)
-    if rows is not None and check(rows):
-        return rows
-    return np.array(read_csv(path, dtype.names, parse), dtype=dtype)
+        fault = SchemaError(f"{path}:{reader.line_num}: {exc}")
+    return np.array(rows, dtype=dtype), lines, fault
 
 
 def _loadtxt(path, dtype):

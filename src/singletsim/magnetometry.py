@@ -351,33 +351,23 @@ def fit_fid(
 # file formats
 
 
-# The FID CSV's columns as read; two characters, so a longer branch token
-# cannot be cut down to an accepted one.
-_FID_DTYPE = np.dtype(list(zip(FID_CSV_COLUMNS, (float, float, "U2"))))
+# The FID CSV's columns as read; the branch is read as text.
+_FID_DTYPE = np.dtype(list(zip(FID_CSV_COLUMNS, (float, float, object))))
 
 
-def _parse_fid_sample(row, line) -> tuple:
-    t_us, theta = float(row[0]), float(row[1])
-    t = t_us * 1e-6
-    if not (math.isfinite(t) and math.isfinite(theta)):
-        raise ValueError("non-finite t_us or theta_rad")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    branch = row[2].strip()
-    if branch not in ("z", "y"):
-        raise ValueError(f"branch must be 'z' or 'y', got {branch!r}")
-    return t_us, theta, branch
+def _branches(text) -> np.ndarray:
+    """Each branch field without its surrounding whitespace."""
+    return np.array([b.strip() for b in text.tolist()], dtype=object)
 
 
-def _fid_samples_valid(rows) -> bool:
-    """Whether every row passes ``_parse_fid_sample`` with its branch as read."""
-    t, branch = rows["t_us"] * 1e-6, rows["branch"]
-    return bool(
-        np.all(np.isfinite(t))
-        and np.all(np.isfinite(rows["theta_rad"]))
-        and not np.any(t < 0)
-        and np.all((branch == "z") | (branch == "y"))
-    )
+def _fid_rules(rows):
+    """The FID CSV's row rules, in the order each row is checked."""
+    t, theta = rows["t_us"] * 1e-6, rows["theta_rad"]
+    yield ~np.isfinite(t) | ~np.isfinite(theta), "non-finite t_us or theta_rad"
+    yield t < 0, "t must be non-negative"
+    branch = _branches(rows["branch"])
+    bad = (branch != "z") & (branch != "y")
+    yield bad, lambda i, _: f"branch must be 'z' or 'y', got {branch[i]!r}"
 
 
 def read_fid_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -386,13 +376,13 @@ def read_fid_csv(path) -> tuple[np.ndarray, np.ndarray]:
     Each branch comes back as an (n, 2) float array of (t, theta) rows,
     t in seconds.  A bad row raises ``SchemaError`` naming ``path:line``:
     an unparsable or non-finite number, a negative time or a branch other
-    than z or y.
+    than z or y (``_fid_rules``).
     """
-    rows = read_table(path, _FID_DTYPE, _parse_fid_sample, _fid_samples_valid)
-    t = rows["t_us"] * 1e-6
+    rows = read_table(path, _FID_DTYPE, _fid_rules)
+    t, branch = rows["t_us"] * 1e-6, _branches(rows["branch"])
     return tuple(
         np.column_stack((t[mask], rows["theta_rad"][mask]))
-        for mask in (rows["branch"] == branch for branch in "zy")
+        for mask in (branch == name for name in "zy")
     )
 
 

@@ -453,70 +453,64 @@ def write_dataset(path, table: ShotTable) -> None:
     write_csv(path, DATASET_COLUMNS, rows)
 
 
-# Each accepted is_reference token, as the token the numpy pass accepts.
-_REFERENCE_TOKENS = {"0": "0", "1": "1", "false": "0", "true": "1", "False": "0", "True": "1"}
+# Each accepted is_reference token (without surrounding whitespace) and its value.
+_REFERENCE_TOKENS = {"0": 0, "1": 1, "false": 0, "true": 1, "False": 0, "True": 1}
 
-# The shot CSV's columns as read; is_reference is read as text.  Two
-# characters, so a longer token cannot be cut down to an accepted one.
+# The shot CSV's columns as read; is_reference is read as text.
 _DATASET_DTYPE = np.dtype(
     [(name, np.int64) for name in DATASET_COLUMNS[:2]]
-    + [(DATASET_COLUMNS[2], "U2")]
+    + [(DATASET_COLUMNS[2], object)]
     + [(name, float) for name in DATASET_COLUMNS[3:]]
 )
 
 
-def _shots_valid(rows) -> bool:
-    """Whether ``read_dataset``'s row parse passes every row, with its token as read."""
-    ref = rows["is_reference"]
+def _reference(text) -> np.ndarray:
+    """Each is_reference token's value, 1 or 0, or -1 where it is not accepted."""
+    ref = np.where(text == "1", 1, np.where(text == "0", 0, -1))
+    odd = np.flatnonzero(ref < 0)  # only these are stripped and looked up
+    ref[odd] = [_REFERENCE_TOKENS.get(t.strip(), -1) for t in text[odd].tolist()]
+    return ref
+
+
+def _shot_rules(rows):
+    """The shot CSV's row rules, in the order each row is checked."""
+    text = rows["is_reference"]
+    ref = _reference(text)
+    accepted = ", ".join(_REFERENCE_TOKENS)
+    yield ref < 0, lambda i, _: f"is_reference must be one of {accepted}, got {text[i]!r}"
     values = np.column_stack([rows[name] for name in DATASET_COLUMNS[3:]])
-    if not (np.all((ref == "0") | (ref == "1")) and np.all(np.isfinite(values))):
-        return False
+    yield ~np.isfinite(values).all(axis=1), "non-finite n_atoms or readout"
     n_atoms = rows["n_atoms"]
-    if np.any(n_atoms < 0) or np.any(n_atoms[ref == "1"] != 0):
-        return False
+    yield n_atoms < 0, "negative n_atoms"
+    yield (ref == 1) & (n_atoms != 0), "reference shots must have n_atoms = 0"
     cycle_id, seq_index = rows["cycle_id"], rows["seq_index"]
     order = np.lexsort((seq_index, cycle_id))
-    cycle_id, seq_index = cycle_id[order], seq_index[order]
-    return not np.any((cycle_id[1:] == cycle_id[:-1]) & (seq_index[1:] == seq_index[:-1]))
+    c, s = cycle_id[order], seq_index[order]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:]] = (c[1:] == c[:-1]) & (s[1:] == s[:-1])
+
+    def duplicate(i, lines):
+        key = (int(cycle_id[i]), int(seq_index[i]))
+        first = np.argmax((cycle_id == key[0]) & (seq_index == key[1]))
+        return f"duplicate (cycle_id, seq_index) = {key}, first on line {lines[first]}"
+
+    yield repeat, duplicate
 
 
 def read_dataset(path) -> ShotTable:
     """Read a shot CSV written by ``write_dataset``; a bad row raises ``SchemaError``.
 
-    The error names ``path:line``.  ``is_reference`` must be one of 0, 1,
-    true, false, True, False; ``cycle_id``/``seq_index`` must fit in 64
-    bits (signed); values must be finite, ``n_atoms``
+    The error names ``path:line`` (``_shot_rules``).  ``is_reference`` must
+    be one of 0, 1, true, false, True, False; ``cycle_id``/``seq_index``
+    must fit in 64 bits (signed); values must be finite, ``n_atoms``
     non-negative (zero on reference rows); and each (cycle_id, seq_index)
     may appear on one line only.
     """
-    line_of: dict[tuple, int] = {}
-
-    def parse(row, line):
-        key = (int(row[0]), int(row[1]))
-        if not all(-(2**63) <= k < 2**63 for k in key):
-            raise ValueError("cycle_id and seq_index must fit in 64 bits")
-        ref = _REFERENCE_TOKENS.get(row[2].strip())
-        if ref is None:
-            raise ValueError(
-                f"is_reference must be one of {', '.join(_REFERENCE_TOKENS)}, got {row[2]!r}"
-            )
-        shot = list(map(float, row[3:]))
-        if not all(map(math.isfinite, shot)):
-            raise ValueError("non-finite n_atoms or readout")
-        if shot[0] < 0:
-            raise ValueError("negative n_atoms")
-        if ref == "1" and shot[0] != 0:
-            raise ValueError("reference shots must have n_atoms = 0")
-        first = line_of.setdefault(key, line)
-        if first != line:
-            raise ValueError(f"duplicate (cycle_id, seq_index) = {key}, first on line {first}")
-        return (*key, ref, *shot)
-
-    rows = read_table(path, _DATASET_DTYPE, parse, _shots_valid)
+    rows = read_table(path, _DATASET_DTYPE, _shot_rules)
     return ShotTable(
         cycle_id=rows["cycle_id"],
         seq_index=rows["seq_index"],
-        is_reference=rows["is_reference"] == "1",
+        is_reference=_reference(rows["is_reference"]) == 1,
         n_atoms=rows["n_atoms"],
         f=np.column_stack([rows[name] for name in DATASET_COLUMNS[4:]]),
     )

@@ -110,7 +110,9 @@ class MagneticField:
 
     @property
     def magnitude(self) -> float:
-        return float(np.linalg.norm(self.b))
+        # Plain products and sums: np.linalg.norm's BLAS dot takes its last bit from the kernel.
+        x, y, z = self.b.tolist()
+        return math.sqrt(x * x + y * y + z * z)
 
 
 def larmor_rotation_matrix(field: MagneticField, t: float) -> np.ndarray:

@@ -138,6 +138,8 @@ class TestSimulate:
         # unique), and a singular detector_noise_cov.  Each run is a
         # fresh interpreter: OpenBLAS reads the variable when it loads.
         # Under another BLAS the variable does nothing and the runs agree.
+        # The third config's near-[1, 1, 1] field has a magnitude whose
+        # last bit a BLAS dot (np.linalg.norm) takes from the kernel.
         common = {"period_diffusion": 1e4, "intra_pulse_rotation": True}
         sequences = {
             "offset": {**common, "prep_mean_offset": [400.0, -250.0, 120.0]},
@@ -147,10 +149,15 @@ class TestSimulate:
                 "detector_noise_cov": np.diag([1e5, 0.0, 1e5]).tolist(),
             },
         }
+        payloads = {
+            name: {"seed": 3, "campaign": {"n_cycles": 20}, "sequence": sequence}
+            for name, sequence in sequences.items()
+        }
+        b = [0.00020036664035499543, 0.0002003666338193072, 0.00020036663663873793]
+        payloads["field"] = {"seed": 1, "campaign": {"n_cycles": 20}, "field": {"b": b}}
         path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        for config, sequence in sequences.items():
-            payload = {"seed": 3, "campaign": {"n_cycles": 20}, "sequence": sequence}
+        for config, payload in payloads.items():
             cfg_path = write_config(tmp_path, payload, f"{config}.json")
             shots = []
             for kernel, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):

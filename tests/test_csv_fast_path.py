@@ -1,15 +1,17 @@
-"""The one-pass numpy read of every CSV input against the per-line loop.
+"""The one-pass numpy read of every CSV input against the csv module's.
 
 Each of the three CSV readers (``read_dataset``, ``read_fid_csv`` and the
 calibration reader ``cli._read_pairs``) reads a file twice: as it is,
-and with ``fileio._loadtxt`` declining, so that the per-line
-``fileio.read_csv`` loop reads it.  The loop is the oracle.  On every
-file both reads give bit-equal arrays with the same dtypes, or both
-raise ``SchemaError`` with the same text.  The files are a valid input
-with one field, line or line end changed: the listed cases are the ones
-where a bare ``np.loadtxt`` pass would accept a file the loop rejects,
-or read it differently; a hypothesis strategy changes one field at
-random.
+and with ``fileio._loadtxt`` declining, so that the csv module reads it
+(``fileio._csv_rows``).  The csv module's reading is the oracle for
+parsing; the reader's row rules are shared, the same function running on
+whichever pass read the file.  On every file both reads give bit-equal
+arrays with the same dtypes, or both raise ``SchemaError`` with the same
+text.  The files are a valid input with one field, line or line end
+changed: the listed cases are the ones where a bare ``np.loadtxt`` pass
+would accept a file the csv module rejects, or read it differently; a
+hypothesis strategy changes one field at random.  A file with two bad
+lines names the first, whether it breaks a rule or cannot be read.
 """
 
 import warnings
@@ -116,8 +118,11 @@ FIELD_CASES = [
     *[("shots", 2, v) for v in ("01", "+1", " 1 ", "1 ", "00", "-0", "1.0", "１")],
     *[("shots", 2, v) for v in ("true", "True", "false", "False", "TRUE", "t")],
     # Tokens a fixed-width string field would cut down to an accepted one.
-    *[("shots", 2, v) for v in ("10", "1x", "0000", "1\x00", "0\x00\x00", "\x001")],
-    *[("fid", 2, v) for v in ("zz", "yz", "z\x00", " z", "z ", "Z", "zy", "z\x1c")],
+    *[("shots", 2, v) for v in ("10", "1x", "1 x", "0000", "1\x00", "0\x00\x00", "\x001")],
+    *[("fid", 2, v) for v in ("zz", "yz", "z x", "z\x00", " z", "z ", "Z", "zy", "z\x1c")],
+    # Bad tokens with whitespace around them.
+    ("shots", 2, " yes "),
+    ("fid", 2, " w "),
     # Numbers an int column (numpy 1.23 warns, then reads 3) and the loop see differently.
     *[("shots", 0, v) for v in ("3.0", "1e3", "1_0", " 7 ", "+7", "007", "-0", "0x1f")],
     *[("shots", 1, v) for v in ("2.5", "", " ", "7\x1c", "7\x00", "٣")],
@@ -198,14 +203,91 @@ def test_changed_file(base, tmp_path, name, case):
     assert fast == loop
 
 
+SHOT_TOKENS = "is_reference must be one of 0, 1, false, true, False, True"
+# (reader, the first bad line's change, a later line's change, the message):
+# each change is (data row, column, value), and data row 2 is line 3.
+TWO_BAD_LINES = [
+    ("shots", (2, 2, "yes"), (5, 4, "x"), f"3: {SHOT_TOKENS}, got 'yes'"),
+    ("shots", (2, 3, "-5.0"), (6, 9, "1.0,2.0"), "3: negative n_atoms"),
+    ("shots", (2, 4, "x"), (5, 2, "yes"), "3: could not convert string to float: 'x'"),
+    ("shots", (2, 9, "1.0,2.0"), (5, 3, "-5.0"), "3: expected 10 fields"),
+    ("fid", (2, 2, "w"), (5, 0, "x"), "3: branch must be 'z' or 'y', got 'w'"),
+    ("fid", (2, 0, "x"), (5, 2, "w"), "3: could not convert string to float: 'x'"),
+    ("pairs", (2, 1, "1e5,7"), (4, 0, "nan"), "3: expected 2 fields"),
+    ("pairs", (2, 0, "nan"), (4, 1, "1e5,7"), "3: non-finite phi_rad or n_atoms"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, first, later, message",
+    TWO_BAD_LINES,
+    ids=[f"{n}-{f[2]}-then-{l[2]}" for n, f, l, _ in TWO_BAD_LINES],
+)
+def test_first_bad_line_wins(base, tmp_path, name, first, later, message):
+    # A line that breaks a rule and a later one that cannot be read, and
+    # the reverse: the error names the first of the two, on either pass.
+    reader, lines = base[name]
+    for row, column, value in (first, later):
+        lines = with_field(lines, row, column, value)
+    path = tmp_path / "input.csv"
+    write(path, lines)
+    fast, loop = fast_and_loop(reader, path)
+    assert fast == loop == ("error", f"{path}:{message}")
+
+
+# Per reader: a change on line 3 that breaks a rule, and its message.
+RULE_ON_LINE_3 = {
+    "shots": ((2, 2, "yes"), f"{SHOT_TOKENS}, got 'yes'"),
+    "fid": ((2, 2, "w"), "branch must be 'z' or 'y', got 'w'"),
+    "pairs": ((2, 0, "nan"), "non-finite phi_rad or n_atoms"),
+}
+
+
+@pytest.mark.parametrize("name", list(RULE_ON_LINE_3))
+def test_rule_before_a_non_utf8_byte_wins(base, tmp_path, name):
+    # A byte that cannot be decoded ends line 5, which 20000 spaces push
+    # past the text the decoder reads first: lines 1-4 are read and
+    # checked before the decoder meets it.
+    reader, lines = base[name]
+    (row, column, value), message = RULE_ON_LINE_3[name]
+    data = [line.encode() for line in with_field(lines, row, column, value)]
+    data[4] = b" " * 20000 + data[4] + b"\xff"
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"\n".join(data) + b"\n")
+    fast, loop = fast_and_loop(reader, path)
+    assert fast == loop == ("error", f"{path}:3: {message}")
+
+
+# (reader, text column, bad token, the message for it on line 3).
+BAD_TOKENS = [
+    ("shots", 2, "1 x", f"{SHOT_TOKENS}, got '1 x'"),
+    ("shots", 2, " yes ", f"{SHOT_TOKENS}, got ' yes '"),
+    ("fid", 2, "z x", "branch must be 'z' or 'y', got 'z x'"),
+    ("fid", 2, " w ", "branch must be 'z' or 'y', got 'w'"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, column, value, message", BAD_TOKENS, ids=[f"{n}-{v!r}" for n, _, v, _ in BAD_TOKENS]
+)
+def test_bad_token_is_refused_whole(base, tmp_path, name, column, value, message):
+    # Both passes see the whole field: a text column cut to a fixed width
+    # would read "1 x" as "1 ", an accepted token once stripped.
+    reader, lines = base[name]
+    path = tmp_path / "input.csv"
+    write(path, with_field(lines, 2, column, value))
+    fast, loop = fast_and_loop(reader, path)
+    assert fast == loop == ("error", f"{path}:3: {message}")
+
+
 @pytest.mark.parametrize("name", ["shots", "fid", "pairs"])
 @pytest.mark.parametrize("end", ["\r\n", "\n"])
 def test_valid_file_takes_the_numpy_pass(base, tmp_path, name, end):
-    # The per-line loop is not called on the files the program writes.
+    # The csv module's pass is not called on the files the program writes.
     reader, lines = base[name]
     path = tmp_path / "input.csv"
     write(path, lines, end)
-    with mock.patch.object(fileio, "read_csv", side_effect=AssertionError("loop called")):
+    with mock.patch.object(fileio, "_csv_rows", side_effect=AssertionError("loop called")):
         fast = _outcome(reader, path)
     assert fast[0] == "ok"
     assert fast == fast_and_loop(reader, path)[1]
@@ -226,7 +308,7 @@ def test_numpy_warning_means_loop(base, tmp_path):
         return rows
 
     with mock.patch.object(np, "loadtxt", warning_loadtxt):
-        with mock.patch.object(fileio, "read_csv", wraps=fileio.read_csv) as loop:
+        with mock.patch.object(fileio, "_csv_rows", wraps=fileio._csv_rows) as loop:
             fast = _outcome(reader, path)
     assert loop.called
     assert fast == fast_and_loop(reader, path)[1]
