@@ -84,8 +84,8 @@ def _csv_rows(path, dtype) -> tuple:
     ints = [k for k, name in enumerate(names) if dtype[name].kind == "i"]
     rows, lines, fault = [], [], None
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with path.open("rb") as fh:
+            reader = csv.reader(_decoded_lines(fh, path))
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
@@ -107,11 +107,28 @@ def _csv_rows(path, dtype) -> tuple:
         fault = exc
     except OSError as exc:
         fault = SchemaError(f"{path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        fault = SchemaError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
     except csv.Error as exc:
         fault = SchemaError(f"{path}:{reader.line_num}: {exc}")
     return np.array(rows, dtype=dtype), lines, fault
+
+
+def _decoded_lines(fh, path):
+    """The lines of the binary file ``fh`` as text, each decoded as it is read.
+
+    Lines end as in text mode with ``newline=""`` (at CR, LF or CRLF,
+    kept), so the csv reader numbers them alike.  A line that is not
+    UTF-8 raises ``SchemaError`` naming the path and the byte's offset in
+    the file when the reader reaches it, after the lines before it.
+    """
+    offset = 0
+    for chunk in fh:
+        for line in chunk.splitlines(keepends=True):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = offset + exc.start
+                raise SchemaError(f"{path}: not UTF-8 ({exc.reason} at byte {byte})") from None
+            offset += len(line)
 
 
 def _loadtxt(path, dtype):

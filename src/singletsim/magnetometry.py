@@ -1,15 +1,16 @@
 """Free-induction-decay magnetometry: forward model and field extraction.
 
-A sample polarized along z (or y) precesses about the applied field and
-is read out by Faraday rotation; the probe angle follows
+A sample polarized along the unit axis e (z or y) precesses about the
+applied field and is read out by Faraday rotation; the probe angle is
 
-    theta_z(t) = (g1/B^2) * (Bz^2 + (Bx^2+By^2) cos(w) E(t)) * f0
-    theta_y(t) = (g1/B^2) * (By*Bz (1 - cos(w) E(t)) + Bx*B sin(w) E(t)) * f0
+    theta(t) = g1 * f0 * (a + (c cos(w) + s sin(w)) E(t))
 
-with w = gamma*B*t and a Gaussian dephasing envelope E(t) =
-exp(-t^2/T2^2) that damps only the oscillatory terms.  Jointly fitting
-both traces recovers the field vector, T2, and the initial polarization
-f0 (assumed equal for the two preparations).
+with n = B/|B|, a = n_z (n.e), c = e_z - a and s = (n x e)_z, the phase
+w = gamma*|B|*t and a Gaussian dephasing envelope E(t) = exp(-t^2/T2^2)
+that damps only the precessing part.  Both branches, the signal and its
+Jacobian, come from this one form.  Jointly fitting both traces
+recovers the field vector, T2, and the initial polarization f0 (assumed
+equal for the two preparations).
 
 The model is invariant under the simultaneous sign flip of (By, Bz), so
 the fit returns the Bz >= 0 representative and lists the equivalent
@@ -32,6 +33,9 @@ PARAM_NAMES = ("bx", "by", "bz", "t2", "f0")
 
 FID_CSV_COLUMNS = ("t_us", "theta_rad", "branch")
 
+# The unit preparation axis e of each FID branch.
+_AXES = {"z": (0.0, 0.0, 1.0), "y": (0.0, 1.0, 0.0)}
+
 
 @dataclass(frozen=True)
 class FieldEstimate:
@@ -51,7 +55,6 @@ class FieldEstimate:
     covariance: np.ndarray
     nfev: int
     status: str
-    param_names: tuple = PARAM_NAMES
     flags: tuple = ()
     equivalent_solutions: tuple = ()
 
@@ -59,6 +62,32 @@ class FieldEstimate:
         b = np.asarray(self.b, dtype=float)
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
+
+
+def _unit_field_terms(b, init_axis: str):
+    """The field's part of the FID model for one preparation axis.
+
+    Returns (|B|, n, a, c, s, grad_a, grad_s): n = B/|B|, the model's
+    coefficients a = n_z (n.e), c = e_z - a and s = (n x e)_z for the
+    unit preparation axis e, and the gradients of a and s with respect
+    to B (that of c is -grad_a), each a 3-tuple.  At zero field the spin
+    stays along e: a = e_z and everything else is 0.
+    """
+    if init_axis not in _AXES:
+        raise ValueError("init_axis must be 'z' or 'y'")
+    e = _AXES[init_axis]
+    b = tuple(float(v) for v in np.asarray(b, dtype=float))
+    b2 = b[0] ** 2 + b[1] ** 2 + b[2] ** 2
+    if b2 == 0.0:
+        return 0.0, (0.0, 0.0, 0.0), e[2], 0.0, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    b_mag = math.sqrt(b2)
+    b_e = b[0] * e[0] + b[1] * e[1] + b[2] * e[2]
+    a = b[2] * b_e / b2
+    s = (b[0] * e[1] - b[1] * e[0]) / b_mag
+    # grad a = (z^ (B.e) + B_z e - 2 a B) / |B|^2;  grad s = (e_y, -e_x, 0)/|B| - s B/|B|^2.
+    grad_a = tuple((z + b[2] * ek - 2.0 * a * bk) / b2 for z, ek, bk in zip((0.0, 0.0, b_e), e, b))
+    grad_s = tuple(r / b_mag - s * bk / b2 for r, bk in zip((e[1], -e[0], 0.0), b))
+    return b_mag, tuple(bk / b_mag for bk in b), a, e[2] - a, s, grad_a, grad_s
 
 
 def fid_signal(
@@ -75,24 +104,12 @@ def fid_signal(
     ``init_axis`` selects the preparation: "z" or "y".  The zero-field
     limit is the constant g1*f0 for the z branch and 0 for the y branch.
     """
-    if init_axis not in ("z", "y"):
-        raise ValueError("init_axis must be 'z' or 'y'")
+    b_mag, _, a, c, s, _, _ = _unit_field_terms(b, init_axis)
     if t2 <= 0:
         raise ValueError("t2 must be positive")
     t = np.asarray(t, dtype=float)
-    bx, by, bz = (float(v) for v in np.asarray(b, dtype=float))
-    b_mag = math.sqrt(bx**2 + by**2 + bz**2)
-    if b_mag == 0.0:
-        value = np.full_like(t, g1 * f0 if init_axis == "z" else 0.0)
-        return value if value.ndim else float(value)
-    envelope = np.exp(-(t**2) / t2**2)
     omega = gamma * b_mag * t
-    cos_e = np.cos(omega) * envelope
-    if init_axis == "z":
-        value = (g1 / b_mag**2) * (bz**2 + (bx**2 + by**2) * cos_e) * f0
-    else:
-        sin_e = np.sin(omega) * envelope
-        value = (g1 / b_mag**2) * (by * bz * (1.0 - cos_e) + bx * b_mag * sin_e) * f0
+    value = g1 * f0 * (a + (c * np.cos(omega) + s * np.sin(omega)) * np.exp(-(t**2) / t2**2))
     return value if value.ndim else float(value)
 
 
@@ -106,52 +123,25 @@ def fid_jacobian(t, params, init_axis: str, g1: float, gamma: float = GYROMAGNET
     zero-field limit, whose only nonzero derivative is g1 along f0 on the
     z branch.
     """
-    if init_axis not in ("z", "y"):
-        raise ValueError("init_axis must be 'z' or 'y'")
     bx, by, bz, t2, f0 = (float(v) for v in params)
+    b_mag, n, a, c, s, grad_a, grad_s = _unit_field_terms((bx, by, bz), init_axis)
     t = np.asarray(t, dtype=float)
-    jac = np.zeros((t.size, 5))
-    b2 = bx**2 + by**2 + bz**2
-    if b2 == 0.0:
-        if init_axis == "z":
-            jac[:, 4] = g1
-        return jac
     big_t2 = abs(t2) or 1e-30
-    b_mag = math.sqrt(b2)
     u = t**2 / big_t2**2
     envelope = np.exp(-u)
     omega = gamma * b_mag * t
     cos_e = np.cos(omega) * envelope
     sin_e = np.sin(omega) * envelope
-    d_envelope = envelope * (2.0 * u / big_t2)  # dE/dT2
-    d_omega = gamma * t / b_mag  # d(omega)/d(b_k) = d_omega * b_k
+    osc = c * cos_e + s * sin_e
+    decay = 1.0 - cos_e  # grad c = -grad a
+    # d(omega)/dB = gamma t n: the chain term of the precession phase.
+    chain = (s * cos_e - c * sin_e) * gamma * t
     amp = g1 * f0
-    b = (bx, by, bz)
-    if init_axis == "z":
-        # theta = amp * (nz2 (1 - cos_e) + cos_e), nz2 = bz^2 / B^2
-        perp2 = bx**2 + by**2
-        d_nz2 = (-2.0 * bz**2 * bx / b2**2, -2.0 * bz**2 * by / b2**2, 2.0 * bz * perp2 / b2**2)
-        osc = (perp2 / b2) * sin_e * d_omega
-        for k in range(3):
-            jac[:, k] = amp * (d_nz2[k] * (1.0 - cos_e) - osc * b[k])
-        jac[:, 3] = amp * (perp2 / b2) * np.cos(omega) * d_envelope
-        jac[:, 4] = g1 * (bz**2 + perp2 * cos_e) / b2
-    else:
-        # theta = amp * (p (1 - cos_e) + q sin_e), p = by bz / B^2, q = bx / B
-        p, q = by * bz / b2, bx / b_mag
-        d_p = (
-            -2.0 * by * bz * bx / b2**2,
-            bz * (bx**2 + bz**2 - by**2) / b2**2,
-            by * (bx**2 + by**2 - bz**2) / b2**2,
-        )
-        b3 = b2 * b_mag
-        d_q = ((by**2 + bz**2) / b3, -bx * by / b3, -bx * bz / b3)
-        osc = (p * sin_e + q * cos_e) * d_omega
-        for k in range(3):
-            jac[:, k] = amp * (d_p[k] * (1.0 - cos_e) + d_q[k] * sin_e + osc * b[k])
-        jac[:, 3] = amp * (q * np.sin(omega) - p * np.cos(omega)) * d_envelope
-        jac[:, 4] = g1 * (p * (1.0 - cos_e) + q * sin_e)
-    jac[:, 3] *= np.sign(t2)
+    jac = np.empty((t.size, 5))
+    for k in range(3):
+        jac[:, k] = amp * (grad_a[k] * decay + grad_s[k] * sin_e + n[k] * chain)
+    jac[:, 3] = amp * osc * (2.0 * u / big_t2) * np.sign(t2)
+    jac[:, 4] = g1 * (a + osc)
     return jac
 
 
@@ -395,7 +385,7 @@ def write_estimate_json(path, estimate: FieldEstimate) -> None:
         "t2_us": estimate.t2 * 1e6,
         "f0_spins": estimate.f0,
         "residual_norm": estimate.residual_norm,
-        "param_names": list(estimate.param_names),
+        "param_names": list(PARAM_NAMES),
         "covariance": [[float(v) for v in row] for row in estimate.covariance],
         "flags": list(estimate.flags),
         "equivalent_solutions_mG": [

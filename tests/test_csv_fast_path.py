@@ -243,15 +243,21 @@ RULE_ON_LINE_3 = {
 }
 
 
-@pytest.mark.parametrize("name", list(RULE_ON_LINE_3))
-def test_rule_before_a_non_utf8_byte_wins(base, tmp_path, name):
-    # A byte that cannot be decoded ends line 5, which 20000 spaces push
-    # past the text the decoder reads first: lines 1-4 are read and
-    # checked before the decoder meets it.
+# Per reader: the spaces that start line 5, none or enough to push its
+# bad byte past the text a decoder of the whole file reads first.
+NON_UTF8_CASES = [(name, pad) for name in RULE_ON_LINE_3 for pad in (20000, 0)]
+
+
+@pytest.mark.parametrize(
+    "name, pad", NON_UTF8_CASES, ids=[n if p else f"{n}-unpadded" for n, p in NON_UTF8_CASES]
+)
+def test_rule_before_a_non_utf8_byte_wins(base, tmp_path, name, pad):
+    # A byte that cannot be decoded ends line 5: lines 1-4 are read and
+    # checked before the decoder meets it, however near it sits.
     reader, lines = base[name]
     (row, column, value), message = RULE_ON_LINE_3[name]
     data = [line.encode() for line in with_field(lines, row, column, value)]
-    data[4] = b" " * 20000 + data[4] + b"\xff"
+    data[4] = b" " * pad + data[4] + b"\xff"
     path = tmp_path / "input.csv"
     path.write_bytes(b"\n".join(data) + b"\n")
     fast, loop = fast_and_loop(reader, path)

@@ -11,7 +11,7 @@ from singletsim import (
     fid_signal,
     fit_fid,
 )
-from singletsim.magnetometry import read_fid_csv, write_estimate_json
+from singletsim.magnetometry import fid_jacobian, read_fid_csv, write_estimate_json
 from singletsim.spins import GYROMAGNETIC_RATIO
 
 G1 = 9.0e-8
@@ -123,6 +123,15 @@ class TestFidSignal:
             fid_signal(0.0, B_PAPER, "x", F0, G1, T2_PAPER)
         with pytest.raises(ValueError):
             fid_signal(0.0, B_PAPER, "z", F0, G1, 0.0)
+
+    @pytest.mark.parametrize("b", [np.zeros(3), B_PAPER], ids=["zero-field", "paper-field"])
+    def test_signal_and_jacobian_refuse_other_axes(self, b):
+        # At zero field the model is a constant that needs no field
+        # arithmetic: the refusal must still come first there.
+        with pytest.raises(ValueError, match="init_axis"):
+            fid_signal(np.zeros(3), b, "x", F0, G1, T2_PAPER)
+        with pytest.raises(ValueError, match="init_axis"):
+            fid_jacobian(np.zeros(3), (*b, T2_PAPER, F0), "x", G1)
 
 
 class TestFitFid:
