@@ -27,11 +27,18 @@ its own error is not included.
 
 Every fit's parameter stderrs come from ``lsq.parameter_covariance``,
 the one place fit uncertainties are formed.
+
+The report and the cutoff scan share one selection state per table:
+``v0``, the quantile bins and the centred distances |f1 - <f1>_bin|^2
+are computed once, by whichever of ``analyze_dataset`` and
+``cutoff_scan`` runs first on the table, and are dropped with it.
+Each witness takes its variance and its stderr from one centred array.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +62,15 @@ def sample_covariance(vectors) -> np.ndarray:
     A covariance that overflows raises ``InvariantError`` before any
     SVD or solve sees it.
     """
+    return _centred_covariance(vectors)[1]
+
+
+def _centred_covariance(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """The row vectors centred on their mean, and ``sample_covariance`` of them.
+
+    The covariance is xc^T xc / (m - 1) of the centred array xc, so a
+    caller that also needs xc centres the vectors once.
+    """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise EstimationError("need at least 2 vectors for a sample covariance")
@@ -63,7 +79,7 @@ def sample_covariance(vectors) -> np.ndarray:
         cov = xc.T @ xc / (x.shape[0] - 1)
     if not np.isfinite(cov).all():
         raise InvariantError("sample covariance is not finite")
-    return 0.5 * (cov + cov.T)
+    return xc, 0.5 * (cov + cov.T)
 
 
 @dataclass(frozen=True)
@@ -175,16 +191,25 @@ def squeezing_parameter(v_tilde: float, n_atoms: float, *, vectors=None) -> Witn
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
-    xi2 = v_tilde / n_atoms
-    stderr = 0.0
+    xc = None
     if vectors is not None:
         x = np.asarray(vectors, dtype=float)
         if x.ndim != 2 or x.shape[0] < 2:
             raise EstimationError("need at least 2 vectors for a standard error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            xc = x - x.mean(axis=0)
+    return _witness(v_tilde, n_atoms, xc)
+
+
+def _witness(v_tilde: float, n_atoms: float, xc) -> WitnessResult:
+    """``squeezing_parameter`` from the centred vectors ``xc`` (or None), n_atoms > 0."""
+    xi2 = v_tilde / n_atoms
+    stderr = 0.0
+    if xc is not None:
         # Readouts of ~1e100 overflow the squares: the stderr is then
         # inf, which ``analyze`` reports as a numerical failure.
         with np.errstate(over="ignore", invalid="ignore"):
-            sq = np.sum((x - x.mean(axis=0)) ** 2, axis=1)
+            sq = np.sum(xc**2, axis=1)
             if len(sq) > 2:
                 stderr = float(np.std(sq, ddof=1)) / math.sqrt(len(sq)) / n_atoms
     bound = max(0.0, (1.0 - xi2) * n_atoms)
@@ -394,9 +419,47 @@ def resolve_v0(
 
 
 def _selection_witness(f2, n_atoms, v0: float) -> WitnessResult:
-    """Witness on the second measurement of selected shots."""
-    v2 = float(np.trace(sample_covariance(f2)))
-    return squeezing_parameter(v2 - v0, float(np.mean(n_atoms)), vectors=f2)
+    """Witness on the second measurement of selected shots.
+
+    The trace and the stderr come from one centred copy of ``f2``.  The
+    selection rule dist2 < C * n_atoms keeps no shot with n_atoms = 0, so
+    the mean atom number is positive.
+    """
+    xc, cov = _centred_covariance(f2)
+    return _witness(float(np.trace(cov)) - v0, float(np.mean(n_atoms)), xc)
+
+
+@dataclass(frozen=True)
+class _Selection:
+    """What ``analyze_dataset`` and ``cutoff_scan`` share for one table.
+
+    ``v0`` and its reference-shot count (``resolve_v0``), the atom rows'
+    quantile bins and each atom row's centred distance |f1 - <f1>_bin|^2.
+    """
+
+    v0: float
+    n_reference: int
+    bins: list
+    dist2: np.ndarray
+
+
+# The selection state of each live table, for the last (probe, n_bins,
+# use_analytic_v0) it was asked for: one entry per table, gone with it.
+_SELECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _selection(table: ShotTable, probe: ProbeConfig | None, options: AnalysisOptions) -> _Selection:
+    """The table's selection state, computed on its first use with these settings."""
+    key = (probe, options.n_bins, options.use_analytic_v0)
+    cached = _SELECTIONS.get(table)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    v0, n_ref = resolve_v0(table, probe, options)
+    atoms = table.atoms
+    bins = _quantile_bins(atoms.n_atoms, options.n_bins)
+    state = _Selection(v0, n_ref, bins, _centred_dist2(atoms.f1, bins))
+    _SELECTIONS[table] = (key, state)
+    return state
 
 
 def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, n_mean, sel_mask):
@@ -406,7 +469,7 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, n_mean,
     mean atom number; ``sel_mask`` marks its shots inside the selection
     cutoff.
     """
-    c6 = sample_covariance(x)
+    xc, c6 = _centred_covariance(x)
     g1, g2, g12 = c6[:3, :3], c6[3:, 3:], c6[:3, 3:]
     cond = conditional_covariance(g1, g2, g12)
     v1 = float(np.trace(g1))
@@ -430,7 +493,6 @@ def _analyze_bin(v0: float, options: AnalysisOptions, b_idx: int, x, bn, n_mean,
         gamma1_singular=cond.pinv_used,
     )
 
-    xc = x - x.mean(axis=0)
     residuals = xc[:, 3:] - xc[:, :3] @ cond.gain
     witness = squeezing_parameter(report.v_cond_tilde, n_mean, vectors=residuals)
 
@@ -465,7 +527,8 @@ def analyze_dataset(
     ``FitError`` is kept in ``fits`` as that error.
     """
     options = AnalysisOptions() if options is None else options
-    v0, n_ref = resolve_v0(table, probe, options)
+    selection = _selection(table, probe, options)
+    v0 = selection.v0
 
     refs = table.references
     reference_v1_tilde = None
@@ -477,9 +540,8 @@ def analyze_dataset(
     skipped: list[dict] = []
     if len(atoms):
         n_at = atoms.n_atoms
-        bin_rows = _quantile_bins(n_at, options.n_bins)
-        selected = _centred_dist2(atoms.f1, bin_rows) < options.cutoff * n_at
-        for b_idx, idx in enumerate(bin_rows):
+        selected = selection.dist2 < options.cutoff * n_at
+        for b_idx, idx in enumerate(selection.bins):
             # A mean that overflows is inf, and the bin fails later with exit 4.
             with np.errstate(all="ignore"):
                 n_mean = float(n_at[idx].mean()) if len(idx) else 0.0
@@ -515,7 +577,7 @@ def analyze_dataset(
                 v = [b.report.v_cond_tilde for b in bins]
                 fits["snr_model"] = _try_fit(fit_snr_model, zip(pts_n, v), probe, sigma=sig)
 
-    return AnalysisResult(v0, n_ref, bins, fits, skipped, reference_v1_tilde)
+    return AnalysisResult(v0, selection.n_reference, bins, fits, skipped, reference_v1_tilde)
 
 
 def cutoff_scan(
@@ -534,20 +596,19 @@ def cutoff_scan(
     ``squeezing_parameter``).
     """
     options = AnalysisOptions() if options is None else options
-    v0, _ = resolve_v0(table, probe, options)
+    selection = _selection(table, probe, options)
     cutoffs = [float(c) for c in cutoffs]
     _check_cutoffs(cutoffs)
     atoms = table.atoms
     f2, n = atoms.f2, atoms.n_atoms
-    dist2 = _centred_dist2(atoms.f1, _quantile_bins(n, options.n_bins))
     rows = []
     for c in cutoffs:
-        mask = dist2 < c * n
+        mask = selection.dist2 < c * n
         n_selected = int(mask.sum())
         if n_selected < 2:
             rows.append({"C": c, "xi2": math.nan, "xi2_stderr": math.nan, "n_selected": n_selected})
             continue
-        w = _selection_witness(f2[mask], n[mask], v0)
+        w = _selection_witness(f2[mask], n[mask], selection.v0)
         rows.append({"C": c, "xi2": w.xi2, "xi2_stderr": w.xi2_stderr, "n_selected": n_selected})
     return rows
 

@@ -51,6 +51,8 @@ def read_table(path, dtype, rules) -> np.ndarray:
     file again (``_csv_rows``) and the same rules run on the rows it read:
     the ``SchemaError`` names the first line that it could not read or
     that breaks a rule, with the message of the first rule that row breaks.
+    The rows returned are always those of the last ``rules`` call, so a
+    caller's rules may keep what they compute from them.
     """
     rows = _loadtxt(path, dtype)
     if rows is not None and not any(mask.any() for mask, _ in rules(rows)):

@@ -109,7 +109,10 @@ def fid_signal(
         raise ValueError("t2 must be positive")
     t = np.asarray(t, dtype=float)
     omega = gamma * b_mag * t
-    value = g1 * f0 * (a + (c * np.cos(omega) + s * np.sin(omega)) * np.exp(-(t**2) / t2**2))
+    osc = c * np.cos(omega)
+    if s:  # s = 0 on the z branch: no sin term
+        osc = osc + s * np.sin(omega)
+    value = g1 * f0 * (a + osc * np.exp(-(t**2) / t2**2))
     return value if value.ndim else float(value)
 
 
@@ -345,19 +348,28 @@ def fit_fid(
 _FID_DTYPE = np.dtype(list(zip(FID_CSV_COLUMNS, (float, float, object))))
 
 
+# Each accepted branch (without surrounding whitespace) and its index in "zy".
+_BRANCH_CODES = {"z": 0, "y": 1}
+
+
 def _branches(text) -> np.ndarray:
-    """Each branch field without its surrounding whitespace."""
-    return np.array([b.strip() for b in text.tolist()], dtype=object)
+    """Each branch field's index in "zy", or -1 where it is neither z nor y."""
+    code = np.where(text == "z", 0, np.where(text == "y", 1, -1))
+    odd = np.flatnonzero(code < 0)  # only these are stripped and looked up
+    code[odd] = [_BRANCH_CODES.get(b.strip(), -1) for b in text[odd].tolist()]
+    return code
 
 
-def _fid_rules(rows):
-    """The FID CSV's row rules, in the order each row is checked."""
+def _fid_rules(rows, branch):
+    """The FID CSV's row rules, in the order each row is checked.
+
+    ``branch`` is ``_branches`` of the rows' branch column.
+    """
     t, theta = rows["t_us"] * 1e-6, rows["theta_rad"]
     yield ~np.isfinite(t) | ~np.isfinite(theta), "non-finite t_us or theta_rad"
     yield t < 0, "t must be non-negative"
-    branch = _branches(rows["branch"])
-    bad = (branch != "z") & (branch != "y")
-    yield bad, lambda i, _: f"branch must be 'z' or 'y', got {branch[i]!r}"
+    text = rows["branch"]
+    yield branch < 0, lambda i, _: f"branch must be 'z' or 'y', got {text[i].strip()!r}"
 
 
 def read_fid_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -366,13 +378,22 @@ def read_fid_csv(path) -> tuple[np.ndarray, np.ndarray]:
     Each branch comes back as an (n, 2) float array of (t, theta) rows,
     t in seconds.  A bad row raises ``SchemaError`` naming ``path:line``:
     an unparsable or non-finite number, a negative time or a branch other
-    than z or y (``_fid_rules``).
+    than z or y (``_fid_rules``).  Each branch field is classified once,
+    for the rules and the split alike.
     """
-    rows = read_table(path, _FID_DTYPE, _fid_rules)
-    t, branch = rows["t_us"] * 1e-6, _branches(rows["branch"])
+    branch = None
+
+    def rules(rows):
+        nonlocal branch
+        branch = _branches(rows["branch"])
+        return _fid_rules(rows, branch)
+
+    # ``read_table`` returns the rows its last ``rules`` call saw.
+    rows = read_table(path, _FID_DTYPE, rules)
+    t = rows["t_us"] * 1e-6
     return tuple(
         np.column_stack((t[mask], rows["theta_rad"][mask]))
-        for mask in (branch == name for name in "zy")
+        for mask in (branch == code for code in (0, 1))
     )
 
 

@@ -14,11 +14,12 @@ Gaussian and propagated deterministically through the rotations as
 its three coordinate columns, one array per component over all shots;
 pulse outcomes are that vector's lab-z component plus readout noise.
 Every 3x3 map is plain numpy products and sums in a fixed order
-(``_lincomb``) and every covariance factor elementwise (``_cholesky3``),
-never a BLAS or LAPACK call, so a shot's bits depend neither on the batch
-it runs in nor on the BLAS kernel.  Only numpy's ``cos``/``sin`` of the
-back-action angles can still move last bits between machines.  No Kalman
-estimator state is propagated: the posterior never reaches a readout.
+(``_lincomb``) and every covariance factor elementwise (``_cholesky3``
+per shot, ``_pivoted_factor`` for the detector matrix), never a BLAS or
+LAPACK call, so a shot's bits depend neither on the batch it runs in nor
+on the BLAS kernel.  Only numpy's ``cos``/``sin`` of the back-action
+angles can still move last bits between machines.  No Kalman estimator
+state is propagated: the posterior never reaches a readout.
 ``probe.simulate_pulse`` remains the analytic single-pulse reference
 for the estimator.
 
@@ -38,12 +39,13 @@ An atom shot's spin is L z plus ``prep_mean_offset``, with z its spin
 block and L the Cholesky factor of its own prepared covariance
 (2/3) N I + ``prep_noise_cov``.  A reference shot's spin is 0.
 
-The detector block, L z with L the factor of ``detector_noise_cov``, is
-drawn when that matrix is non-zero, diffusion when ``period_diffusion``
-> 0, and back-action (one lab-z rotation angle per pulse, applied to the
-true spin after that pulse's readout) when ``probe.light_backaction`` is
-set.  The full row is drawn even where a term vanishes (reference shots,
-zero readout noise).
+The detector block, M z with M = P^T L the pivoted Cholesky factor of
+``detector_noise_cov`` (``_pivoted_factor``), is drawn when that matrix
+is non-zero, diffusion when ``period_diffusion`` > 0, and back-action
+(one lab-z rotation angle per pulse, applied to the true spin after that
+pulse's readout) when ``probe.light_backaction`` is set.  The full row
+is drawn even where a term vanishes (reference shots, zero readout
+noise).
 
 Campaigns are deterministic given the master seed.  One generator,
 ``np.random.default_rng(master_seed)``, serves the whole campaign: it
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -189,7 +192,11 @@ class ShotTable:
     is (n, 6): the first-round readouts then the second-round ones, each
     in the (z, y, x) component order, and ``f1``/``f2`` are views of its
     halves.  A slice, boolean mask or index array gives a table; there
-    is no row type, so rows are read from the columns.
+    is no row type, so rows are read from the columns.  A column may be
+    the array the caller passed, without a copy: a table is immutable
+    only while nobody writes to that array, since what is derived from
+    it (``atoms``, ``references``, the analysis's selection state) is
+    built once per table.
     """
 
     cycle_id: np.ndarray
@@ -221,14 +228,14 @@ class ShotTable:
     def f2(self) -> np.ndarray:
         return self.f[:, 3:]
 
-    @property
+    @cached_property
     def atoms(self) -> ShotTable:
-        """The non-reference rows, in order."""
+        """The non-reference rows, in order; built once per table."""
         return self[~self.is_reference]
 
-    @property
+    @cached_property
     def references(self) -> ShotTable:
-        """The reference (no-atom) rows, in order."""
+        """The reference (no-atom) rows, in order; built once per table."""
         return self[self.is_reference]
 
     def __len__(self) -> int:
@@ -300,6 +307,41 @@ def _cholesky3(a) -> list:
     return [[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]]
 
 
+def _pivoted_factor(a) -> list:
+    """A factor M = P^T L (M M^T = a) of a constant symmetric PSD 3x3 matrix, as rows.
+
+    Cholesky with symmetric diagonal pivoting: each step takes the index
+    whose remaining diagonal is largest (ties to the lower index), so a
+    singular matrix's vanishing pivots come last and divide nothing.  Row
+    i of M holds index i's coefficients on the steps, in step order.  The
+    arithmetic is ``_cholesky3``'s, so where no step reorders the indices
+    M is its factor to the bit.
+    """
+    rows = [[], [], []]
+    rest = [0, 1, 2]
+    while rest:
+        residual = []
+        for i in rest:
+            r = a[i][i]
+            for entry in rows[i]:
+                r = r - entry * entry
+            residual.append(r)
+        j = residual.index(max(residual))
+        k = rest.pop(j)
+        pivot = math.sqrt(max(residual[j], 0.0))
+        divisor = pivot if pivot > 0.0 else math.inf
+        column = [0.0, 0.0, 0.0]
+        column[k] = pivot
+        for i in rest:
+            r = a[i][k]
+            for entry, entry_k in zip(rows[i], rows[k]):
+                r = r - entry * entry_k
+            column[i] = r / divisor
+        for i in range(3):
+            rows[i].append(column[i])
+    return rows
+
+
 def _prepared_factor(cfg: SequenceConfig, n_atoms: np.ndarray) -> list:
     """Per-shot factor of the prepared covariance (2/3) N I + P, zero for references.
 
@@ -359,7 +401,7 @@ def _propagate(cfg: SequenceConfig, n_atoms: np.ndarray, normals: np.ndarray) ->
         column[atoms] += offset
     detector = (0.0, 0.0, 0.0)
     if cfg.has_detector_noise:
-        detector = _map(_cholesky3(cfg.detector_noise_cov.tolist()), *next(z))
+        detector = _map(_pivoted_factor(cfg.detector_noise_cov.tolist()), *next(z))
     eps1 = sigma * next(z)
     walk = np.sqrt(cfg.period_diffusion) * next(z) if cfg.period_diffusion > 0.0 else None
     eps = (*eps1, *(sigma * next(z)))
@@ -472,10 +514,12 @@ def _reference(text) -> np.ndarray:
     return ref
 
 
-def _shot_rules(rows):
-    """The shot CSV's row rules, in the order each row is checked."""
+def _shot_rules(rows, ref):
+    """The shot CSV's row rules, in the order each row is checked.
+
+    ``ref`` is ``_reference`` of the rows' is_reference column.
+    """
     text = rows["is_reference"]
-    ref = _reference(text)
     accepted = ", ".join(_REFERENCE_TOKENS)
     yield ref < 0, lambda i, _: f"is_reference must be one of {accepted}, got {text[i]!r}"
     values = np.column_stack([rows[name] for name in DATASET_COLUMNS[3:]])
@@ -504,13 +548,22 @@ def read_dataset(path) -> ShotTable:
     be one of 0, 1, true, false, True, False; ``cycle_id``/``seq_index``
     must fit in 64 bits (signed); values must be finite, ``n_atoms``
     non-negative (zero on reference rows); and each (cycle_id, seq_index)
-    may appear on one line only.
+    may appear on one line only.  Each is_reference token is classified
+    once, for the rules and the table alike.
     """
-    rows = read_table(path, _DATASET_DTYPE, _shot_rules)
+    ref = None
+
+    def rules(rows):
+        nonlocal ref
+        ref = _reference(rows["is_reference"])
+        return _shot_rules(rows, ref)
+
+    # ``read_table`` returns the rows its last ``rules`` call saw.
+    rows = read_table(path, _DATASET_DTYPE, rules)
     return ShotTable(
         cycle_id=rows["cycle_id"],
         seq_index=rows["seq_index"],
-        is_reference=_reference(rows["is_reference"]) == 1,
+        is_reference=ref == 1,
         n_atoms=rows["n_atoms"],
         f=np.column_stack([rows[name] for name in DATASET_COLUMNS[4:]]),
     )

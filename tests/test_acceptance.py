@@ -256,8 +256,8 @@ def test_criterion_7_fid():
 
 
 def test_criterion_8_determinism(tmp_path):
-    """The simulate + analyze pipeline is byte-identical across repeat
-    runs and across worker counts."""
+    """The simulate + analyze pipeline, cutoff scan included, is
+    byte-identical across repeat runs and across worker counts."""
     config = {
         "seed": 88,
         "campaign": {"n_cycles": 30, "initial_atoms": 1.2e6},
@@ -291,6 +291,8 @@ def test_criterion_8_determinism(tmp_path):
                 str(cfg_path),
                 "--workers",
                 str(workers),
+                "--cutoff-scan",
+                "0.25:3.0:0.25",
             ]
         )
         assert rc == 0
@@ -299,6 +301,7 @@ def test_criterion_8_determinism(tmp_path):
             (out / "provenance.json").read_bytes(),
             (out / "analysis" / "report.json").read_bytes(),
             (out / "analysis" / "noise_scaling.csv").read_bytes(),
+            (out / "analysis" / "cutoff_scan.csv").read_bytes(),
         )
     assert digests["a"] == digests["b"], "repeat run differs"
     assert digests["a"] == digests["c"], "worker count changes output"

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +29,17 @@ from singletsim import (
     snr,
     squeezing_parameter,
 )
+from singletsim import analysis
 from singletsim.analysis import (
     _centred_dist2,
     _quantile_bins,
+    _selection_witness,
     report_dict,
     resolve_v0,
     write_noise_scaling_csv,
     write_report,
 )
+from singletsim.cli import main
 from singletsim.config import config_from_dict
 from singletsim.sequence import CampaignConfig
 from singletsim.spins import PSD_RTOL
@@ -683,6 +688,87 @@ class TestCutoffScan:
         assert 1 in counts
         for r in rows:
             assert math.isnan(r["xi2"]) == math.isnan(r["xi2_stderr"]) == (r["n_selected"] < 2)
+
+
+class TestSharedSelectionState:
+    """The report and the cutoff scan share one selection state per table."""
+
+    def test_analyze_command_computes_it_once(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"seed": 5, "campaign": {"n_cycles": 30}}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 0
+        calls = dict.fromkeys(("resolve_v0", "_quantile_bins", "_centred_dist2"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, counted)
+        out = tmp_path / "analysis"
+        argv = ["analyze", str(tmp_path / "sim" / "shots.csv"), "--config", str(cfg_path)]
+        assert main(argv + ["--cutoff-scan", "0.25:3.0:0.25", "--out", str(out)]) == 0
+        assert len((out / "cutoff_scan.csv").read_text().splitlines()) == 13
+        assert calls == {"resolve_v0": 1, "_quantile_bins": 1, "_centred_dist2": 1}
+
+    @staticmethod
+    def fresh(table):
+        """A new table object with the same rows, so nothing is shared with ``table``."""
+        return table[np.arange(len(table))]
+
+    def test_each_table_gets_its_own_report_and_scan_rows(self, probe_ideal):
+        tables = {seed: synthetic_campaign(probe_ideal, seed=seed, n_cycles=30)[0] for seed in (40, 41)}
+        options = AnalysisOptions(n_bins=4)
+        cutoffs = [0.5, 1.0, 2.0]
+        want = {}
+        for seed, table in tables.items():
+            copy = self.fresh(table)
+            report = report_dict(analyze_dataset(copy, probe_ideal, options))
+            want[seed] = (report, cutoff_scan(copy, cutoffs, probe_ideal, options))
+        # Both reports first, then both scans: each scan must read its own table's state.
+        reports = {s: report_dict(analyze_dataset(t, probe_ideal, options)) for s, t in tables.items()}
+        scans = {s: cutoff_scan(t, cutoffs, probe_ideal, options) for s, t in tables.items()}
+        for seed in tables:
+            assert (reports[seed], scans[seed]) == want[seed]
+        assert reports[40] != reports[41] and scans[40] != scans[41]
+
+    @pytest.mark.parametrize(
+        "later",
+        [{"n_bins": 2}, {"use_analytic_v0": True}, {"cutoff": 2.0}],
+    )
+    def test_other_settings_on_the_same_table(self, probe_ideal, later):
+        table, _ = synthetic_campaign(probe_ideal, seed=42, n_cycles=30)
+        analyze_dataset(table, probe_ideal, AnalysisOptions(n_bins=4))
+        options = AnalysisOptions(**{"n_bins": 4, **later})
+        copy = self.fresh(table)
+        want = report_dict(analyze_dataset(copy, probe_ideal, options))
+        assert report_dict(analyze_dataset(table, probe_ideal, options)) == want
+        want_rows = cutoff_scan(copy, [0.5, 1.5], probe_ideal, options)
+        assert cutoff_scan(table, [0.5, 1.5], probe_ideal, options) == want_rows
+
+    def test_state_goes_with_its_table(self, probe_ideal):
+        table, _ = synthetic_campaign(probe_ideal, seed=43, n_cycles=30)
+        before = len(analysis._SELECTIONS)
+        analyze_dataset(table, probe_ideal, AnalysisOptions(n_bins=4))
+        cutoff_scan(table, [1.0], probe_ideal, AnalysisOptions(n_bins=2))
+        # One entry per table, whatever settings it was analysed with.
+        assert len(analysis._SELECTIONS) == before + 1
+        ref = weakref.ref(table)
+        del table
+        gc.collect()
+        assert ref() is None
+        assert len(analysis._SELECTIONS) == before
+
+    @pytest.mark.parametrize("m", [2, 3, 500])
+    def test_selection_witness_is_the_two_step_witness_bit_for_bit(self, m):
+        # One centred array gives the trace and the stderr the separate
+        # sample_covariance and squeezing_parameter calls gave.
+        rng = np.random.default_rng(m)
+        f2 = rng.normal(3.0, 800.0, (m, 3))
+        n = rng.uniform(1e5, 1e6, m)
+        v2 = float(np.trace(sample_covariance(f2)))
+        want = squeezing_parameter(v2 - 1234.5, float(np.mean(n)), vectors=f2)
+        assert _selection_witness(f2, n, 1234.5) == want
 
 
 def test_schur_kalman_consistency_on_batch(seq_ideal):

@@ -31,7 +31,7 @@ from singletsim import (
     read_dataset,
     run_campaign,
 )
-from singletsim import fileio
+from singletsim import fileio, magnetometry, sequence
 from singletsim.cli import _read_pairs
 from singletsim.magnetometry import read_fid_csv
 from singletsim.sequence import write_dataset
@@ -297,6 +297,27 @@ def test_valid_file_takes_the_numpy_pass(base, tmp_path, name, end):
         fast = _outcome(reader, path)
     assert fast[0] == "ok"
     assert fast == fast_and_loop(reader, path)[1]
+
+
+@pytest.mark.parametrize(
+    "name, module, classify",
+    [("shots", sequence, "_reference"), ("fid", magnetometry, "_branches")],
+    ids=["shots", "fid"],
+)
+@pytest.mark.parametrize("numpy_pass", [True, False], ids=["numpy-pass", "csv-pass"])
+def test_token_column_is_classified_once(base, tmp_path, name, module, classify, numpy_pass):
+    # The rules and the table (or the z/y split) share one classification
+    # of the text column, on whichever pass read the file.
+    reader, lines = base[name]
+    path = tmp_path / "input.csv"
+    write(path, lines)
+    with mock.patch.object(module, classify, wraps=getattr(module, classify)) as counted:
+        if numpy_pass:
+            reader(path)
+        else:
+            with mock.patch.object(fileio, "_loadtxt", return_value=None):
+                reader(path)
+    assert counted.call_count == 1
 
 
 def test_numpy_warning_means_loop(base, tmp_path):

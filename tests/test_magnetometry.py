@@ -11,7 +11,12 @@ from singletsim import (
     fid_signal,
     fit_fid,
 )
-from singletsim.magnetometry import fid_jacobian, read_fid_csv, write_estimate_json
+from singletsim.magnetometry import (
+    _unit_field_terms,
+    fid_jacobian,
+    read_fid_csv,
+    write_estimate_json,
+)
 from singletsim.spins import GYROMAGNETIC_RATIO
 
 G1 = 9.0e-8
@@ -84,6 +89,18 @@ class TestFidSignal:
         t = time_grid()
         assert np.allclose(fid_signal(t, np.zeros(3), "z", F0, G1, T2_PAPER), G1 * F0)
         assert np.allclose(fid_signal(t, np.zeros(3), "y", F0, G1, T2_PAPER), 0.0)
+
+    def test_z_branch_without_its_sin_term_keeps_its_bits(self):
+        # On the z branch s = (n x z)_z is exactly 0, so the sin term is
+        # skipped; with a != 0 the one form, sin term included, gives the
+        # same doubles.
+        t = time_grid()
+        b_mag, _, a, c, s, _, _ = _unit_field_terms(B_PAPER, "z")
+        assert s == 0.0 and a != 0.0
+        omega = GYROMAGNETIC_RATIO * b_mag * t
+        osc = c * np.cos(omega) + s * np.sin(omega)
+        want = G1 * F0 * (a + osc * np.exp(-(t**2) / T2_PAPER**2))
+        assert fid_signal(t, B_PAPER, "z", F0, G1, T2_PAPER).tobytes() == want.tobytes()
 
     def test_z_branch_even_in_time(self):
         t = np.linspace(0.0, 5e-4, 100)

@@ -18,7 +18,7 @@ from singletsim import (
     snr,
     write_dataset,
 )
-from singletsim.sequence import DATASET_COLUMNS, MAX_CYCLES, _cholesky3
+from singletsim.sequence import DATASET_COLUMNS, MAX_CYCLES, _cholesky3, _pivoted_factor
 from tests.conftest import FIELD_111, engine_schur, fixed_n_campaign
 
 
@@ -329,7 +329,7 @@ def _random_psd(rng, rank):
 
 
 class TestCholesky3:
-    """``_cholesky3``, the one factor rule for every covariance the engine draws from."""
+    """``_cholesky3``, the factor rule for each shot's prepared covariance."""
 
     MATRICES = {
         "rank-0": np.zeros((3, 3)),
@@ -373,3 +373,54 @@ class TestCholesky3:
         for k, m in enumerate(mats):
             one = np.array(_cholesky3(m.tolist()), dtype=float)
             assert batch[:, :, k].tobytes() == one.tobytes(), k
+
+
+class TestPivotedFactor:
+    """``_pivoted_factor``, the factor of the constant ``detector_noise_cov``."""
+
+    @staticmethod
+    def factor(a):
+        return np.array(_pivoted_factor(a.tolist()), dtype=float)
+
+    def test_factors_random_rank_2_matrices(self):
+        # Unpivoted (``_cholesky3``), 3 of these miss G G^T by more than
+        # 1e-12 of its largest entry, the worst by 1.4e-9: a near-singular
+        # leading 2x2 block divides by a pivot that is mostly rounding.
+        # Pivoting leaves that pivot last, where it divides nothing.
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            g = rng.standard_normal((3, 2)) * 10.0 ** rng.uniform(-3, 6)
+            a = g @ g.T
+            a = 0.5 * (a + a.T)
+            m = self.factor(a)
+            np.testing.assert_allclose(m @ m.T, a, rtol=0, atol=1e-12 * np.abs(a).max())
+
+    @pytest.mark.parametrize("name", list(TestCholesky3.MATRICES))
+    def test_factors_singular_and_structured_matrices(self, name):
+        a = TestCholesky3.MATRICES[name]
+        m = self.factor(a)
+        np.testing.assert_allclose(m @ m.T, a, rtol=0, atol=1e-12 * max(np.abs(a).max(), 1.0))
+        # A zero diagonal entry gives a zero row.
+        for j in np.flatnonzero(np.diag(a) == 0.0):
+            assert not np.any(m[j])
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            1e5 * np.eye(3),
+            np.array([[1e5, 2e4, 0.0], [2e4, 8e4, 1e4], [0.0, 1e4, 6e4]]),
+            1e5 * (0.5 * np.eye(3) + 0.5 * np.ones((3, 3))),
+        ],
+    )
+    def test_no_reordering_gives_the_cholesky3_factor_bit_for_bit(self, a):
+        # Each step's largest remaining diagonal is the next index (by
+        # ties to the lower index for 1e5 I and 1e5 (I + J) / 2), so the
+        # draws of such a config, campaign-noisy's included, do not move.
+        assert self.factor(a).tobytes() == TestCholesky3.factor(a).tobytes()
+
+    def test_largest_diagonal_first_ties_to_the_lower_index(self):
+        # diag(1e5, 0, 1e5): steps take index 0, then 2, then 1, so index
+        # 2 reads the second draw of the block and index 1 none.
+        m = self.factor(np.diag([1e5, 0.0, 1e5]))
+        root = math.sqrt(1e5)
+        assert m.tolist() == [[root, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, root, 0.0]]
