@@ -313,17 +313,15 @@ def fit_snr_model(points, probe: ProbeConfig, sigma=None) -> FitResult:
     if not all(np.isfinite(a).all() for a in (pts, zeta, sigma, weights)):
         raise FitError("SNR-model fit: the points, zeta, sigma or 1 / sigma are not finite")
 
-    def residuals(theta):
-        return (2.0 * n / (1.0 + theta[0] * zeta) - v) * weights
-
-    def jacobian(theta):
-        return (-2.0 * n * zeta * weights / (1.0 + theta[0] * zeta) ** 2)[:, None]
+    def model(theta):
+        denom = 1.0 + theta[0] * zeta
+        return (2.0 * n / denom - v) * weights, (-2.0 * n * zeta * weights / denom**2)[:, None]
 
     # Extreme but finite inputs overflow inside the fit; its checks below
     # and ``parameter_covariance`` judge the result, not the warnings.
     with np.errstate(all="ignore"):
         try:
-            result = levenberg_marquardt(residuals, jacobian, [1.0], xtol=1e-14, ftol=1e-15)
+            result = levenberg_marquardt(model, [1.0], xtol=1e-14, ftol=1e-15)
         except FitError as exc:
             raise FitError(f"SNR-model fit: {exc}") from None
     if not result.success:

@@ -3,14 +3,15 @@
 ``levenberg_marquardt`` is a port of MINPACK's ``lmder`` (J. J. More,
 "The Levenberg-Marquardt algorithm: implementation and theory", Lecture
 Notes in Mathematics 630, 1978), used by the package's two nonlinear
-fits, and keeps MINPACK's iterates to rounding.  Each Jacobian J is
-factored once, by one unpivoted QR of [J f] for the triangle R and
-Q^T f.  More's safeguarded Newton iteration picks the damping so that
-the step fills a trust region in x / x_scale, and one SVD of the n x n
-triangle R D^-1 gives that step for any damping in closed form; a
-direction with a zero singular value (a parameter the data do not
-constrain) gets no step.  The radius grows or shrinks with the ratio
-of actual to predicted cost reduction.
+fits, and keeps MINPACK's iterates to rounding.  One model call gives
+the residuals f and Jacobian J of a point, so each point is evaluated
+once; each J is factored once, by one unpivoted QR of [J f] for the
+triangle R and Q^T f.  More's safeguarded Newton iteration picks the
+damping so that the step fills a trust region in x / x_scale, and one
+SVD of the n x n triangle R D^-1 gives that step for any damping in
+closed form; a direction with a zero singular value (a parameter the
+data do not constrain) gets no step.  The radius grows or shrinks with
+the ratio of actual to predicted cost reduction.
 
 ``parameter_covariance`` is the only place a fit's uncertainty is
 formed: the linear noise-scaling fits and the g1 calibration call it on
@@ -41,8 +42,8 @@ _FACTOR = 100.0
 class LsqResult:
     """The solver's last accepted point.
 
-    ``fun`` and ``jac`` are the residuals and Jacobian at ``x``; ``nfev``
-    counts residual evaluations (Jacobian evaluations not included).
+    ``fun`` and ``jac`` are the residuals and Jacobian at ``x``, as the
+    model returned them; ``nfev`` counts model evaluations.
     ``status`` names the test that stopped the solver: ``"ftol"``,
     ``"xtol"``, ``"ftol+xtol"`` or ``"gtol"`` on convergence, and
     ``"max_nfev"`` when the evaluation budget ran out.
@@ -112,20 +113,20 @@ def _lmpar(b, qtf, delta: float, par: float):
     return par, y
 
 
-def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, max_nfev=None):
-    """Minimize ||fun(x)||^2 over x, starting from ``x0``.
+def levenberg_marquardt(model, x0, *, xtol: float, ftol: float, x_scale=1.0, max_nfev=None):
+    """Minimize ||f(x)||^2 over x, starting from ``x0``.
 
-    ``fun(x)`` returns the m residuals and ``jac(x)`` their (m, n)
-    Jacobian, m >= n.  ``x_scale`` is each variable's characteristic
-    size (a scalar or n values): the trust region is a ball in
-    x / x_scale.  The solver stops when an accepted step changed the
-    cost by a relative ``ftol`` or less, as predicted and as observed
-    (``"ftol"``); when the trust radius falls to ``xtol`` times
-    ||x / x_scale|| (``"xtol"``); when every Jacobian column is
-    orthogonal to the residuals to within ``GTOL`` in cosine
-    (``"gtol"``); or after ``max_nfev`` residual evaluations (default
-    100 n) with ``"max_nfev"``.  Residuals at ``x0`` or a Jacobian that
-    are not finite raise ``FitError``.
+    ``model(x)`` returns the m residuals f(x) and their (m, n) Jacobian,
+    m >= n.  ``x_scale`` is each variable's characteristic size (a
+    scalar or n values): the trust region is a ball in x / x_scale.  The
+    solver stops when an accepted step changed the cost by a relative
+    ``ftol`` or less, as predicted and as observed (``"ftol"``); when
+    the trust radius falls to ``xtol`` times ||x / x_scale|| (``"xtol"``);
+    when every Jacobian column is orthogonal to the residuals to within
+    ``GTOL`` in cosine (``"gtol"``); or after ``max_nfev`` model
+    evaluations (default 100 n) with ``"max_nfev"``.  A residual norm at
+    ``x0`` that is not finite (checked without numpy warnings) or a
+    Jacobian that is not finite where it is factored raises ``FitError``.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -134,20 +135,21 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
     diag = 1.0 / np.broadcast_to(np.asarray(x_scale, dtype=float), x.shape)
     max_nfev = 100 * n if max_nfev is None else max_nfev
 
-    f = fun(x)
+    # A start that overflows is reported by the check below, not by warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, j = model(x)
+        fnorm = float(np.linalg.norm(f))
     nfev = 1
     if f.size < n:
         raise ValueError(f"{f.size} residuals cannot determine {n} parameters")
-    if not np.all(np.isfinite(f)):
-        raise FitError("residuals are not finite at the initial point")
-    fnorm = float(np.linalg.norm(f))
+    if not math.isfinite(fnorm):
+        raise FitError("the residual norm is not finite at the initial guess")
     xnorm = float(np.linalg.norm(diag * x))
     delta = _FACTOR * xnorm or _FACTOR
     par = 0.0
     first_step = True
     status = None
     while status is None:
-        j, j_at = jac(x), x
         if not np.isfinite(j).all():
             raise FitError(f"the Jacobian is not finite at x = {x}")
         a = np.linalg.qr(np.column_stack((j, f)), mode="r")
@@ -165,7 +167,7 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
             if first_step:
                 delta = min(delta, pnorm)
             x_new = x + step
-            f_new = fun(x_new)
+            f_new, j_new = model(x_new)
             nfev += 1
             fnorm_new = float(np.linalg.norm(f_new))
             # A residual norm that grew tenfold or more (or is not finite)
@@ -187,7 +189,7 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
                 par *= 0.5
             accepted = ratio >= 1e-4
             if accepted:
-                x, f, fnorm = x_new, f_new, fnorm_new
+                x, f, j, fnorm = x_new, f_new, j_new, fnorm_new
                 xnorm = float(np.linalg.norm(diag * x))
                 first_step = False
             ftol_met = abs(actred) <= ftol and prered <= ftol and 0.5 * ratio <= 1.0
@@ -198,8 +200,7 @@ def levenberg_marquardt(fun, jac, x0, *, xtol: float, ftol: float, x_scale=1.0, 
                 status = "max_nfev"
             if status is not None or accepted:
                 break
-    # x has not moved since the last QR unless the final step was accepted.
-    return LsqResult(x, f, j if x is j_at else jac(x), nfev, status)
+    return LsqResult(x, f, j, nfev, status)
 
 
 def parameter_covariance(jac, residuals) -> np.ndarray:
@@ -209,7 +210,9 @@ def parameter_covariance(jac, residuals) -> np.ndarray:
     and ``residuals`` the m residuals at the solution; sigma^2 =
     |r|^2 / (m - n), or 0 when m = n.  Singular values of J^T J below
     1e-12 of the largest are dropped, so a direction the data do not
-    constrain gets variance 0.  Raises ``FitError`` when |r|^2, J or
+    constrain gets variance 0.  The cut is relative, so J's columns must
+    be on comparable scales: ``fit_noise_scaling`` and ``fit_fid`` pass
+    column-scaled J and scale the result back.  Raises ``FitError`` when |r|^2, J or
     J^T J is not finite, before LAPACK sees them, or when the covariance
     itself is not.
     """

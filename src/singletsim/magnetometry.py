@@ -8,9 +8,9 @@ applied field and is read out by Faraday rotation; the probe angle is
 with n = B/|B|, a = n_z (n.e), c = e_z - a and s = (n x e)_z, the phase
 w = gamma*|B|*t and a Gaussian dephasing envelope E(t) = exp(-t^2/T2^2)
 that damps only the precessing part.  Both branches, the signal and its
-Jacobian, come from this one form.  Jointly fitting both traces
-recovers the field vector, T2, and the initial polarization f0 (assumed
-equal for the two preparations).
+Jacobian, come from this one form, evaluated once per branch and point.
+Jointly fitting both traces recovers the field vector, T2, and the
+initial polarization f0 (assumed equal for the two preparations).
 
 The model is invariant under the simultaneous sign flip of (By, Bz), so
 the fit returns the Bz >= 0 representative and lists the equivalent
@@ -41,11 +41,12 @@ _AXES = {"z": (0.0, 0.0, 1.0), "y": (0.0, 1.0, 0.0)}
 class FieldEstimate:
     """Fitted field vector with dephasing time and polarization.
 
-    ``flags`` names parameters (or issues) the data could not
+    ``covariance`` is that of (bx, by, bz, t2, f0), in G^2, s^2 and
+    spins^2.  ``flags`` names parameters (or issues) the data could not
     constrain; ``equivalent_solutions`` lists field vectors that fit the
     data exactly as well (sign degeneracy of the model).  ``nfev`` and
-    ``status`` are the solver's residual-evaluation count and stop
-    reason (``lsq.LsqResult``).
+    ``status`` are the solver's model-evaluation count and stop reason
+    (``lsq.LsqResult``).
     """
 
     b: np.ndarray
@@ -90,39 +91,14 @@ def _unit_field_terms(b, init_axis: str):
     return b_mag, tuple(bk / b_mag for bk in b), a, e[2] - a, s, grad_a, grad_s
 
 
-def fid_signal(
-    t,
-    b,
-    init_axis: str,
-    f0: float,
-    g1: float,
-    t2: float,
-    gamma: float = GYROMAGNETIC_RATIO,
-):
-    """Faraday-rotation FID signal, radians.  Vectorized over ``t``.
+def _fid_model(t, params, init_axis: str, g1: float, gamma: float, jacobian: bool = True):
+    """One branch's FID signal and its Jacobian from one set of phase terms.
 
-    ``init_axis`` selects the preparation: "z" or "y".  The zero-field
-    limit is the constant g1*f0 for the z branch and 0 for the y branch.
-    """
-    b_mag, _, a, c, s, _, _ = _unit_field_terms(b, init_axis)
-    if t2 <= 0:
-        raise ValueError("t2 must be positive")
-    t = np.asarray(t, dtype=float)
-    omega = gamma * b_mag * t
-    osc = c * np.cos(omega)
-    if s:  # s = 0 on the z branch: no sin term
-        osc = osc + s * np.sin(omega)
-    value = g1 * f0 * (a + osc * np.exp(-(t**2) / t2**2))
-    return value if value.ndim else float(value)
-
-
-def fid_jacobian(t, params, init_axis: str, g1: float, gamma: float = GYROMAGNETIC_RATIO):
-    """Derivatives of the fit's FID model with respect to (bx, by, bz, t2, f0).
-
-    The model is ``fid_signal(t, (bx, by, bz), init_axis, f0, g1, T2)``
-    with T2 = abs(t2), or 1e-30 where t2 = 0, as ``fit_fid`` evaluates
-    it; so the t2 column carries sign(t2) and is 0 at t2 = 0.  Returns an
-    (len(t), 5) array.  At zero field the model is the constant
+    ``params`` is (bx, by, bz, t2, f0); the model is evaluated at
+    T2 = abs(t2), or 1e-30 where t2 = 0, as ``fit_fid`` evaluates it, so
+    the t2 column carries sign(t2) and is 0 at t2 = 0.  Returns (signal,
+    jac): the (len(t), 5) derivatives with respect to ``params``, or None
+    without ``jacobian``.  At zero field the model is the constant
     zero-field limit, whose only nonzero derivative is g1 along f0 on the
     z branch.
     """
@@ -133,19 +109,42 @@ def fid_jacobian(t, params, init_axis: str, g1: float, gamma: float = GYROMAGNET
     u = t**2 / big_t2**2
     envelope = np.exp(-u)
     omega = gamma * b_mag * t
-    cos_e = np.cos(omega) * envelope
-    sin_e = np.sin(omega) * envelope
-    osc = c * cos_e + s * sin_e
+    cos = np.cos(omega)
+    sin = np.sin(omega) if s or jacobian else None  # s = 0 on the z branch
+    osc = c * cos
+    if s:
+        osc = osc + s * sin
+    amp = g1 * f0
+    value = amp * (a + osc * envelope)
+    if not jacobian:
+        return value, None
+    cos_e = cos * envelope
+    sin_e = sin * envelope
+    osc_e = c * cos_e + s * sin_e
     decay = 1.0 - cos_e  # grad c = -grad a
     # d(omega)/dB = gamma t n: the chain term of the precession phase.
     chain = (s * cos_e - c * sin_e) * gamma * t
-    amp = g1 * f0
     jac = np.empty((t.size, 5))
     for k in range(3):
         jac[:, k] = amp * (grad_a[k] * decay + grad_s[k] * sin_e + n[k] * chain)
-    jac[:, 3] = amp * osc * (2.0 * u / big_t2) * np.sign(t2)
-    jac[:, 4] = g1 * (a + osc)
-    return jac
+    jac[:, 3] = amp * osc_e * (2.0 * u / big_t2) * np.sign(t2)
+    jac[:, 4] = g1 * (a + osc_e)
+    return value, jac
+
+
+def fid_signal(
+    t, b, init_axis: str, f0: float, g1: float, t2: float, gamma: float = GYROMAGNETIC_RATIO
+):
+    """Faraday-rotation FID signal, radians.  Vectorized over ``t``.
+
+    ``init_axis`` selects the preparation: "z" or "y".  The zero-field
+    limit is the constant g1*f0 for the z branch and 0 for the y branch.
+    """
+    if t2 <= 0:
+        raise ValueError("t2 must be positive")
+    bx, by, bz = np.asarray(b, dtype=float)
+    value, _ = _fid_model(t, (bx, by, bz, t2, f0), init_axis, g1, gamma, jacobian=False)
+    return value if value.ndim else float(value)
 
 
 def _fft_larmor_frequency(t: np.ndarray, theta: np.ndarray) -> float:
@@ -244,15 +243,16 @@ def fit_fid(
     parameters: (Bx, By, Bz, T2, f0), with the two preparations
     sharing the polarization magnitude f0.  Initial guesses come from
     the FFT line position, the non-decaying signal levels, and an
-    envelope log-fit.  The fit is ``lsq.levenberg_marquardt`` with the
-    analytic Jacobian ``fid_jacobian``, which also gives, at the
-    solution, the covariance (``lsq.parameter_covariance``) and the
-    identifiability checks.  Parameters the data leave unconstrained
-    (zero Jacobian column, e.g. the transverse split for a z-branch-only
-    data set) are reported in ``flags``; a fit that runs out of its 20000
-    residual evaluations raises ``FitError``, as does a residual norm
-    that is not finite at the initial guess, or a residual norm or
-    Jacobian (J and J^T J) that is not finite at the solution.
+    envelope log-fit.  The fit is ``lsq.levenberg_marquardt`` on
+    ``_fid_model``; its Jacobian at the solution, times each parameter's
+    scale, gives the covariance (``lsq.parameter_covariance``, scaled
+    back) and the identifiability checks.  Parameters the data leave
+    unconstrained (zero Jacobian column, e.g. the transverse split for a
+    z-branch-only data set) are reported in ``flags``; a fit that runs
+    out of its 20000 model evaluations raises ``FitError``, as does a
+    residual norm that is not finite at the initial guess, or a residual
+    norm, Jacobian (J and J^T J) or covariance that is not finite at the
+    solution.
     """
     # Transposed copies: each of t and theta is one contiguous array.
     (tz, thz), (ty, thy) = (
@@ -267,29 +267,22 @@ def fit_fid(
 
     branches = [(t, th, axis) for t, th, axis in ((tz, thz, "z"), (ty, thy, "y")) if len(t)]
 
-    def residuals(p):
-        bx, by, bz, t2, f0 = p
-        return np.concatenate(
-            [
-                fid_signal(t, (bx, by, bz), axis, f0, g1, abs(t2) or 1e-30, gamma) - th
-                for t, th, axis in branches
-            ]
-        )
+    def model(p):
+        parts = [_fid_model(t, p, axis, g1, gamma) for t, _, axis in branches]
+        residuals = [value - th for (value, _), (_, th, _) in zip(parts, branches)]
+        return np.concatenate(residuals), np.concatenate([jac for _, jac in parts])
 
-    def jacobian(p):
-        return np.concatenate([fid_jacobian(t, p, axis, g1, gamma) for t, _, axis in branches])
-
-    # Huge angles overflow the initial guess and its residuals; the check
-    # below reports that, so numpy's overflow warnings would only be noise.
+    # Huge angles overflow the initial guess; the solver's check of the
+    # residual norm there reports that, so numpy's warnings would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         x0 = _initial_guess(tz, thz, ty, thy, g1, gamma, duration)
-        start_norm = np.linalg.norm(residuals(x0))
-    if not math.isfinite(start_norm):
-        raise FitError("FID fit: the residual norm is not finite at the initial guess")
     scale = np.array([1e-3, 1e-3, 1e-3, max(duration / 2, 1e-9), max(abs(x0[4]), 1.0)])
-    result = levenberg_marquardt(
-        residuals, jacobian, x0, x_scale=scale, xtol=1e-15, ftol=1e-15, max_nfev=20000
-    )
+    try:
+        result = levenberg_marquardt(
+            model, x0, x_scale=scale, xtol=1e-15, ftol=1e-15, max_nfev=20000
+        )
+    except FitError as exc:
+        raise FitError(f"FID fit: {exc}") from None
     if not result.success:
         raise FitError(
             f"FID fit did not converge in {result.nfev} residual evaluations "
@@ -299,17 +292,22 @@ def fit_fid(
     params = result.x.copy()
     params[3] = abs(params[3])  # model depends on T2^2 only
 
+    # Per parameter scale, mG-sized fields and spin-sized amplitudes compare
+    # fairly: unscaled, the covariance's relative cut drops the f0 column.
+    with np.errstate(over="ignore"):
+        jac_scaled = result.jac * scale[None, :]
     # Checked before the SVD below, which may never return on non-finite input.
     try:
-        cov = parameter_covariance(result.jac, result.fun)
+        cov = parameter_covariance(jac_scaled, result.fun)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = cov * np.outer(scale, scale)
+        if not np.isfinite(cov).all():  # e.g. f0's variance at a tiny g1
+            raise FitError("the parameter covariance is not finite")
     except FitError as exc:
         raise FitError(f"FID fit: {exc} at the solution") from None
     residual_norm = float(np.linalg.norm(result.fun))
-    jac_scaled = result.jac * scale[None, :]
 
     flags = []
-    # Identifiability checks use the Jacobian per natural parameter
-    # scale, so mG-sized fields and spin-sized amplitudes compare fairly.
     col_norms = np.linalg.norm(jac_scaled, axis=0)
     ref = max(col_norms.max(), 1e-300)
     for name, cn in zip(PARAM_NAMES, col_norms):

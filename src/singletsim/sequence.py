@@ -192,11 +192,10 @@ class ShotTable:
     is (n, 6): the first-round readouts then the second-round ones, each
     in the (z, y, x) component order, and ``f1``/``f2`` are views of its
     halves.  A slice, boolean mask or index array gives a table; there
-    is no row type, so rows are read from the columns.  A column may be
-    the array the caller passed, without a copy: a table is immutable
-    only while nobody writes to that array, since what is derived from
-    it (``atoms``, ``references``, the analysis's selection state) is
-    built once per table.
+    is no row type, so rows are read from the columns.  Each column is
+    the table's own copy, so what is derived from it once per table
+    (``atoms``, ``references``, the analysis's selection state) stays
+    true, and the caller's arrays stay writable.
     """
 
     cycle_id: np.ndarray
@@ -206,11 +205,11 @@ class ShotTable:
     f: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
+        f = np.array(self.f, dtype=float)
         if f.ndim != 2 or f.shape[1] != 6:
             raise ValueError("f must have shape (n, 6)")
         for name, dtype in _TABLE_COLUMNS:
-            column = np.asarray(getattr(self, name), dtype=dtype)
+            column = np.array(getattr(self, name), dtype=dtype)
             if column.shape != (len(f),):
                 raise ValueError(f"{name} must have shape ({len(f)},)")
             column.setflags(write=False)

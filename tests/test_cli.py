@@ -690,6 +690,19 @@ class TestFidfit:
         assert "numerical failure: did not converge" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [samples]
 
+    def test_covariance_out_of_range_exit_code(self, tmp_path, capsys):
+        # At g1 = 1e-300, f0 is ~1e299 spins and its variance leaves the
+        # float range: one message and no file, not an f0 stderr of 0.
+        samples = tmp_path / "fid.csv"
+        samples.write_text("\n".join(fid_trace_lines()) + "\n")
+        cfg_path = write_config(tmp_path, {"probe": {"g1": 1e-300}})
+        out = tmp_path / "estimate.json"
+        assert main(["fidfit", str(samples), "--out", str(out), "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: FID fit: the parameter covariance is not finite at the solution"
+        ]
+        assert not out.exists()
+
     def test_config_g1_scales_polarization(self, tmp_path):
         # theta is linear in g1 * f0: doubling the configured g1 halves f0.
         samples = tmp_path / "fid.csv"
@@ -750,8 +763,8 @@ class TestFidfit:
 
         solve = magnetometry_mod.levenberg_marquardt
 
-        def overflowing(fun, jac, x0, **kwargs):
-            result = solve(fun, jac, x0, **kwargs)
+        def overflowing(model, x0, **kwargs):
+            result = solve(model, x0, **kwargs)
             jac_out = np.full_like(result.jac, jac_value)
             return LsqResult(result.x, result.fun, jac_out, result.nfev, result.status)
 

@@ -6,6 +6,7 @@ both fits, on the published FID trace and the published ``{}`` dataset.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from singletsim import (
     snr,
 )
 from singletsim.lsq import levenberg_marquardt, parameter_covariance
-from singletsim.magnetometry import _initial_guess, fid_jacobian
+from singletsim.magnetometry import _fid_model, _initial_guess, read_fid_csv
+from tests.golden.regenerate import _workloads
 
 # Traces shaped like the benchmark's published FID input: 2 x 3000
 # samples at 0.5 us of its field, T2 and polarization, with 1 mrad white
@@ -67,8 +69,11 @@ def minpack_fid_fit(z, y):
         residuals, x0, method="lm", x_scale=scale, xtol=1e-15, ftol=1e-15, max_nfev=20000
     )
     assert result.success
+    # Per parameter scale, as fit_fid forms it: unscaled, the f0 column
+    # is ~1e-9 of the field's and pinv's relative cut would drop it.
+    jac = result.jac * scale
     sigma2 = float(result.fun @ result.fun) / (len(result.fun) - 5)
-    cov = sigma2 * np.linalg.pinv(result.jac.T @ result.jac, rcond=1e-12)
+    cov = sigma2 * np.linalg.pinv(jac.T @ jac, rcond=1e-12) * np.outer(scale, scale)
     return result.x, result.fun, cov
 
 
@@ -86,11 +91,14 @@ def test_fid_fit_matches_minpack(seed):
     assert np.allclose(est.covariance, cov, rtol=1e-4, atol=0)
 
 
-def test_fid_fit_evaluates_one_jacobian_per_factorization(monkeypatch):
-    # The solver factors each Jacobian once, by one QR of [J f].  It stops
-    # on gtol, where x has not moved since the last QR, so the returned
-    # Jacobian is that QR's: no extra evaluation.
-    calls = {"jac": 0, "qr": 0}
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fid_fit_evaluates_its_model_once_per_point(monkeypatch, tmp_path, seed):
+    # On the benchmark's published trace: one model call per evaluation,
+    # the start included, and the returned Jacobian is the one the model
+    # gave at x, so none is evaluated after the last factorization.  Every
+    # trial step is accepted here, so each point is factored once, by one
+    # QR of [J f].
+    calls = {"model": 0, "qr": 0}
     results = []
     qr = np.linalg.qr
 
@@ -98,22 +106,25 @@ def test_fid_fit_evaluates_one_jacobian_per_factorization(monkeypatch):
         calls["qr"] += 1
         return qr(*args, **kwargs)
 
-    def solver(fun, jac, x0, **kwargs):
-        def counting_jac(x):
-            calls["jac"] += 1
-            return jac(x)
+    def solver(model, x0, **kwargs):
+        def counting_model(x):
+            calls["model"] += 1
+            return model(x)
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "qr", counting_qr)
-            results.append((levenberg_marquardt(fun, counting_jac, x0, **kwargs), jac))
+            results.append((levenberg_marquardt(counting_model, x0, **kwargs), model))
         return results[-1][0]
 
     monkeypatch.setattr(magnetometry_mod, "levenberg_marquardt", solver)
-    fit_fid(*published_fid_trace(1), G1, GAMMA)
-    (result, jac), = results
+    _workloads().write_fid_trace(tmp_path / "fid.csv", seed)
+    cfg = config_from_dict({})
+    fit_fid(*read_fid_csv(tmp_path / "fid.csv"), cfg.probe.g1, cfg.field.gyromagnetic_ratio)
+    (result, model), = results
     assert result.status == "gtol"
-    assert calls["jac"] == calls["qr"] > 0
-    assert np.array_equal(result.jac, jac(result.x))
+    assert calls["model"] == calls["qr"] == result.nfev == 6
+    fun, jac = model(result.x)
+    assert np.array_equal(result.jac, jac) and np.array_equal(result.fun, fun)
 
 
 def reference_lmpar(b, qtf, delta, par):
@@ -192,15 +203,13 @@ def test_solver_leaves_a_parameter_with_a_zero_jacobian_column_at_its_start():
     t = np.linspace(0.0, 1.0, 20)
     data = 3.0 * np.exp(-0.7 * t) + 0.5 * t
 
-    def fun(x):
-        return x[0] * np.exp(-x[2] * t) + x[3] * t - data
-
-    def jac(x):
+    def model(x):
         e = np.exp(-x[2] * t)
-        return np.column_stack((e, np.zeros_like(t), -x[0] * t * e, t))
+        jac = np.column_stack((e, np.zeros_like(t), -x[0] * t * e, t))
+        return x[0] * e + x[3] * t - data, jac
 
     x0 = [1.0, 0.123456789, 0.1, 0.0]
-    result = levenberg_marquardt(fun, jac, x0, xtol=1e-12, ftol=1e-12)
+    result = levenberg_marquardt(model, x0, xtol=1e-12, ftol=1e-12)
     assert result.success
     assert result.x[1] == x0[1]
     assert np.allclose(result.x[[0, 2, 3]], [3.0, 0.7, 0.5], rtol=1e-8)
@@ -209,13 +218,31 @@ def test_solver_leaves_a_parameter_with_a_zero_jacobian_column_at_its_start():
 def test_solver_stops_on_a_non_finite_jacobian():
     with pytest.raises(FitError, match="the Jacobian is not finite"):
         levenberg_marquardt(
-            lambda x: x - 1.0, lambda x: np.full((1, 1), np.nan), [0.0], xtol=1e-12, ftol=1e-12
+            lambda x: (x - 1.0, np.full((1, 1), np.nan)), [0.0], xtol=1e-12, ftol=1e-12
         )
+
+
+def test_solver_refuses_a_residual_norm_that_overflows_at_the_start():
+    # Each residual is finite, their norm is not: one FitError at once,
+    # without a numpy warning, and no evaluation beyond the start.
+    calls = []
+
+    def model(x):
+        calls.append(x)
+        return np.full(4, 1e160) + x, np.ones((4, 1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="the residual norm is not finite at the initial guess"):
+            levenberg_marquardt(model, [0.0], xtol=1e-12, ftol=1e-12)
+        assert len(calls) == 1
+        with pytest.raises(FitError, match="SNR-model fit: the residual norm is not finite"):
+            fit_snr_model([(1e5, -1e160), (2e5, -1e160)], config_from_dict({}).probe)
 
 
 def test_snr_fit_refuses_residuals_that_overflow_at_the_start():
     # Finite points and zeta, but 2N overflows: a FitError, not a ValueError.
-    with pytest.raises(FitError, match="SNR-model fit: residuals are not finite at the initial"):
+    with pytest.raises(FitError, match="SNR-model fit: the residual norm is not finite at the"):
         fit_snr_model([(1.7e308, 1.0), (1.7e308, 2.0)], config_from_dict({}).probe)
 
 
@@ -274,7 +301,9 @@ def test_fid_jacobian_matches_central_differences(axis, params):
     def model(q):
         return fid_signal(t, q[:3], axis, q[4], G1, abs(q[3]) or 1e-30, GAMMA)
 
-    jac = fid_jacobian(t, p, axis, G1, GAMMA)
+    value, jac = _fid_model(t, p, axis, G1, GAMMA)
+    # The signal comes from the same phase terms as the Jacobian, to the bit.
+    assert np.array_equal(value, model(p))
     steps = np.array([1e-9, 1e-9, 1e-9, 1e-9, 1.0])
     numeric = np.column_stack(
         [(model(p + h * e) - model(p - h * e)) / (2 * h) for h, e in zip(steps, np.eye(5))]
@@ -289,19 +318,22 @@ def test_fid_jacobian_matches_central_differences(axis, params):
 def test_fid_jacobian_at_zero_field_and_zero_t2():
     t = np.linspace(0.0, 1e-3, 11)
     for axis, d_f0 in (("z", G1), ("y", 0.0)):
-        jac = fid_jacobian(t, (0.0, 0.0, 0.0, 745e-6, 1e6), axis, G1, GAMMA)
+        _, jac = _fid_model(t, (0.0, 0.0, 0.0, 745e-6, 1e6), axis, G1, GAMMA)
         assert np.array_equal(jac, np.column_stack([np.zeros((11, 4)), np.full(11, d_f0)]))
         # t2 = 0 evaluates at T2 = 1e-30, where the model is constant in t2.
-        jac = fid_jacobian(t, (9.6e-3, 9.7e-3, 9.9e-3, 0.0, 1e6), axis, G1, GAMMA)
+        _, jac = _fid_model(t, (9.6e-3, 9.7e-3, 9.9e-3, 0.0, 1e6), axis, G1, GAMMA)
         assert np.all(np.isfinite(jac)) and np.all(jac[:, 3] == 0.0)
 
 
 def test_solver_reports_exhausted_budget():
     z, y = published_fid_trace(1)
     t = z[:, 0]
+    def model(p):
+        value, jac = _fid_model(t, p, "z", G1, GAMMA)
+        return value - z[:, 1], jac
+
     result = levenberg_marquardt(
-        lambda p: fid_signal(t, p[:3], "z", p[4], G1, abs(p[3]) or 1e-30, GAMMA) - z[:, 1],
-        lambda p: fid_jacobian(t, p, "z", G1, GAMMA),
+        model,
         [1e-3, 1e-3, 1e-2, 5e-4, 1.2e6],
         xtol=1e-15,
         ftol=1e-15,
@@ -327,7 +359,7 @@ def test_fits_raise_fit_error_on_exhausted_budget(monkeypatch, published_snr_poi
 
 def test_solver_rejects_tolerances_below_machine_epsilon():
     with pytest.raises(ValueError, match="machine epsilon"):
-        levenberg_marquardt(lambda x: x, lambda x: np.eye(1), [1.0], xtol=1e-17, ftol=1e-15)
+        levenberg_marquardt(lambda x: (x, np.eye(1)), [1.0], xtol=1e-17, ftol=1e-15)
 
 
 def test_parameter_covariance_is_sigma2_pinv_jtj():

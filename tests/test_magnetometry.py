@@ -12,8 +12,8 @@ from singletsim import (
     fit_fid,
 )
 from singletsim.magnetometry import (
+    _fid_model,
     _unit_field_terms,
-    fid_jacobian,
     read_fid_csv,
     write_estimate_json,
 )
@@ -148,7 +148,7 @@ class TestFidSignal:
         with pytest.raises(ValueError, match="init_axis"):
             fid_signal(np.zeros(3), b, "x", F0, G1, T2_PAPER)
         with pytest.raises(ValueError, match="init_axis"):
-            fid_jacobian(np.zeros(3), (*b, T2_PAPER, F0), "x", G1)
+            _fid_model(np.zeros(3), (*b, T2_PAPER, F0), "x", G1, GYROMAGNETIC_RATIO)
 
 
 class TestFitFid:

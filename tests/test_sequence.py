@@ -240,6 +240,26 @@ class TestShotTable:
         with pytest.raises(ValueError):
             table.n_atoms[0] = 1.0
 
+    def test_a_writable_base_does_not_change_a_table(self):
+        # The table owns its columns: writes to the caller's array reach
+        # neither the table nor what it built from them.
+        base = np.arange(24.0).reshape(4, 6)
+        n_atoms = np.full(4, 1e5)
+        table = ShotTable(np.zeros(4, int), np.arange(4), np.zeros(4, bool), n_atoms, base[:])
+        assert table.atoms.f[0, 0] == 0.0
+        base[0, 0] = 99.0
+        n_atoms[1] = 7.0
+        assert table.f[0, 0] == table.atoms.f[0, 0] == 0.0
+        assert table.n_atoms[1] == table.atoms.n_atoms[1] == 1e5
+
+    def test_the_callers_arrays_stay_writable(self):
+        f = np.zeros((2, 6))
+        n_atoms = np.ones(2)
+        ShotTable(np.zeros(2, int), np.arange(2), np.zeros(2, bool), n_atoms, f)
+        f[0, 0] = 1.0
+        n_atoms[0] = 2.0
+        assert f[0, 0] == 1.0 and n_atoms[0] == 2.0
+
     def test_checks(self):
         table = self._table()
         with pytest.raises(ValueError, match="reference shots"):

@@ -30,12 +30,22 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from singletsim import analyze_dataset, config_from_dict, readout_noise_sigma, run_campaign, snr
+from singletsim import (
+    analyze_dataset,
+    config_from_dict,
+    fit_fid,
+    readout_noise_sigma,
+    run_campaign,
+    snr,
+)
+from tests.test_lsq import GAMMA, G1, published_fid_trace
 
 S = 120
 N_CYCLES = 100
 N_BINS = 4
 ALPHA = 1e-3
+# Seeded FID traces for the field-estimate calibration.
+S_FID = 60
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +83,19 @@ def test_conditional_stderr_matches_seed_spread(ensemble):
     # standard error (a t statistic of S - 1 degrees of freedom).
     t_limit = scipy.stats.t.ppf(1 - ALPHA / 2, S - 1)
     assert np.all(np.abs(d.mean(axis=0)) < t_limit * spread / math.sqrt(S)), d.mean(axis=0)
+
+
+def test_fid_stderrs_match_seed_spread():
+    # The same band for the FID fit: over S_FID traces of the benchmark's
+    # published FID model with 1 mrad noise, the spread of each fitted
+    # parameter (bx, by, bz, T2, f0) is what its stderr from the fit's
+    # covariance claims to estimate.  The spread of f0 is ~400 spins.
+    fitted, stderrs = [], []
+    for seed in range(S_FID):
+        est = fit_fid(*published_fid_trace(seed), G1, GAMMA)
+        fitted.append([*est.b, est.t2, est.f0])
+        stderrs.append(np.sqrt(np.diag(est.covariance)))
+    spread = np.std(fitted, axis=0, ddof=1)
+    ratio = spread / np.median(stderrs, axis=0)
+    lo, hi = np.sqrt(scipy.stats.chi2.ppf([ALPHA / 2, 1 - ALPHA / 2], S_FID - 1) / (S_FID - 1))
+    assert np.all((lo < ratio) & (ratio < hi)), (ratio, (lo, hi))
