@@ -97,11 +97,13 @@ def cmd_simulate(args) -> int:
     }
     out_dir = Path(args.out)
     dataset_path = out_dir / "shots.csv"
+    # The shots go last: a failed write_dataset removes its CSV and binary
+    # copy itself, and _write_outputs removes what was written before it.
     _write_outputs(
         out_dir,
         [
-            (dataset_path, write_dataset, table),
             (out_dir / "provenance.json", write_json, provenance),
+            (dataset_path, write_dataset, table),
         ],
     )
     print(f"wrote {len(table)} shots to {dataset_path}")

@@ -210,11 +210,13 @@ def parameter_covariance(jac, residuals) -> np.ndarray:
     and ``residuals`` the m residuals at the solution; sigma^2 =
     |r|^2 / (m - n), or 0 when m = n.  Singular values of J^T J below
     1e-12 of the largest are dropped, so a direction the data do not
-    constrain gets variance 0.  The cut is relative, so J's columns must
-    be on comparable scales: ``fit_noise_scaling`` and ``fit_fid`` pass
-    column-scaled J and scale the result back.  Raises ``FitError`` when |r|^2, J or
-    J^T J is not finite, before LAPACK sees them, or when the covariance
-    itself is not.
+    constrain gets variance 0.  The result is exactly symmetric: it is the
+    mean of pinv's result and its transpose, which keeps each diagonal
+    entry's bits.  The cut is relative, so J's columns must be on
+    comparable scales: ``fit_noise_scaling`` and ``fit_fid`` pass
+    column-scaled J and scale the result back.  Raises ``FitError`` when
+    |r|^2, J or J^T J is not finite, before LAPACK sees them, or when the
+    covariance itself is not (an entry past half the float range counts).
     """
     jac = np.asarray(jac, dtype=float)
     r = np.asarray(residuals, dtype=float)
@@ -227,6 +229,7 @@ def parameter_covariance(jac, residuals) -> np.ndarray:
     sigma2 = rss / (m - n) if m > n else 0.0
     with np.errstate(all="ignore"):
         cov = sigma2 * np.linalg.pinv(jtj, rcond=1e-12)
+        cov = 0.5 * (cov + cov.T)  # pinv's triangles differ in their last bits
     if not np.isfinite(cov).all():
         raise FitError("the parameter covariance is not finite")
     return cov

@@ -56,7 +56,11 @@ shot then goes through the engine at once, whose arithmetic does not
 depend on the batch.
 
 A campaign is returned as one ``ShotTable``, the columnar dataset every
-later stage (CSV output and input, analysis) works on.
+later stage (CSV output and input, analysis) works on.  ``write_dataset``
+writes it as the shot CSV and, beside it, a binary copy of the same rows
+(``fileio.write_table``); ``read_dataset`` loads that copy instead of
+parsing the text while the CSV keeps the bytes it was written with, and
+parses the text otherwise.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import read_table, write_csv
+from .fileio import read_table, write_table
 from .probe import ProbeConfig, backaction_sigma, readout_noise_sigma
 from .spins import (
     PSD_RTOL,
@@ -480,29 +484,37 @@ def run_campaign(campaign: CampaignConfig, seq_cfg: SequenceConfig) -> ShotTable
 
 
 def write_dataset(path, table: ShotTable) -> None:
-    """Write a shot table as CSV with the fixed column schema.
+    """Write a shot table as CSV with the fixed column schema, plus its binary copy.
 
-    One row per shot in table order, through ``fileio.write_csv``.
+    One row per shot in table order, is_reference as 0 or 1, through
+    ``fileio.write_table``: beside ``path`` it writes ``<path>.npy``,
+    from which ``read_dataset`` takes the rows while the CSV is unchanged.
     """
-    rows = zip(
-        table.cycle_id.tolist(),
-        table.seq_index.tolist(),
-        table.is_reference.astype(int).tolist(),
-        table.n_atoms.tolist(),
-        *table.f.T.tolist(),
-    )
-    write_csv(path, DATASET_COLUMNS, rows)
+    rows = np.empty(len(table), _WRITTEN_DTYPE)
+    for name in ("cycle_id", "seq_index", "n_atoms"):
+        rows[name] = getattr(table, name)
+    rows["is_reference"] = np.where(table.is_reference, "1", "0")
+    for name, column in zip(DATASET_COLUMNS[4:], table.f.T):
+        rows[name] = column
+    write_table(path, rows)
 
 
 # Each accepted is_reference token (without surrounding whitespace) and its value.
 _REFERENCE_TOKENS = {"0": 0, "1": 1, "false": 0, "true": 1, "False": 0, "True": 1}
 
-# The shot CSV's columns as read; is_reference is read as text.
-_DATASET_DTYPE = np.dtype(
-    [(name, np.int64) for name in DATASET_COLUMNS[:2]]
-    + [(DATASET_COLUMNS[2], object)]
-    + [(name, float) for name in DATASET_COLUMNS[3:]]
-)
+
+def _dataset_dtype(reference) -> np.dtype:
+    """The shot CSV's columns, with is_reference of dtype ``reference``."""
+    return np.dtype(
+        [(name, np.int64) for name in DATASET_COLUMNS[:2]]
+        + [(DATASET_COLUMNS[2], reference)]
+        + [(name, float) for name in DATASET_COLUMNS[3:]]
+    )
+
+
+# As read, is_reference is text; as written, it is "0" or "1".
+_DATASET_DTYPE = _dataset_dtype(object)
+_WRITTEN_DTYPE = _dataset_dtype("U1")
 
 
 def _reference(text) -> np.ndarray:

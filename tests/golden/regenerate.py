@@ -7,8 +7,9 @@ Runs the ``published`` and ``campaign-noisy`` workloads of
 ``perfbench/workloads.py`` at seed 1: their own generators write the
 inputs, and their CLI commands run in-process through
 ``singletsim.cli.main`` from the ``src/`` of this checkout.  Into
-``tests/golden/<workload>/`` it writes the sha256 of ``shots.csv`` and
-``provenance.json`` (``sha256.json``) and a copy of every other output:
+``tests/golden/<workload>/`` it writes the sha256 of ``shots.csv``, its
+binary copy ``shots.csv.npy`` and ``provenance.json`` (``sha256.json``)
+and a copy of every other output:
 ``report.json`` and ``noise_scaling.csv``, plus ``cutoff_scan.csv`` and
 ``estimate.json`` for ``published``.  Rerun it only for a change that
 is meant to move an output, and say so where the change is described.
@@ -31,7 +32,7 @@ GOLDEN = Path(__file__).resolve().parent
 WORKLOADS = ("published", "campaign-noisy")
 SEED = 1
 # Outputs pinned by their bytes; every other output is pinned by its values.
-HASHED = ("sim/shots.csv", "sim/provenance.json")
+HASHED = ("sim/shots.csv", "sim/shots.csv.npy", "sim/provenance.json")
 
 
 def _workloads():

@@ -659,6 +659,22 @@ class TestFidfit:
         assert payload["bz_mG"] == pytest.approx(9.9, rel=1e-4)
         assert payload["t2_us"] == pytest.approx(745.0, rel=1e-4)
 
+    def test_written_covariance_is_symmetric(self, tmp_path):
+        # Entry (i, j) of the written covariance is entry (j, i), to the bit.
+        rng = np.random.default_rng(8)
+        rows = [line.split(",") for line in fid_trace_lines()[1:]]
+        lines = ["t_us,theta_rad,branch"] + [
+            f"{t},{float(theta) + 1e-3 * rng.standard_normal()!r},{axis}" for t, theta, axis in rows
+        ]
+        samples = tmp_path / "noisy.csv"
+        samples.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "estimate.json"
+        assert main(["fidfit", str(samples), "--out", str(out)]) == 0
+        cov = json.loads(out.read_text())["covariance"]
+        assert len(cov) == 5
+        assert cov == [list(column) for column in zip(*cov)]
+        assert any(cov[i][j] != 0.0 for i in range(5) for j in range(i))
+
     @pytest.mark.parametrize("bad_row", ["15.0,nan,z", "inf,0.0,y", "15.0,-inf,y"])
     def test_non_finite_row_exit_code(self, tmp_path, capsys, bad_row):
         rows = fid_trace_lines()

@@ -1,11 +1,13 @@
 """Only ``fileio.py`` reads CSV input or writes CSV or JSON output.
 
 Every input CSV is read through ``fileio.read_table``, every CSV output
-written through ``fileio.write_csv`` and every JSON output through
+written through ``fileio.write_csv`` (the shot CSV and its binary copy
+through ``fileio.write_table``) and every JSON output through
 ``fileio.write_json``, so the header, field-count and unreadable-file
-checks cover every input, and every output of one kind has the same
-layout (CSV: ``csv.writer``'s default dialect, ``\\r\\n`` line ends).
-The package source is parsed, not imported.
+checks cover every input, every output of one kind has the same layout
+(CSV: ``csv.writer``'s default dialect, ``\\r\\n`` line ends), and one
+module knows the binary copy's format.  The package source is parsed,
+not imported.
 """
 
 import ast
@@ -19,6 +21,10 @@ GUARDED = {
     ("json", "dumps"),
     ("np", "loadtxt"),
     ("numpy", "loadtxt"),
+    ("np", "load"),
+    ("numpy", "load"),
+    ("np", "save"),
+    ("numpy", "save"),
 }
 
 
@@ -38,7 +44,8 @@ def guarded_calls() -> list[tuple[str, int, str]]:
     """(file, line, call) for each guarded call in the package.
 
     The guarded calls are ``csv.reader``, ``csv.writer``, ``json.dumps``,
-    ``np.loadtxt``, any ``.write_text(...)`` and any ``open`` (builtin or
+    ``np.loadtxt``, ``np.load``, ``np.save`` (also spelled ``numpy.``),
+    any ``.write_text(...)`` and any ``open`` (builtin or
     ``Path.open``) whose mode writes, appends or creates, shown as
     ``open(w)``.
     """
@@ -65,9 +72,28 @@ def test_csv_reader_and_json_dumps_only_in_fileio():
     assert {call for _, _, call in calls} == {
         "csv.reader",
         "np.loadtxt",
+        "np.load",
+        "np.save",
         "json.dumps",
         ".write_text",
         "open(w)",
     }
     outside = [c for c in calls if c[0] != "fileio.py"]
-    assert outside == [], f"call fileio.read_table / write_csv / write_json instead: {outside}"
+    writers = "write_csv / write_table / write_json"
+    assert outside == [], f"call fileio.read_table / {writers} instead: {outside}"
+
+
+def test_np_load_never_unpickles():
+    # A damaged or hostile binary copy must not run code: every np.load
+    # and np.save in the package passes allow_pickle=False.
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr in ("load", "save"):
+                if isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"):
+                    pickle = [k.value for k in node.keywords if k.arg == "allow_pickle"]
+                    calls.append((path.name, node.lineno, ast.dump(pickle[0]) if pickle else None))
+    assert calls, "no np.load or np.save found"
+    refused = ast.dump(ast.Constant(False))
+    assert [c for c in calls if c[2] != refused] == []

@@ -1,20 +1,34 @@
 """Every output of the ``published`` and ``campaign-noisy`` workloads at seed 1.
 
 Each workload runs as the benchmark runs it (``tests/golden/regenerate.py``,
-which also rewrites the goldens).  ``shots.csv`` and ``provenance.json``
-must keep their sha256: the engine makes no BLAS call.  The analysis
+which also rewrites the goldens).  ``shots.csv``, its binary copy
+``shots.csv.npy`` and ``provenance.json`` must keep their sha256: the
+engine makes no BLAS call.  ``analyze`` reads the shots from the copy;
+without the copy it parses the CSV and writes the same bytes.  The analysis
 and FID outputs go through BLAS, whose kernel can move their last bits
 (by at most ~6e-13 relative across OpenBLAS kernels), so their values
 are compared at rtol 1e-9, with their keys, columns and shapes exact.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
+import shutil
 
 import pytest
 
-from tests.golden.regenerate import GOLDEN, HASHED, WORKLOADS, run_workload, sha256
+from singletsim.cli import main
+from tests.golden.regenerate import (
+    GOLDEN,
+    HASHED,
+    SEED,
+    WORKLOADS,
+    _workloads,
+    run_workload,
+    sha256,
+)
 
 RTOL = 1e-9
 
@@ -77,3 +91,23 @@ def test_analysis_and_fid_outputs_keep_their_values(run):
             got_rows, want_rows = read_csv(path), read_csv(want)
             assert got_rows[0] == want_rows[0], key
             assert_close(got_rows[1:], want_rows[1:], key)
+
+
+def test_analyze_without_the_binary_copy_writes_the_same_bytes(run, tmp_path):
+    # The workload's analyze again, on its shots.csv with the copy deleted.
+    golden, outputs = run
+    shots = outputs["sim/shots.csv"]
+    bare = tmp_path / "bare"
+    shutil.copytree(shots.parent, bare)
+    (bare / "shots.csv.npy").unlink()
+    inputs = shots.parents[2] / "inputs"
+    command = next(c for c in _workloads().build(golden.name).commands if c[0] == "analyze")
+    argv = [arg.format(inputs=inputs, out=tmp_path, seed=SEED) for arg in command]
+    argv[1] = str(bare / "shots.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    written = sorted(p.name for p in (tmp_path / "analysis").iterdir())
+    assert written == sorted(key.split("/")[1] for key in outputs if key.startswith("analysis/"))
+    for name in written:
+        got = (tmp_path / "analysis" / name).read_bytes()
+        assert got == outputs[f"analysis/{name}"].read_bytes(), name

@@ -369,6 +369,7 @@ def test_parameter_covariance_is_sigma2_pinv_jtj():
         r = rng.standard_normal(m)
         sigma2 = float(r @ r) / (m - n) if m > n else 0.0
         expected = sigma2 * np.linalg.pinv(jac.T @ jac, rcond=1e-12)
+        expected = 0.5 * (expected + expected.T)
         assert np.array_equal(parameter_covariance(jac, r), expected)
 
 
